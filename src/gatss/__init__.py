@@ -24,7 +24,6 @@ from .algebra import (
     Multivector,
     Quaternion,
     Rotor,
-    add,
     commutator,
     exp_bivector,
     gp,
@@ -36,7 +35,6 @@ from .algebra import (
     reverse,
     rotor_axis_angle,
     sandwich,
-    scale,
     vector,
     wedge,
 )
@@ -68,6 +66,7 @@ from .twostate import (
     rabi_probability,
     spin_vector,
     spin_vectors,
+    trajectory,
     u_vector,
     u_vector_closed_form,
 )

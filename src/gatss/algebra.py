@@ -41,8 +41,6 @@ __all__ = [
     "E123",
     "PSEUDOSCALAR",
     "gp",
-    "add",
-    "scale",
     "grade",
     "reverse",
     "hodge_dual",
@@ -131,11 +129,6 @@ class Multivector:
     @classmethod
     def scalar(cls, value: float) -> "Multivector":
         return cls([float(value), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-
-    @classmethod
-    def from_json(cls, data: Sequence[float]) -> "Multivector":
-        """Inverse of to_json: a JSON array of 8 numbers in blade order."""
-        return cls(data)
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -230,14 +223,6 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
     return Multivector(out)
 
 
-def add(a: Multivector, b: Multivector) -> Multivector:
-    return Multivector(a.coeffs + b.coeffs)
-
-
-def scale(s: float, a: Multivector) -> Multivector:
-    return Multivector(float(s) * a.coeffs)
-
-
 def grade(a: Multivector, k: int) -> Multivector:
     """Projection onto the grade-k part (k in 0..3)."""
     if k not in (0, 1, 2, 3):
@@ -304,9 +289,6 @@ class Rotor:
     def mv(self) -> Multivector:
         return self._mv
 
-    def as_multivector(self) -> Multivector:
-        return self._mv
-
     def reverse(self) -> "Rotor":
         return Rotor(reverse(self._mv))
 
@@ -356,7 +338,7 @@ def rotor_axis_angle(n_hat: Multivector, alpha: float) -> Rotor:
         raise ValueError("axis must be a pure grade-1 multivector")
     if abs(norm(n_hat) - 1.0) > UNIT_TOL:
         raise ValueError(f"axis must be unit length, |n| = {norm(n_hat):.12g}")
-    return exp_bivector(scale(-0.5 * float(alpha), hodge_dual(n_hat)))
+    return exp_bivector(hodge_dual(n_hat) * (-0.5 * float(alpha)))
 
 
 def sandwich(r: Rotor, a: Multivector) -> Multivector:
@@ -410,7 +392,7 @@ def quaternion_embed(q: Quaternion) -> Multivector:
 def quaternion_polar(q: Quaternion) -> tuple[float, Multivector, float]:
     """Polar decomposition (magnitude, unit axis, angle) of a quaternion.
 
-    Satisfies scale(magnitude, exp_bivector(-e123 n_hat alpha/2)) ==
+    Satisfies exp_bivector(-e123 n_hat alpha/2).mv * magnitude ==
     quaternion_embed(q), with alpha = 2 atan2(|imaginary part|, q0).
 
     For pure scalars the axis defaults to e3, with alpha = 0 for positive

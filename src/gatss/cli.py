@@ -12,39 +12,23 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
 
-from . import conformance, matrixqm
-from .algebra import E3, sandwich
-from .spinor import AlgebraicSpinor, basis_eps, left_mul, to_amplitudes
+from . import conformance
+from .spinor import AlgebraicSpinor, basis_eps
 from .twostate import (
     FieldConfig,
     Hamiltonian,
     eigensystem,
-    evolution_rotor,
-    evolve,
-    expectation,
-    hamiltonian_from_field,
     polar_angles,
     polar_state,
-    probability,
-    rabi_probability,
-    spin_vectors,
-    u_vector_closed_form,
+    trajectory,
 )
 
 __all__ = ["main"]
-
-_CSV_HEADER = "t,p_plus,p_minus,s1,s2,s3,u1,u2,u3"
-_DEV_COLUMNS = ("dev_p", "dev_s", "dev_u")
-_DIAG_DEFAULT_TOL = 1e-9
-_EVOLVE_DEFAULT_TOL = 1e-10
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,17 +45,109 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_floats(text: str, n: int, what: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
-        raise _UsageError(f"{what} needs {n} comma-separated numbers, got {len(parts)}")
+# Casts turn a flag, config or default value into a checked setting; `name`
+# is the setting's key, written with dashes in messages as on the command
+# line.
+
+
+def _number(value, name: str) -> float:
+    label = name.replace("_", "-")
     try:
-        vals = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise _UsageError(f"{what}: {exc}") from None
-    if not all(math.isfinite(v) for v in vals):
-        raise _UsageError(f"{what} must be finite")
-    return vals
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{label} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ValueError(f"{label} must be finite")
+    return out
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _positive(value, name: str) -> int:
+    out = _integer(value, name)
+    if out < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return out
+
+
+def _format(value, name: str) -> str:
+    if value not in _FORMATS:
+        raise ValueError('format must be "csv" or "json"')
+    return value
+
+
+def _numbers(n: int):
+    """Cast of n numbers, given as "a,b,..." text or as a config list."""
+
+    def cast(value, name: str) -> tuple[float, ...]:
+        if isinstance(value, str):
+            parts = [p.strip() for p in value.split(",")]
+            if len(parts) != n:
+                raise ValueError(
+                    f"--{name} needs {n} comma-separated numbers, got {len(parts)}"
+                )
+            try:
+                vals = tuple(float(p) for p in parts)
+            except ValueError as exc:
+                raise ValueError(f"--{name}: {exc}") from None
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError(f"--{name} must be finite")
+            return vals
+        if not isinstance(value, (list, tuple)) or len(value) != n:
+            raise ValueError(f"config {name} must be a list of {n} numbers")
+        return tuple(_number(v, name) for v in value)
+
+    return cast
+
+
+_FORMATS = ("csv", "json")
+_FLOAT = {"type": float}
+_INT = {"type": int}
+_REQUIRED = object()
+
+# Every setting: its argparse keywords (None: config file only), its cast
+# (None: kept as given) and its default in each subcommand that takes it.
+# The order builds the flags, and so --help, and is the order in which
+# settings are resolved and their errors reported.
+_SETTINGS: dict[str, tuple[dict[str, Any] | None, Any, dict[str, Any]]] = {
+    "h": ({"metavar": "h0,h1,h2,h3", "help": "Hamiltonian coefficients"},
+          _numbers(4), {"diag": _REQUIRED}),
+    "B": ({"metavar": "b1,b2,b3", "help": "magnetic field components"},
+          _numbers(3), {"evolve": _REQUIRED}),
+    "q": (_FLOAT, _number, {"evolve": 1.0}),
+    "m": (_FLOAT, _number, {"evolve": 1.0}),
+    "hbar": (_FLOAT, _number, {"evolve": 1.0}),
+    # cast along with the state, once the field is known to be valid
+    "theta0": (_FLOAT, None, {"evolve": None}),
+    "t_start": (_FLOAT, _number, {"evolve": 0.0}),
+    "t_end": (_FLOAT, _number, {"evolve": _REQUIRED}),
+    "steps": (_INT, _positive, {"evolve": _REQUIRED}),
+    "seed": (_INT, _integer, {"conformance": 0}),
+    "count": (_INT, _positive, {"conformance": 1000}),
+    "format": ({"choices": _FORMATS}, _format, {"diag": "csv", "evolve": "csv"}),
+    "check": ({"action": "store_true", "default": None,
+               "help": "append matrix-oracle deviation columns"}, None, {"evolve": False}),
+    "check_rabi": ({"action": "store_true", "default": None,
+                    "help": "compare p_minus against the closed Rabi formula"},
+                   None, {"evolve": False}),
+    "config": ({"metavar": "PATH"}, None, {"diag": None, "evolve": None, "conformance": None}),
+    "tol": (_FLOAT, _number, {"diag": 1e-9, "evolve": 1e-10}),
+    "state": (None, None, {"evolve": None}),
+}
+
+# A config key that names the other subcommand's input is a mix-up.
+_FOREIGN = {
+    "diag": ("B", "diag takes a Hamiltonian, not a field; drop B"),
+    "evolve": ("h", "evolve takes a field, not a Hamiltonian; drop h"),
+}
 
 
 def _load_config(path: str | None) -> dict[str, Any]:
@@ -81,324 +157,163 @@ def _load_config(path: str | None) -> dict[str, Any]:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise _UsageError(f"cannot read config file: {exc}") from None
+        raise ValueError(f"cannot read config file: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"config file is not valid JSON: {exc}") from None
+        raise ValueError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise _UsageError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     return data
 
 
-def _merged(args: argparse.Namespace, config: dict[str, Any], key: str, default=None):
-    """Command line flags override config file values, which override
-    defaults."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config and config[key] is not None:
-        return config[key]
-    return default
+def _settings(args: argparse.Namespace) -> dict[str, Any]:
+    """The subcommand's settings: a flag overrides the config file, which
+    overrides the default."""
+    command = args.command
+    config = _load_config(args.config)
+    if command in _FOREIGN and config.get(_FOREIGN[command][0]) is not None:
+        raise ValueError(_FOREIGN[command][1])
+    settings: dict[str, Any] = {}
+    for name, (flag, cast, defaults) in _SETTINGS.items():
+        if command not in defaults:
+            continue
+        value = getattr(args, name, None)
+        if value is None:
+            value = config.get(name)
+        if value is None:
+            value = defaults[command]
+        if value is _REQUIRED:
+            text = f"{command} needs --{name.replace('_', '-')}"
+            if "metavar" in flag:
+                text += f" {flag['metavar']} (or {name} in the config file)"
+            raise ValueError(text)
+        settings[name] = value if cast is None else cast(value, name)
+        # the grid is complete with steps; check it before format and tol
+        if name == "steps" and settings["t_end"] < settings["t_start"]:
+            raise ValueError("t-end must not precede t-start")
+    return settings
 
 
-def _as_int(value, what: str) -> int:
-    if isinstance(value, bool):
-        raise _UsageError(f"{what} must be an integer")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise _UsageError(f"{what} must be an integer, got {value!r}")
-
-
-def _as_float(value, what: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise _UsageError(f"{what} must be a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise _UsageError(f"{what} must be finite")
-    return out
-
-
-def _resolve_state(theta0, state_spec) -> AlgebraicSpinor:
+def _initial_state(theta0, state) -> AlgebraicSpinor:
     eps_plus, eps_minus = basis_eps()
-    if theta0 is not None and state_spec is not None:
-        raise _UsageError("give either theta0 or an explicit state, not both")
+    if theta0 is not None and state is not None:
+        raise ValueError("give either theta0 or an explicit state, not both")
     if theta0 is not None:
-        return polar_state(_as_float(theta0, "theta0"))
-    if state_spec is None or state_spec == "plus":
+        return polar_state(_number(theta0, "theta0"))
+    if state is None or state == "plus":
         return eps_plus
-    if state_spec == "minus":
+    if state == "minus":
         return eps_minus
-    if isinstance(state_spec, dict):
+    if isinstance(state, dict):
         try:
-            psi = AlgebraicSpinor.from_json_dict(state_spec)
+            psi = AlgebraicSpinor.from_json_dict(state)
         except ValueError as exc:
-            raise _UsageError(f"bad state: {exc}") from None
+            raise ValueError(f"bad state: {exc}") from None
         if not psi.is_normalized():
-            raise _UsageError("state must be normalized")
+            raise ValueError("state must be normalized")
         return psi
-    raise _UsageError(
+    raise ValueError(
         'state must be "plus", "minus" or {"c_plus": [re, ps], "c_minus": [re, ps]}'
     )
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, list):
+        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+    return value
+
+
+def _cmd_diag(s: dict[str, Any]) -> int:
+    ham = Hamiltonian(s["h"][0], s["h"][1:])
+    es = eigensystem(ham)
+    theta, phi = polar_angles(ham)
+    residuals = conformance.eigensystem_residuals(ham, es)
+    ok = max(residuals.values()) <= s["tol"]
+    report = {
+        "e_plus": es.e_plus,
+        "e_minus": es.e_minus,
+        "degenerate": es.degenerate,
+        "theta": theta,
+        "phi": phi,
+        "rotor": es.rotor.mv.to_json(),
+        "psi_plus": es.psi_plus.to_json_dict(),
+        "psi_minus": es.psi_minus.to_json_dict(),
+        **residuals,
+        "tol": s["tol"],
+        "status": "ok" if ok else "tolerance-exceeded",
+    }
+    if s["format"] == "json":
+        print(json.dumps(report, indent=2))
+    else:
+        for key, value in report.items():
+            if isinstance(value, dict):
+                amplitudes = ", ".join(f"{k} = {_text(v)}" for k, v in value.items())
+                print(f"{key}: {amplitudes}")
+            else:
+                print(f"{key} = {_text(value)}")
+    return 0 if ok else 2
+
+
+def _cmd_evolve(s: dict[str, Any]) -> int:
+    cfg = FieldConfig(B=s["B"], q=s["q"], m=s["m"], hbar=s["hbar"])
+    psi0 = _initial_state(s["theta0"], s["state"])
+    if s["check_rabi"]:
+        if cfg.b_norm == 0.0:
+            raise ValueError("check-rabi needs a nonzero field")
+        if psi0 != basis_eps()[0]:
+            raise ValueError("check-rabi assumes the initial state eps_plus")
+
+    table = trajectory(cfg, psi0, np.linspace(s["t_start"], s["t_end"], s["steps"]))
+    checks = []
+    if s["check"]:
+        devs = conformance.trajectory_deviations(cfg, psi0, table)
+        table.update(devs)
+        checks.append(("check", max(chain([0.0], *devs.values()))))
+    if s["check_rabi"]:
+        checks.append(("check-rabi", conformance.rabi_deviation(cfg, table)))
+
+    if s["format"] == "csv":
+        print(",".join(table))
+        for row in zip(*table.values()):
+            print(",".join(_fmt(v) for v in row))
+    else:
+        print(json.dumps(table, indent=2))
+    for label, worst in checks:
+        print(f"{label}: max_deviation = {_fmt(worst)}", file=sys.stderr)
+    return 2 if any(worst > s["tol"] for _, worst in checks) else 0
+
+
+def _cmd_conformance(s: dict[str, Any]) -> int:
+    results = conformance.run_all(s["seed"], s["count"])
+    for r in results:
+        print(
+            f"{r.name:<14} {'PASS' if r.passed else 'FAIL'}  "
+            f"worst={r.worst:.3e}  tol={r.tol:.1e}  count={r.count}"
+        )
+    all_ok = all(r.passed for r in results)
+    print(f"overall: {'PASS' if all_ok else 'FAIL'} (seed={s['seed']})")
+    return 0 if all_ok else 2
+
+
+_COMMANDS = {
+    "diag": ("diagonalize a two-state Hamiltonian and cross-check it", _cmd_diag),
+    "evolve": ("emit a trajectory in a static field", _cmd_evolve),
+    "conformance": ("run the randomized invariant suites", _cmd_conformance),
+}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gatss", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    diag = sub.add_parser(
-        "diag", help="diagonalize a two-state Hamiltonian and cross-check it"
-    )
-    diag.add_argument("--h", metavar="h0,h1,h2,h3", help="Hamiltonian coefficients")
-    diag.add_argument("--format", choices=("csv", "json"), default=None)
-    diag.add_argument("--config", metavar="PATH", default=None)
-    diag.add_argument("--tol", type=float, default=None)
-
-    ev = sub.add_parser("evolve", help="emit a trajectory in a static field")
-    ev.add_argument("--B", metavar="b1,b2,b3", help="magnetic field components")
-    ev.add_argument("--q", type=float, default=None)
-    ev.add_argument("--m", type=float, default=None)
-    ev.add_argument("--hbar", type=float, default=None)
-    ev.add_argument("--theta0", type=float, default=None)
-    ev.add_argument("--t-start", type=float, default=None)
-    ev.add_argument("--t-end", type=float, default=None)
-    ev.add_argument("--steps", type=int, default=None)
-    ev.add_argument("--format", choices=("csv", "json"), default=None)
-    ev.add_argument("--check", action="store_true", default=None,
-                    help="append matrix-oracle deviation columns")
-    ev.add_argument("--check-rabi", action="store_true", default=None,
-                    help="compare p_minus against the closed Rabi formula")
-    ev.add_argument("--config", metavar="PATH", default=None)
-    ev.add_argument("--tol", type=float, default=None)
-
-    conf = sub.add_parser("conformance", help="run the randomized invariant suites")
-    conf.add_argument("--seed", type=int, default=None)
-    conf.add_argument("--count", type=int, default=None)
-    conf.add_argument("--config", metavar="PATH", default=None)
-
+    for command, (help_text, _) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for name, (flag, _, defaults) in _SETTINGS.items():
+            if flag is not None and command in defaults:
+                cmd.add_argument("--" + name.replace("_", "-"), **flag)
     return parser
-
-
-def _cmd_diag(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    if _merged(args, config, "B") is not None:
-        raise _UsageError("diag takes a Hamiltonian, not a field; drop B")
-    h_spec = _merged(args, config, "h")
-    if h_spec is None:
-        raise _UsageError("diag needs --h h0,h1,h2,h3 (or h in the config file)")
-    if isinstance(h_spec, str):
-        h_vals = _parse_floats(h_spec, 4, "--h")
-    else:
-        if not isinstance(h_spec, (list, tuple)) or len(h_spec) != 4:
-            raise _UsageError("config h must be a list of 4 numbers")
-        h_vals = tuple(_as_float(v, "h") for v in h_spec)
-    fmt_kind = _merged(args, config, "format", "csv")
-    if fmt_kind not in ("csv", "json"):
-        raise _UsageError('format must be "csv" or "json"')
-    tol = _as_float(_merged(args, config, "tol", _DIAG_DEFAULT_TOL), "tol")
-
-    ham = Hamiltonian(h_vals[0], h_vals[1:])
-    es = eigensystem(ham)
-    theta, phi = polar_angles(ham)
-    h_mv = ham.as_multivector()
-
-    def relation_residual(psi: AlgebraicSpinor, e: float) -> float:
-        diff = left_mul(h_mv, psi).mv.coeffs - e * psi.mv.coeffs
-        return float(np.max(np.abs(diff)))
-
-    res_relation = max(
-        relation_residual(es.psi_plus, es.e_plus),
-        relation_residual(es.psi_minus, es.e_minus),
-    )
-    values, vectors = matrixqm.eigen_hermitian(matrixqm.rep(h_mv))
-    res_values = max(abs(es.e_plus - values[0]), abs(es.e_minus - values[1]))
-    res_overlap = max(
-        abs(1.0 - abs(np.vdot(vectors[0], matrixqm.spinor_rep(es.psi_plus)))),
-        abs(1.0 - abs(np.vdot(vectors[1], matrixqm.spinor_rep(es.psi_minus)))),
-    )
-    worst = max(res_relation, res_values, res_overlap)
-    ok = worst <= tol
-
-    cp_p, cm_p = to_amplitudes(es.psi_plus)
-    cp_m, cm_m = to_amplitudes(es.psi_minus)
-    if fmt_kind == "json":
-        print(
-            json.dumps(
-                {
-                    "e_plus": es.e_plus,
-                    "e_minus": es.e_minus,
-                    "degenerate": es.degenerate,
-                    "theta": theta,
-                    "phi": phi,
-                    "rotor": es.rotor.mv.to_json(),
-                    "psi_plus": es.psi_plus.to_json_dict(),
-                    "psi_minus": es.psi_minus.to_json_dict(),
-                    "residual_eigen_relation": res_relation,
-                    "residual_oracle_eigenvalues": res_values,
-                    "residual_oracle_overlap": res_overlap,
-                    "tol": tol,
-                    "status": "ok" if ok else "tolerance-exceeded",
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"e_plus = {_fmt(es.e_plus)}")
-        print(f"e_minus = {_fmt(es.e_minus)}")
-        print(f"degenerate = {'true' if es.degenerate else 'false'}")
-        print(f"theta = {_fmt(theta)}")
-        print(f"phi = {_fmt(phi)}")
-        print("rotor = [" + ", ".join(_fmt(c) for c in es.rotor.mv.coeffs) + "]")
-        print(
-            f"psi_plus: c_plus = [{_fmt(cp_p.re)}, {_fmt(cp_p.ps)}], "
-            f"c_minus = [{_fmt(cm_p.re)}, {_fmt(cm_p.ps)}]"
-        )
-        print(
-            f"psi_minus: c_plus = [{_fmt(cp_m.re)}, {_fmt(cp_m.ps)}], "
-            f"c_minus = [{_fmt(cm_m.re)}, {_fmt(cm_m.ps)}]"
-        )
-        print(f"residual_eigen_relation = {_fmt(res_relation)}")
-        print(f"residual_oracle_eigenvalues = {_fmt(res_values)}")
-        print(f"residual_oracle_overlap = {_fmt(res_overlap)}")
-        print(f"tol = {_fmt(tol)}")
-        print(f"status = {'ok' if ok else 'tolerance-exceeded'}")
-    return 0 if ok else 2
-
-
-def _cmd_evolve(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    if _merged(args, config, "h") is not None:
-        raise _UsageError("evolve takes a field, not a Hamiltonian; drop h")
-    b_spec = _merged(args, config, "B")
-    if b_spec is None:
-        raise _UsageError("evolve needs --B b1,b2,b3 (or B in the config file)")
-    if isinstance(b_spec, str):
-        b_vals = _parse_floats(b_spec, 3, "--B")
-    else:
-        if not isinstance(b_spec, (list, tuple)) or len(b_spec) != 3:
-            raise _UsageError("config B must be a list of 3 numbers")
-        b_vals = tuple(_as_float(v, "B") for v in b_spec)
-
-    q = _as_float(_merged(args, config, "q", 1.0), "q")
-    m = _as_float(_merged(args, config, "m", 1.0), "m")
-    hbar = _as_float(_merged(args, config, "hbar", 1.0), "hbar")
-    t_start = _as_float(_merged(args, config, "t_start", 0.0), "t-start")
-    t_end_raw = _merged(args, config, "t_end")
-    if t_end_raw is None:
-        raise _UsageError("evolve needs --t-end")
-    t_end = _as_float(t_end_raw, "t-end")
-    steps_raw = _merged(args, config, "steps")
-    if steps_raw is None:
-        raise _UsageError("evolve needs --steps")
-    steps = _as_int(steps_raw, "steps")
-    if steps < 1:
-        raise _UsageError("steps must be at least 1")
-    if t_end < t_start:
-        raise _UsageError("t-end must not precede t-start")
-    fmt_kind = _merged(args, config, "format", "csv")
-    if fmt_kind not in ("csv", "json"):
-        raise _UsageError('format must be "csv" or "json"')
-    tol = _as_float(_merged(args, config, "tol", _EVOLVE_DEFAULT_TOL), "tol")
-    do_check = bool(_merged(args, config, "check", False))
-    do_check_rabi = bool(_merged(args, config, "check_rabi", False))
-
-    try:
-        cfg = FieldConfig(B=b_vals, q=q, m=m, hbar=hbar)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    psi0 = _resolve_state(_merged(args, config, "theta0"), config.get("state"))
-
-    eps_plus, eps_minus = basis_eps()
-    if do_check_rabi:
-        if cfg.b_norm == 0.0:
-            raise _UsageError("check-rabi needs a nonzero field")
-        if not np.array_equal(psi0.mv.coeffs, eps_plus.mv.coeffs):
-            raise _UsageError("check-rabi assumes the initial state eps_plus")
-
-    ham = hamiltonian_from_field(cfg)
-    s_ops = spin_vectors(cfg.hbar)
-    grid = np.linspace(t_start, t_end, steps)
-
-    if do_check:
-        h_mat = matrixqm.rep(ham.as_multivector())
-        psi0_col = matrixqm.spinor_rep(psi0)
-        s_mats = [0.5 * cfg.hbar * matrixqm.pauli(k) for k in (1, 2, 3)]
-
-    columns = ["t", "p_plus", "p_minus", "s1", "s2", "s3", "u1", "u2", "u3"]
-    if do_check:
-        columns += list(_DEV_COLUMNS)
-    table: dict[str, list[float]] = {name: [] for name in columns}
-    max_dev = 0.0
-    max_dev_rabi = 0.0
-
-    for t in grid:
-        t = float(t)
-        u_rotor = evolution_rotor(ham, t, cfg.hbar)
-        psi_t = evolve(psi0, u_rotor)
-        p_plus = probability(eps_plus, psi_t)
-        p_minus = probability(eps_minus, psi_t)
-        spins = [expectation(op, psi_t) for op in s_ops]
-        u_mv = sandwich(u_rotor, E3)
-        u = (u_mv[1], u_mv[2], u_mv[3])
-        row = [t, p_plus, p_minus, *spins, *u]
-        if do_check:
-            col_t = matrixqm.evolve_matrix(psi0_col, h_mat, t, cfg.hbar)
-            dev_p = max(
-                abs(p_plus - abs(col_t[0]) ** 2),
-                abs(p_minus - abs(col_t[1]) ** 2),
-            )
-            dev_s = max(
-                abs(spins[k] - matrixqm.expectation_matrix(s_mats[k], col_t))
-                for k in range(3)
-            )
-            u_ref = (
-                u_vector_closed_form(cfg, t) if cfg.b_norm > 0.0 else (0.0, 0.0, 1.0)
-            )
-            dev_u = max(abs(u[k] - u_ref[k]) for k in range(3))
-            row += [dev_p, dev_s, dev_u]
-            max_dev = max(max_dev, dev_p, dev_s, dev_u)
-        if do_check_rabi:
-            max_dev_rabi = max(max_dev_rabi, abs(p_minus - rabi_probability(cfg, t)))
-        for name, value in zip(columns, row):
-            table[name].append(value)
-
-    if fmt_kind == "csv":
-        print(",".join(columns))
-        n = len(table["t"])
-        for i in range(n):
-            print(",".join(_fmt(table[name][i]) for name in columns))
-    else:
-        print(json.dumps(table, indent=2))
-
-    status = 0
-    if do_check:
-        print(f"check: max_deviation = {_fmt(max_dev)}", file=sys.stderr)
-        if max_dev > tol:
-            status = 2
-    if do_check_rabi:
-        print(f"check-rabi: max_deviation = {_fmt(max_dev_rabi)}", file=sys.stderr)
-        if max_dev_rabi > tol:
-            status = 2
-    return status
-
-
-def _cmd_conformance(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    seed = _as_int(_merged(args, config, "seed", 0), "seed")
-    count = _as_int(_merged(args, config, "count", 1000), "count")
-    if count < 1:
-        raise _UsageError("count must be at least 1")
-    results = conformance.run_all(seed, count)
-    all_ok = True
-    for r in results:
-        all_ok = all_ok and r.passed
-        print(
-            f"{r.name:<14} {'PASS' if r.passed else 'FAIL'}  "
-            f"worst={r.worst:.3e}  tol={r.tol:.1e}  count={r.count}"
-        )
-    print(f"overall: {'PASS' if all_ok else 'FAIL'} (seed={seed})")
-    return 0 if all_ok else 2
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -410,14 +325,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # errors (remapped to 1 above)
         return int(exc.code or 0)
     try:
-        if args.command == "diag":
-            return _cmd_diag(args)
-        if args.command == "evolve":
-            return _cmd_evolve(args)
-        return _cmd_conformance(args)
-    except _UsageError as exc:
-        print(f"gatss {args.command}: error: {exc}", file=sys.stderr)
-        return 1
+        return _COMMANDS[args.command][1](_settings(args))
     except ValueError as exc:
         print(f"gatss {args.command}: error: {exc}", file=sys.stderr)
         return 1

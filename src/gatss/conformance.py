@@ -1,9 +1,12 @@
-"""Randomized self-check suites over the package's structural identities.
+"""Checks of the algebra against the matrix oracle and the closed forms.
 
-Four suites back the command line `conformance` subcommand: the matrix
+This is the one module where the algebra meets `matrixqm`.  Four randomized
+suites back the command line `conformance` subcommand: the matrix
 representation being multiplicative, associativity of the geometric
 product, exactness of the spin commutators, and the three-way agreement of
 the transition probability (closed form, rotor dynamics, matrix dynamics).
+The residual and deviation functions back the checks of `diag` and
+`evolve --check/--check-rabi`.
 
 They double as a tamper check for modified builds: flipping any single
 sign in the blade product table makes the homomorphism suite fail, which
@@ -17,16 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixqm
-from .algebra import Multivector, commutator, gp, hodge_dual, norm, scale
-from .spinor import basis_eps
+from .algebra import Multivector, commutator, gp, hodge_dual, norm
+from .spinor import AlgebraicSpinor, basis_eps, left_mul
 from .twostate import (
+    EigenSystem,
     FieldConfig,
+    Hamiltonian,
     evolution_rotor,
     evolve,
     hamiltonian_from_field,
     probability,
     rabi_probability,
     spin_vectors,
+    u_vector_closed_form,
 )
 
 __all__ = [
@@ -36,6 +42,9 @@ __all__ = [
     "suite_commutators",
     "suite_rabi_triangle",
     "run_all",
+    "eigensystem_residuals",
+    "trajectory_deviations",
+    "rabi_deviation",
     "HOMOMORPHISM_TOL",
     "ASSOCIATIVITY_TOL",
     "RABI_TRIANGLE_TOL",
@@ -146,3 +155,67 @@ def run_all(seed: int, count: int) -> list[SuiteResult]:
         suite_commutators(),
         suite_rabi_triangle(rng, count),
     ]
+
+
+def eigensystem_residuals(h: Hamiltonian, es: EigenSystem) -> dict[str, float]:
+    """How far an eigensystem of h is from exact: the eigen relation
+    H psi = e psi in the algebra, and the eigenvalues and eigenvector
+    overlaps against the matrix eigensolver."""
+    h_mv = h.as_multivector()
+
+    def relation_residual(psi: AlgebraicSpinor, e: float) -> float:
+        diff = left_mul(h_mv, psi).mv.coeffs - e * psi.mv.coeffs
+        return float(np.max(np.abs(diff)))
+
+    values, vectors = matrixqm.eigen_hermitian(matrixqm.rep(h_mv))
+    return {
+        "residual_eigen_relation": max(
+            relation_residual(es.psi_plus, es.e_plus),
+            relation_residual(es.psi_minus, es.e_minus),
+        ),
+        "residual_oracle_eigenvalues": float(
+            max(abs(es.e_plus - values[0]), abs(es.e_minus - values[1]))
+        ),
+        "residual_oracle_overlap": float(
+            max(
+                abs(1.0 - abs(np.vdot(vectors[0], matrixqm.spinor_rep(es.psi_plus)))),
+                abs(1.0 - abs(np.vdot(vectors[1], matrixqm.spinor_rep(es.psi_minus)))),
+            )
+        ),
+    }
+
+
+def trajectory_deviations(
+    cfg: FieldConfig, psi0: AlgebraicSpinor, table: dict[str, list[float]]
+) -> dict[str, list[float]]:
+    """Per-row deviations of a `twostate.trajectory` table of psi0 in cfg.
+
+    dev_p and dev_s compare the probabilities and spin expectations with the
+    matrix dynamics; dev_u compares the axis with its closed form (e3 in
+    zero field).
+    """
+    h_mat = matrixqm.rep(hamiltonian_from_field(cfg).as_multivector())
+    psi0_col = matrixqm.spinor_rep(psi0)
+    s_mats = [0.5 * cfg.hbar * matrixqm.pauli(k) for k in (1, 2, 3)]
+    devs: dict[str, list[float]] = {"dev_p": [], "dev_s": [], "dev_u": []}
+    for i, t in enumerate(table["t"]):
+        col_t = matrixqm.evolve_matrix(psi0_col, h_mat, t, cfg.hbar)
+        refs = (
+            ("dev_p", ("p_plus", "p_minus"), (abs(col_t[0]) ** 2, abs(col_t[1]) ** 2)),
+            ("dev_s", ("s1", "s2", "s3"),
+             [matrixqm.expectation_matrix(s, col_t) for s in s_mats]),
+            ("dev_u", ("u1", "u2", "u3"),
+             u_vector_closed_form(cfg, t) if cfg.b_norm > 0.0 else (0.0, 0.0, 1.0)),
+        )
+        for dev, columns, ref in refs:
+            devs[dev].append(float(max(abs(table[c][i] - r) for c, r in zip(columns, ref))))
+    return devs
+
+
+def rabi_deviation(cfg: FieldConfig, table: dict[str, list[float]]) -> float:
+    """Largest gap between the p_minus column of a trajectory out of
+    eps_plus and the closed Rabi formula."""
+    worst = 0.0
+    for t, p_minus in zip(table["t"], table["p_minus"]):
+        worst = max(worst, abs(p_minus - rabi_probability(cfg, t)))
+    return worst

@@ -151,9 +151,6 @@ class AlgebraicSpinor:
     def mv(self) -> Multivector:
         return self._mv
 
-    def as_multivector(self) -> Multivector:
-        return self._mv
-
     def norm2(self) -> CenterScalar:
         return inner(self, self)
 

@@ -37,7 +37,6 @@ from .algebra import (
     reverse,
     rotor_axis_angle,
     sandwich,
-    scale,
     vector,
 )
 from .spinor import AlgebraicSpinor, basis_eps, inner, left_mul
@@ -59,6 +58,7 @@ __all__ = [
     "rabi_probability",
     "polar_state",
     "precession_trajectory",
+    "trajectory",
     "spin_vector",
     "u_vector",
     "u_vector_closed_form",
@@ -170,12 +170,16 @@ def polar_angles(h: Hamiltonian) -> tuple[float, float]:
     return theta, phi
 
 
+def _polar_rotor(theta: float, phi: float) -> Rotor:
+    """R(phi, theta): turn e3 by theta towards e1, then by phi about e3."""
+    return rotor_axis_angle(E3, phi) * rotor_axis_angle(E2, theta)
+
+
 def diagonalizing_rotor(h: Hamiltonian) -> Rotor:
     """Rotor R with reverse(R) H R = h0 + |h| e3 (identity when |h| = 0)."""
     if h.r_norm == 0.0:
         return Rotor.identity()
-    theta, phi = polar_angles(h)
-    return rotor_axis_angle(E3, phi) * rotor_axis_angle(E2, theta)
+    return _polar_rotor(*polar_angles(h))
 
 
 def diagonalize(h: Hamiltonian) -> tuple[Hamiltonian, Rotor]:
@@ -216,8 +220,8 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
             degenerate=True,
         )
     theta, phi = polar_angles(h)
-    r = diagonalizing_rotor(h)
-    r_minus = rotor_axis_angle(E3, phi) * rotor_axis_angle(E2, theta + math.pi)
+    r = _polar_rotor(theta, phi)
+    r_minus = _polar_rotor(theta + math.pi, phi)
     return EigenSystem(
         e_plus=h.h0 + r_norm,
         e_minus=h.h0 - r_norm,
@@ -249,7 +253,7 @@ def evolution_rotor(h: Hamiltonian, t: float, hbar: float = 1.0) -> Rotor:
         )
     if not math.isfinite(float(t)) or not math.isfinite(float(hbar)) or hbar <= 0.0:
         raise ValueError("need finite t and positive finite hbar")
-    return exp_bivector(scale(-float(t) / float(hbar), hodge_dual(h.vector_part())))
+    return exp_bivector(hodge_dual(h.vector_part()) * (-float(t) / float(hbar)))
 
 
 def evolve(psi0: AlgebraicSpinor, u: Rotor) -> AlgebraicSpinor:
@@ -295,8 +299,7 @@ def rabi_probability(cfg: FieldConfig, t: float) -> float:
 
 def polar_state(theta: float, phi: float = 0.0) -> AlgebraicSpinor:
     """Spin-up state along the (theta, phi) axis: R(phi, theta) eps_plus."""
-    r = rotor_axis_angle(E3, float(phi)) * rotor_axis_angle(E2, float(theta))
-    return left_mul(r.mv, basis_eps()[0])
+    return left_mul(_polar_rotor(float(theta), float(phi)).mv, basis_eps()[0])
 
 
 def precession_trajectory(
@@ -325,9 +328,40 @@ def precession_trajectory(
     return rows
 
 
+def trajectory(
+    cfg: FieldConfig,
+    psi0: AlgebraicSpinor,
+    t_grid: Iterable[float],
+) -> dict[str, list[float]]:
+    """The state psi0 evolved in the static field of cfg, one row per time.
+
+    Returns the columns t, p_plus, p_minus (probabilities of the basis
+    states), s1, s2, s3 (spin expectations) and u1, u2, u3 (the precessing
+    axis u(t) = U e3 reverse(U)), in that order.
+    """
+    eps_plus, eps_minus = basis_eps()
+    ham = hamiltonian_from_field(cfg)
+    s_ops = spin_vectors(cfg.hbar)
+    table: dict[str, list[float]] = {
+        name: [] for name in ("t", "p_plus", "p_minus", "s1", "s2", "s3", "u1", "u2", "u3")
+    }
+    for t in t_grid:
+        t = float(t)
+        u_rotor = evolution_rotor(ham, t, cfg.hbar)
+        psi_t = evolve(psi0, u_rotor)
+        p_plus = probability(eps_plus, psi_t)
+        p_minus = probability(eps_minus, psi_t)
+        spins = [expectation(op, psi_t) for op in s_ops]
+        u = sandwich(u_rotor, E3)
+        row = (t, p_plus, p_minus, *spins, u[1], u[2], u[3])
+        for column, value in zip(table.values(), row):
+            column.append(value)
+    return table
+
+
 def spin_vector(psi_plus_rotor: Rotor, hbar: float = 1.0) -> tuple[float, float, float]:
     """Expectation spin direction of R eps_plus, via R (hbar/2) e3 reverse(R)."""
-    v = sandwich(psi_plus_rotor, scale(0.5 * float(hbar), E3))
+    v = sandwich(psi_plus_rotor, E3 * (0.5 * float(hbar)))
     return v[1], v[2], v[3]
 
 

@@ -20,7 +20,6 @@ from gatss.algebra import (
     gp,
     norm,
     sandwich,
-    scale,
     vector,
     wedge,
 )
@@ -152,7 +151,7 @@ def test_criterion_06_plane_factorizations():
     for k in range(3):
         a = Multivector(e[(k + 1) % 3].coeffs - e[k].coeffs)
         b = Multivector(e[(k + 2) % 3].coeffs - e[k].coeffs)
-        planes.append(scale(scale_factor, wedge(a, b)))
+        planes.append(wedge(a, b) * scale_factor)
     n_hat = vector(*(1.0 / math.sqrt(3.0),) * 3)
     dual_plane = gp(E123, n_hat)
     worst = max(

@@ -22,7 +22,6 @@ from gatss.algebra import (
     Multivector,
     Quaternion,
     Rotor,
-    add,
     commutator,
     exp_bivector,
     gp,
@@ -34,7 +33,6 @@ from gatss.algebra import (
     reverse,
     rotor_axis_angle,
     sandwich,
-    scale,
     vector,
     wedge,
 )
@@ -141,8 +139,8 @@ class TestGradeAddScale:
     def test_add_and_scale(self):
         a = Multivector([1, 2, 3, 4, 5, 6, 7, 8])
         b = Multivector([8, 7, 6, 5, 4, 3, 2, 1])
-        assert add(a, b).coeffs.tolist() == [9.0] * 8
-        assert scale(-2.0, a).coeffs.tolist() == [-2, -4, -6, -8, -10, -12, -14, -16]
+        assert (a + b).coeffs.tolist() == [9.0] * 8
+        assert (a * -2.0).coeffs.tolist() == [-2, -4, -6, -8, -10, -12, -14, -16]
 
 
 class TestReversion:
@@ -217,7 +215,7 @@ class TestExpBivector:
         # exp of -(e123 n)(pi/3) with n = (1,1,1)/sqrt(3): scalar cos(pi/3),
         # bivector -(sin(pi/3)/sqrt(3)) per component
         s3 = math.sqrt(3.0)
-        b = scale(-math.pi / 3.0, hodge_dual(vector(1 / s3, 1 / s3, 1 / s3)))
+        b = hodge_dual(vector(1 / s3, 1 / s3, 1 / s3)) * (-math.pi / 3.0)
         r = exp_bivector(b)
         expected = [0.5, 0, 0, 0, -math.sin(math.pi / 3) / s3,
                     -math.sin(math.pi / 3) / s3, -math.sin(math.pi / 3) / s3, 0]
@@ -233,7 +231,7 @@ class TestExpBivector:
 
     def test_series_branch_is_continuous(self):
         for mag in (1e-9, 9.9e-9, 1.01e-8, 1e-7):
-            b = scale(mag, E12)
+            b = E12 * mag
             got = exp_bivector(b).mv.coeffs
             expected = np.zeros(8)
             expected[0] = math.cos(mag)
@@ -241,7 +239,7 @@ class TestExpBivector:
             assert np.max(np.abs(got - expected)) < 1e-16
 
     def test_small_angle_series_path(self):
-        b = scale(1e-10, E23)
+        b = E23 * 1e-10
         r = exp_bivector(b)
         assert r.mv[0] == 1.0 - 0.5e-20
         assert abs(r.mv[4] - 1e-10) < 1e-25
@@ -252,11 +250,11 @@ class TestRotorType:
         with pytest.raises(ValueError):
             Rotor(E1)
         with pytest.raises(ValueError):
-            Rotor(add(ONE, scale(1e-3, E123)))
+            Rotor(ONE + E123 * 1e-3)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
-            Rotor(scale(2.0, ONE))
+            Rotor(ONE * 2.0)
         with pytest.raises(ValueError):
             Rotor(Multivector([1.0 + 1e-6, 0, 0, 0, 0, 0, 0, 0]))
 
@@ -318,7 +316,7 @@ class TestRotorAxisAngle:
 
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError):
-            rotor_axis_angle(scale(2.0, E3), 1.0)
+            rotor_axis_angle(E3 * 2.0, 1.0)
 
     def test_rejects_non_vector_axis(self):
         with pytest.raises(ValueError):
@@ -343,9 +341,9 @@ class TestWedge:
     def test_bivector_factorization_agreement(self):
         # three factorizations of the same oriented plane, pairwise within 1e-15
         s3 = math.sqrt(3.0)
-        p1 = scale(1 / s3, wedge(E2 - E1, E3 - E1))
-        p2 = scale(1 / s3, wedge(E3 - E2, E1 - E2))
-        p3 = scale(1 / s3, wedge(E1 - E3, E2 - E3))
+        p1 = wedge(E2 - E1, E3 - E1) * (1 / s3)
+        p2 = wedge(E3 - E2, E1 - E2) * (1 / s3)
+        p3 = wedge(E1 - E3, E2 - E3) * (1 / s3)
         target = hodge_dual(vector(1 / s3, 1 / s3, 1 / s3))
         for p in (p1, p2, p3):
             assert p.allclose(target, 1e-15)
@@ -411,7 +409,7 @@ class TestQuaternions:
             if q.norm() < 1e-6:
                 continue
             mag, n_hat, alpha = quaternion_polar(q)
-            rebuilt = scale(mag, exp_bivector(scale(-alpha / 2.0, hodge_dual(n_hat))).mv)
+            rebuilt = exp_bivector(hodge_dual(n_hat) * (-alpha / 2.0)).mv * mag
             assert rebuilt.allclose(quaternion_embed(q), 1e-12 * max(1.0, mag))
             assert 0.0 <= alpha <= 2.0 * math.pi
 
@@ -439,7 +437,7 @@ class TestMultivectorType:
     def test_json_round_trip(self):
         a = Multivector([1, -2, 3.5, 0, 0.25, -6, 7, 8])
         blob = json.dumps(a.to_json())
-        assert Multivector.from_json(json.loads(blob)) == a
+        assert Multivector(json.loads(blob)) == a
         assert len(a.to_json()) == 8
 
     def test_text_rendering(self):
@@ -453,6 +451,7 @@ class TestMultivectorType:
         rng = np.random.default_rng(67)
         a, b = random_mv(rng), random_mv(rng)
         assert a * b == gp(a, b)
-        assert a + b == add(a, b)
-        assert 2.5 * a == scale(2.5, a)
-        assert a - b == add(a, scale(-1.0, b))
+        assert (a + b).coeffs.tolist() == (a.coeffs + b.coeffs).tolist()
+        assert (a - b).coeffs.tolist() == (a.coeffs - b.coeffs).tolist()
+        assert (a * 2.5).coeffs.tolist() == (2.5 * a.coeffs).tolist()
+        assert 2.5 * a == a * 2.5

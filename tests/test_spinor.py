@@ -17,7 +17,6 @@ from gatss.algebra import (
     gp,
     reverse,
     rotor_axis_angle,
-    scale,
 )
 from gatss.spinor import (
     AlgebraicSpinor,

@@ -19,7 +19,6 @@ from gatss.algebra import (
     reverse,
     rotor_axis_angle,
     sandwich,
-    scale,
     vector,
 )
 from gatss.spinor import CenterScalar, basis_eps, from_amplitudes, inner, left_mul, to_amplitudes
@@ -41,6 +40,7 @@ from gatss.twostate import (
     rabi_probability,
     spin_vector,
     spin_vectors,
+    trajectory,
     u_vector,
     u_vector_closed_form,
 )
@@ -548,6 +548,24 @@ class TestUVector:
             assert np.max(np.abs(deriv - expected)) <= 1e-6
 
 
+class TestTrajectory:
+    CFG = FieldConfig(B=(0.4, -1.1, 2.2), q=1.5, m=0.7, hbar=0.9)
+
+    def test_columns_match_closed_forms(self):
+        grid = np.linspace(0.0, 12.0, 61)
+        table = trajectory(self.CFG, EPS_PLUS, grid)
+        assert list(table) == ["t", "p_plus", "p_minus", "s1", "s2", "s3", "u1", "u2", "u3"]
+        assert table["t"] == grid.tolist()
+        for i, t in enumerate(table["t"]):
+            assert abs(table["p_minus"][i] - rabi_probability(self.CFG, t)) <= 1e-12
+            assert abs(table["p_plus"][i] + table["p_minus"][i] - 1.0) <= 1e-12
+            u = u_vector_closed_form(self.CFG, t)
+            for k in range(3):
+                assert abs(table[f"u{k + 1}"][i] - u[k]) <= 1e-12
+                # out of eps_plus the spin follows the axis: s = (hbar/2) u
+                assert abs(table[f"s{k + 1}"][i] - 0.5 * self.CFG.hbar * u[k]) <= 1e-12
+
+
 class TestSpinCommutators:
     @pytest.mark.parametrize("hbar", [1.0, 0.7])
     def test_algebra_closes_exactly(self, hbar):
@@ -560,7 +578,7 @@ class TestSpinCommutators:
                     assert got.coeffs.tolist() == [0.0] * 8
                 else:
                     sign, k = eps[(i, j)]
-                    expected = scale(sign * hbar, gp(E123, s[k]))
+                    expected = gp(E123, s[k]) * (sign * hbar)
                     assert got == expected
 
 
