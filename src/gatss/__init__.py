@@ -52,8 +52,6 @@ from .twostate import (
     EigenSystem,
     FieldConfig,
     Hamiltonian,
-    diagonalize,
-    diagonalizing_rotor,
     eigensystem,
     evolution_rotor,
     evolve,
@@ -64,10 +62,8 @@ from .twostate import (
     precession_trajectory,
     probability,
     rabi_probability,
-    spin_vector,
     spin_vectors,
     trajectory,
-    u_vector,
     u_vector_closed_form,
 )
 

@@ -6,7 +6,9 @@ representation being multiplicative, associativity of the geometric
 product, exactness of the spin commutators, and the three-way agreement of
 the transition probability (closed form, rotor dynamics, matrix dynamics).
 The residual and deviation functions back the checks of `diag` and
-`evolve --check/--check-rabi`.
+`evolve --check/--check-rabi`.  Every check reduces its deviations with
+`worst_deviation` and decides with `SuiteResult.passed`, so a NaN
+deviation fails it.
 
 They double as a tamper check for modified builds: flipping any single
 sign in the blade product table makes the homomorphism suite fail, which
@@ -37,6 +39,7 @@ from .twostate import (
 
 __all__ = [
     "SuiteResult",
+    "worst_deviation",
     "suite_homomorphism",
     "suite_associativity",
     "suite_commutators",
@@ -59,11 +62,25 @@ _COEFF_SPAN = 10.0
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """Outcome of one check: the worst deviation over `count` cases."""
+
     name: str
-    passed: bool
     worst: float
     tol: float
     count: int
+
+    @property
+    def passed(self) -> bool:
+        """The one pass rule: worst <= tol, which is false for NaN."""
+        return self.worst <= self.tol
+
+
+def worst_deviation(deviations) -> float:
+    """Largest entry of an array-like of deviations, 0.0 when it is empty.
+
+    Unlike the builtin max, a NaN anywhere makes the result NaN.
+    """
+    return float(np.max(np.asarray(deviations, dtype=float), initial=0.0))
 
 
 def _random_mv(rng: np.random.Generator) -> Multivector:
@@ -72,27 +89,23 @@ def _random_mv(rng: np.random.Generator) -> Multivector:
 
 def suite_homomorphism(rng: np.random.Generator, count: int) -> SuiteResult:
     """rep(a b) == rep(a) rep(b), entrywise, over random pairs."""
-    worst = 0.0
+    devs = []
     for _ in range(count):
         a, b = _random_mv(rng), _random_mv(rng)
-        dev = np.max(
-            np.abs(matrixqm.rep(gp(a, b)) - matrixqm.rep(a) @ matrixqm.rep(b))
-        )
-        worst = max(worst, float(dev))
-    return SuiteResult("homomorphism", worst <= HOMOMORPHISM_TOL, worst, HOMOMORPHISM_TOL, count)
+        devs.append(np.abs(matrixqm.rep(gp(a, b)) - matrixqm.rep(a) @ matrixqm.rep(b)))
+    return SuiteResult("homomorphism", worst_deviation(devs), HOMOMORPHISM_TOL, count)
 
 
 def suite_associativity(rng: np.random.Generator, count: int) -> SuiteResult:
     """(a b) c == a (b c), scaled by the product of coefficient norms."""
-    worst = 0.0
+    devs = []
     for _ in range(count):
         a, b, c = _random_mv(rng), _random_mv(rng), _random_mv(rng)
         lhs = gp(gp(a, b), c)
         rhs = gp(a, gp(b, c))
         scale_factor = max(1.0, norm(a) * norm(b) * norm(c))
-        dev = float(np.max(np.abs(lhs.coeffs - rhs.coeffs))) / scale_factor
-        worst = max(worst, dev)
-    return SuiteResult("associativity", worst <= ASSOCIATIVITY_TOL, worst, ASSOCIATIVITY_TOL, count)
+        devs.append(np.abs(lhs.coeffs - rhs.coeffs) / scale_factor)
+    return SuiteResult("associativity", worst_deviation(devs), ASSOCIATIVITY_TOL, count)
 
 
 def suite_commutators() -> SuiteResult:
@@ -101,15 +114,15 @@ def suite_commutators() -> SuiteResult:
     eps = np.zeros((3, 3, 3))
     eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
     eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-    worst = 0.0
+    devs = []
     for i in range(3):
         for j in range(3):
             lhs = commutator(s_ops[i], s_ops[j])
             rhs = Multivector(
                 sum(eps[i, j, k] * hodge_dual(s_ops[k]).coeffs for k in range(3))
             )
-            worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
-    return SuiteResult("commutators", worst == 0.0, worst, 0.0, 9)
+            devs.append(np.abs(lhs.coeffs - rhs.coeffs))
+    return SuiteResult("commutators", worst_deviation(devs), 0.0, 9)
 
 
 def suite_rabi_triangle(rng: np.random.Generator, count: int) -> SuiteResult:
@@ -118,9 +131,8 @@ def suite_rabi_triangle(rng: np.random.Generator, count: int) -> SuiteResult:
     eps_plus, eps_minus = basis_eps()
     psi0_col = matrixqm.spinor_rep(eps_plus)
     minus_col = matrixqm.spinor_rep(eps_minus)
-    worst = 0.0
-    done = 0
-    while done < count:
+    devs = []
+    while len(devs) < count:
         b = rng.uniform(-5.0, 5.0, 3)
         if b[0] == 0.0 and b[1] == 0.0 and b[2] == 0.0:
             continue
@@ -134,14 +146,10 @@ def suite_rabi_triangle(rng: np.random.Generator, count: int) -> SuiteResult:
             psi0_col, matrixqm.rep(h.as_multivector()), t, cfg.hbar
         )
         p_matrix = matrixqm.probability_matrix(minus_col, col_t)
-        worst = max(
-            worst,
-            abs(p_closed - p_rotor),
-            abs(p_rotor - p_matrix),
-            abs(p_closed - p_matrix),
+        devs.append(
+            (abs(p_closed - p_rotor), abs(p_rotor - p_matrix), abs(p_closed - p_matrix))
         )
-        done += 1
-    return SuiteResult("rabi_triangle", worst <= RABI_TRIANGLE_TOL, worst, RABI_TRIANGLE_TOL, count)
+    return SuiteResult("rabi_triangle", worst_deviation(devs), RABI_TRIANGLE_TOL, count)
 
 
 def run_all(seed: int, count: int) -> list[SuiteResult]:
@@ -163,25 +171,22 @@ def eigensystem_residuals(h: Hamiltonian, es: EigenSystem) -> dict[str, float]:
     overlaps against the matrix eigensolver."""
     h_mv = h.as_multivector()
 
-    def relation_residual(psi: AlgebraicSpinor, e: float) -> float:
-        diff = left_mul(h_mv, psi).mv.coeffs - e * psi.mv.coeffs
-        return float(np.max(np.abs(diff)))
+    def relation_residual(psi: AlgebraicSpinor, e: float) -> np.ndarray:
+        return np.abs(left_mul(h_mv, psi).mv.coeffs - e * psi.mv.coeffs)
 
     values, vectors = matrixqm.eigen_hermitian(matrixqm.rep(h_mv))
     return {
-        "residual_eigen_relation": max(
+        "residual_eigen_relation": worst_deviation([
             relation_residual(es.psi_plus, es.e_plus),
             relation_residual(es.psi_minus, es.e_minus),
-        ),
-        "residual_oracle_eigenvalues": float(
-            max(abs(es.e_plus - values[0]), abs(es.e_minus - values[1]))
-        ),
-        "residual_oracle_overlap": float(
-            max(
-                abs(1.0 - abs(np.vdot(vectors[0], matrixqm.spinor_rep(es.psi_plus)))),
-                abs(1.0 - abs(np.vdot(vectors[1], matrixqm.spinor_rep(es.psi_minus)))),
-            )
-        ),
+        ]),
+        "residual_oracle_eigenvalues": worst_deviation([
+            abs(es.e_plus - values[0]), abs(es.e_minus - values[1])
+        ]),
+        "residual_oracle_overlap": worst_deviation([
+            abs(1.0 - abs(np.vdot(vectors[0], matrixqm.spinor_rep(es.psi_plus)))),
+            abs(1.0 - abs(np.vdot(vectors[1], matrixqm.spinor_rep(es.psi_minus)))),
+        ]),
     }
 
 
@@ -208,14 +213,14 @@ def trajectory_deviations(
              u_vector_closed_form(cfg, t) if cfg.b_norm > 0.0 else (0.0, 0.0, 1.0)),
         )
         for dev, columns, ref in refs:
-            devs[dev].append(float(max(abs(table[c][i] - r) for c, r in zip(columns, ref))))
+            devs[dev].append(worst_deviation([abs(table[c][i] - r) for c, r in zip(columns, ref)]))
     return devs
 
 
 def rabi_deviation(cfg: FieldConfig, table: dict[str, list[float]]) -> float:
     """Largest gap between the p_minus column of a trajectory out of
     eps_plus and the closed Rabi formula."""
-    worst = 0.0
-    for t, p_minus in zip(table["t"], table["p_minus"]):
-        worst = max(worst, abs(p_minus - rabi_probability(cfg, t)))
-    return worst
+    return worst_deviation([
+        abs(p_minus - rabi_probability(cfg, t))
+        for t, p_minus in zip(table["t"], table["p_minus"])
+    ])

@@ -59,10 +59,6 @@ class CenterScalar:
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "ps", ps)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "CenterScalar":
-        return cls(z.real, z.imag)
-
     def to_complex(self) -> complex:
         return complex(self.re, self.ps)
 
@@ -150,9 +146,6 @@ class AlgebraicSpinor:
     @property
     def mv(self) -> Multivector:
         return self._mv
-
-    def norm2(self) -> CenterScalar:
-        return inner(self, self)
 
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         n = inner(self, self)

@@ -2,9 +2,9 @@
 
 A Hermitian two-state Hamiltonian is a grade-{0,1} multivector
 H = h0 + h1 e1 + h2 e2 + h3 e3.  Writing the vector part in polar form
-(theta from e3, azimuth phi) gives a rotor
+(theta from e3, azimuth phi) gives the rotor of `eigensystem(h)`,
 
-    R = exp(-e123 e3 phi/2) exp(-e123 e2 theta/2)
+    R = exp(-e123 e3 phi/2) exp(-e123 e2 theta/2),
 
 that diagonalizes H by sandwich: reverse(R) H R = h0 + |h| e3, so the
 eigenvalues are h0 +/- |h| and the eigenstates are R acting on the ideal
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from .algebra import (
     E2,
@@ -45,10 +43,7 @@ __all__ = [
     "Hamiltonian",
     "FieldConfig",
     "EigenSystem",
-    "DIAG_CONSISTENCY_TOL",
     "polar_angles",
-    "diagonalizing_rotor",
-    "diagonalize",
     "eigensystem",
     "hamiltonian_from_field",
     "evolution_rotor",
@@ -59,13 +54,9 @@ __all__ = [
     "polar_state",
     "precession_trajectory",
     "trajectory",
-    "spin_vector",
-    "u_vector",
     "u_vector_closed_form",
     "spin_vectors",
 ]
-
-DIAG_CONSISTENCY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -175,37 +166,12 @@ def _polar_rotor(theta: float, phi: float) -> Rotor:
     return rotor_axis_angle(E3, phi) * rotor_axis_angle(E2, theta)
 
 
-def diagonalizing_rotor(h: Hamiltonian) -> Rotor:
-    """Rotor R with reverse(R) H R = h0 + |h| e3 (identity when |h| = 0)."""
-    if h.r_norm == 0.0:
-        return Rotor.identity()
-    return _polar_rotor(*polar_angles(h))
-
-
-def diagonalize(h: Hamiltonian) -> tuple[Hamiltonian, Rotor]:
-    """(H0, R) with H0 = h0 + |h| e3.
-
-    H0 is computed both by the norm shortcut and by the explicit sandwich
-    reverse(R) H R; the two routes agreeing within 1e-12 is part of the
-    contract, so a disagreement (which no float input should produce)
-    raises rather than returning silently inconsistent data.
-    """
-    r = diagonalizing_rotor(h)
-    h_diag = Hamiltonian(h.h0, (0.0, 0.0, h.r_norm))
-    via_sandwich = sandwich(r.reverse(), h.as_multivector())
-    dev = float(np.max(np.abs(via_sandwich.coeffs - h_diag.as_multivector().coeffs)))
-    if dev > DIAG_CONSISTENCY_TOL:
-        raise ArithmeticError(
-            f"diagonalization routes disagree by {dev:.3e} (> {DIAG_CONSISTENCY_TOL})"
-        )
-    return h_diag, r
-
-
 def eigensystem(h: Hamiltonian) -> EigenSystem:
     """Eigenvalues h0 +/- |h| and rotor-generated eigenspinors.
 
-    The minus eigenspinor uses the rotor at polar angle theta + pi, which
-    lands on the antipodal axis.  A vanishing vector part degenerates to
+    The rotor R diagonalizes H: reverse(R) H R = h0 + |h| e3.  The minus
+    eigenspinor uses the rotor at polar angle theta + pi, which lands on
+    the antipodal axis.  A vanishing vector part degenerates to
     (eps_plus, eps_minus) with the identity rotor and sets the flag.
     """
     eps_plus, eps_minus = basis_eps()
@@ -359,21 +325,6 @@ def trajectory(
     return table
 
 
-def spin_vector(psi_plus_rotor: Rotor, hbar: float = 1.0) -> tuple[float, float, float]:
-    """Expectation spin direction of R eps_plus, via R (hbar/2) e3 reverse(R)."""
-    v = sandwich(psi_plus_rotor, E3 * (0.5 * float(hbar)))
-    return v[1], v[2], v[3]
-
-
-def u_vector(cfg: FieldConfig, t: float) -> tuple[float, float, float]:
-    """Precessing axis u(t) = U(t) e3 reverse(U(t)) for a nonzero field."""
-    if cfg.b_norm == 0.0:
-        raise ValueError("u_vector needs a nonzero field")
-    u = evolution_rotor(hamiltonian_from_field(cfg), t, cfg.hbar)
-    v = sandwich(u, E3)
-    return v[1], v[2], v[3]
-
-
 def u_vector_closed_form(cfg: FieldConfig, t: float) -> tuple[float, float, float]:
     """Closed form of u(t): with theta the field's tilt from e3 and
     alpha = q |B| t / m,
@@ -386,7 +337,7 @@ def u_vector_closed_form(cfg: FieldConfig, t: float) -> tuple[float, float, floa
     route exactly up to roundoff."""
     b = cfg.b_norm
     if b == 0.0:
-        raise ValueError("u_vector needs a nonzero field")
+        raise ValueError("u(t) needs a nonzero field")
     b1, b2, b3 = cfg.B
     alpha = cfg.alpha(t)
     cos_th = b3 / b

@@ -23,7 +23,7 @@ from gatss.algebra import (
     vector,
     wedge,
 )
-from gatss.spinor import basis_eps, inner, to_amplitudes
+from gatss.spinor import inner, to_amplitudes
 from gatss.twostate import (
     FieldConfig,
     Hamiltonian,
@@ -33,12 +33,9 @@ from gatss.twostate import (
     hamiltonian_from_field,
     polar_state,
     precession_trajectory,
-    probability,
-    u_vector,
+    trajectory,
     u_vector_closed_form,
 )
-
-EPS_PLUS, EPS_MINUS = basis_eps()
 
 
 def _report(number: int, label: str, ok: bool, detail: str) -> None:
@@ -115,15 +112,13 @@ def test_criterion_04_representation():
     hom_tol = 1e-11
     inv_tol = 1e-13
     limit = 5.0
-    rng = np.random.default_rng(20260815)
-    worst_hom = 0.0
     worst_inv = 0.0
     t0 = time.perf_counter()
-    for _ in range(10_000):
-        a = Multivector(rng.uniform(-10.0, 10.0, 8))
-        b = Multivector(rng.uniform(-10.0, 10.0, 8))
-        dev = np.max(np.abs(matrixqm.rep(gp(a, b)) - matrixqm.rep(a) @ matrixqm.rep(b)))
-        worst_hom = max(worst_hom, float(dev))
+    worst_hom = conformance.suite_homomorphism(np.random.default_rng(20260815), 10_000).worst
+    # the suite's stream again: the first factor of each pair round-trips
+    pairs = np.random.default_rng(20260815).uniform(-10.0, 10.0, (10_000, 2, 8))
+    for coeffs in pairs[:, 0]:
+        a = Multivector(coeffs)
         back = matrixqm.unrep(matrixqm.rep(a))
         worst_inv = max(worst_inv, float(np.max(np.abs(back.coeffs - a.coeffs))))
     elapsed = time.perf_counter() - t0
@@ -229,13 +224,12 @@ def test_criterion_09_completeness_and_axis():
         while np.linalg.norm(b) == 0.0:
             b = rng.uniform(-5.0, 5.0, 3)
         cfg = FieldConfig(B=tuple(b))
-        h = hamiltonian_from_field(cfg)
         t = rng.uniform(0.0, 10.0)
         psi0 = polar_state(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
-        psi_t = evolve(psi0, evolution_rotor(h, t, cfg.hbar))
-        total = probability(EPS_PLUS, psi_t) + probability(EPS_MINUS, psi_t)
+        row = trajectory(cfg, psi0, [t])
+        total = row["p_plus"][0] + row["p_minus"][0]
         worst_prob = max(worst_prob, abs(total - 1.0))
-        u_s = u_vector(cfg, t)
+        u_s = (row["u1"][0], row["u2"][0], row["u3"][0])
         u_c = u_vector_closed_form(cfg, t)
         worst_axis = max(worst_axis, max(abs(x - y) for x, y in zip(u_s, u_c)))
     ok = worst_prob <= tol and worst_axis <= tol

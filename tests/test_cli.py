@@ -153,6 +153,14 @@ class TestEvolve:
         code, out, err = run_cli(capsys, self.BASE + ["--check", "--tol", "0"])
         assert code == 2
 
+    def test_check_nan_deviation_exit_2(self, capsys):
+        # the oracle's matrix exponential breaks down at |h| t / hbar ~ 1e30
+        argv = ["evolve", "--B=1,0,1", "--t-end=1e30", "--steps=2", "--check"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out.splitlines()[-1].endswith(",nan,nan,1.1102230246251565e-16")
+        assert err.endswith("check: max_deviation = nan\n")
+
     def test_check_rabi(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -368,3 +376,22 @@ class TestSubprocess:
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.decode().splitlines()[0] == CSV_HEADER
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["diag", "--h=1e160,0,0,0"], 0, ""),
+            (
+                ["evolve", "--B=1e150,0,0", "--t-end=2", "--steps=4", "--check"],
+                1,
+                "gatss evolve: error: state must be normalized\n",
+            ),
+        ],
+        ids=["diag", "evolve"],
+    )
+    def test_no_numpy_warnings_on_stderr(self, argv, code, err):
+        # the oracle overflows on these inputs; numpy's warnings would name
+        # the installed source file
+        done = subprocess.run([sys.executable, "-m", "gatss.cli", *argv], capture_output=True)
+        assert done.returncode == code
+        assert done.stderr.decode() == err

@@ -11,6 +11,7 @@ from gatss.conformance import (
     suite_commutators,
     suite_homomorphism,
     trajectory_deviations,
+    worst_deviation,
 )
 from gatss.spinor import basis_eps
 from gatss.twostate import FieldConfig, Hamiltonian, eigensystem, polar_state, trajectory
@@ -105,3 +106,26 @@ class TestOracleChecks:
         residuals = eigensystem_residuals(h, dataclasses.replace(es, e_plus=es.e_plus + 1e-3))
         assert residuals["residual_oracle_eigenvalues"] >= 1e-3 - 1e-12
         assert residuals["residual_eigen_relation"] >= 1e-4
+
+
+class TestPassRule:
+    @pytest.mark.parametrize("position", range(4))
+    def test_nan_anywhere_fails(self, position):
+        devs = [1e-16, 0.0, 3e-15, 2e-16]
+        devs[position] = float("nan")
+        worst = worst_deviation(devs)
+        assert np.isnan(worst)
+        assert not SuiteResult("check", worst, 1e-10, len(devs)).passed
+
+    def test_nan_in_a_column_fails(self):
+        columns = [[0.0, 1e-16], [2e-16, float("nan")], [0.0, 0.0]]
+        assert not SuiteResult("check", worst_deviation(columns), 1e-10, 2).passed
+
+    def test_empty_is_zero(self):
+        assert worst_deviation([]) == 0.0
+        assert SuiteResult("check", worst_deviation([]), 0.0, 0).passed
+
+    def test_worst_at_tol_passes(self):
+        assert worst_deviation([1e-12, 3e-12, 2e-12]) == 3e-12
+        assert SuiteResult("check", 3e-12, 3e-12, 3).passed
+        assert not SuiteResult("check", float("inf"), 1e-10, 1).passed

@@ -26,8 +26,6 @@ from gatss.twostate import (
     EigenSystem,
     FieldConfig,
     Hamiltonian,
-    diagonalize,
-    diagonalizing_rotor,
     eigensystem,
     evolution_rotor,
     evolve,
@@ -38,10 +36,8 @@ from gatss.twostate import (
     precession_trajectory,
     probability,
     rabi_probability,
-    spin_vector,
     spin_vectors,
     trajectory,
-    u_vector,
     u_vector_closed_form,
 )
 
@@ -141,14 +137,14 @@ class TestPolarAngles:
 
 class TestDiagonalizingRotor:
     def test_example_coefficients(self):
-        r = diagonalizing_rotor(H_EXAMPLE)
+        r = eigensystem(H_EXAMPLE).rotor
         expected = np.zeros(8)
         expected[0] = COS_PI_8
         expected[5] = -SIN_PI_8
         assert np.max(np.abs(r.mv.coeffs - expected)) <= 1e-15
 
     def test_zero_vector_part_gives_identity(self):
-        assert diagonalizing_rotor(Hamiltonian(3.0, (0, 0, 0))).mv == ONE
+        assert eigensystem(Hamiltonian(3.0, (0, 0, 0))).rotor.mv == ONE
 
     def test_sends_e3_to_field_direction(self):
         rng = np.random.default_rng(11)
@@ -156,32 +152,40 @@ class TestDiagonalizingRotor:
             h = random_hamiltonian(rng)
             if h.r_norm < 1e-6:
                 continue
-            r = diagonalizing_rotor(h)
+            r = eigensystem(h).rotor
             out = sandwich(r, E3)
             n = np.array(h.h) / h.r_norm
             assert np.max(np.abs(np.array([out[1], out[2], out[3]]) - n)) <= 1e-12
 
 
+def axial_form(h):
+    """h0 + |h| e3, the diagonal form of h."""
+    return Hamiltonian(h.h0, (0.0, 0.0, h.r_norm)).as_multivector()
+
+
 class TestDiagonalize:
+    """reverse(R) H R = h0 + |h| e3 for the eigensystem's rotor R."""
+
     def test_returns_axial_form(self):
-        h_diag, r = diagonalize(H_EXAMPLE)
-        assert h_diag.h0 == 0.0
-        assert h_diag.h[:2] == (0.0, 0.0)
-        assert abs(h_diag.h[2] - math.sqrt(2.0)) <= 1e-15
+        r = eigensystem(H_EXAMPLE).rotor
         assert isinstance(r, Rotor)
+        via = sandwich(r.reverse(), H_EXAMPLE.as_multivector())
+        assert abs(via[3] - math.sqrt(2.0)) <= 1e-15
+        assert np.max(np.abs(via.coeffs - axial_form(H_EXAMPLE).coeffs)) <= 1e-15
 
     def test_sandwich_route_agrees(self):
         rng = np.random.default_rng(13)
         for _ in range(300):
             h = random_hamiltonian(rng)
-            h_diag, r = diagonalize(h)
+            r = eigensystem(h).rotor
             via = sandwich(r.reverse(), h.as_multivector())
-            assert np.max(np.abs(via.coeffs - h_diag.as_multivector().coeffs)) <= 1e-12
+            assert np.max(np.abs(via.coeffs - axial_form(h).coeffs)) <= 1e-12
 
     def test_degenerate(self):
-        h_diag, r = diagonalize(Hamiltonian(2.5, (0, 0, 0)))
-        assert h_diag == Hamiltonian(2.5, (0, 0, 0))
+        h = Hamiltonian(2.5, (0, 0, 0))
+        r = eigensystem(h).rotor
         assert r.mv == ONE
+        assert sandwich(r.reverse(), h.as_multivector()) == axial_form(h)
 
 
 class TestEigensystem:
@@ -468,6 +472,12 @@ class TestPrecession:
             assert abs(s3 - 0.5) <= 1e-15
 
 
+def spin_vector(r, hbar=1.0):
+    """Spin direction of R eps_plus by sandwich: R (hbar/2) e3 reverse(R)."""
+    v = sandwich(r, E3 * (hbar / 2))
+    return v[1], v[2], v[3]
+
+
 class TestSpinVector:
     def test_tilted_rotor(self):
         for theta in (0.0, 0.6, math.pi / 2, 2.2):
@@ -493,11 +503,15 @@ class TestSpinVector:
             assert max(abs(a - b) for a, b in zip(via_sandwich, via_state)) <= 1e-12
 
 
+def u_vector(cfg, t):
+    """The precessing axis u(t) at one time, from the trajectory columns."""
+    table = trajectory(cfg, EPS_PLUS, [t])
+    return table["u1"][0], table["u2"][0], table["u3"][0]
+
+
 class TestUVector:
     def test_zero_field_rejected(self):
         cfg = FieldConfig(B=(0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            u_vector(cfg, 1.0)
         with pytest.raises(ValueError):
             u_vector_closed_form(cfg, 1.0)
 
