@@ -36,7 +36,7 @@ def describe(h):
     print(f"rotor: {es.rotor.mv}")
     for name, psi in (("psi_plus", es.psi_plus), ("psi_minus", es.psi_minus)):
         cp, cm = to_amplitudes(psi)
-        print(f"{name}: amplitudes ({cp.to_complex()}, {cm.to_complex()})")
+        print(f"{name}: amplitudes ({cp}, {cm})")
     print()
     return es
 
@@ -50,7 +50,7 @@ def check_eigen_relation(h, es):
     ):
         residual = np.max(np.abs(left_mul(hm, psi).mv.coeffs - e * psi.mv.coeffs))
         print(f"|H {name} - E {name}| = {residual:.3e}")
-    ortho = abs(inner(es.psi_plus, es.psi_minus).to_complex())
+    ortho = abs(inner(es.psi_plus, es.psi_minus))
     print(f"|<psi_plus, psi_minus>| = {ortho:.3e}")
     print()
 

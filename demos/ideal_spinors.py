@@ -9,7 +9,6 @@ This script walks through those facts numerically.
 import numpy as np
 
 from gatss import (
-    CenterScalar,
     E1,
     E3,
     E123,
@@ -42,15 +41,15 @@ def basis_and_amplitudes():
         ("<-|->", eps_minus, eps_minus),
         ("<+|->", eps_plus, eps_minus),
     ):
-        print(f"  {name} = {inner(a, b).to_complex()}")
+        print(f"  {name} = {inner(a, b)}")
     print()
 
-    psi = from_amplitudes(CenterScalar(0.6, 0.0), CenterScalar(0.0, 0.8))
+    psi = from_amplitudes(0.6, 0.8j)
     print("state with amplitudes (0.6, 0.8i)")
     print("  as multivector:", psi.mv)
     cp, cm = to_amplitudes(psi)
-    print("  read back:", cp.to_complex(), cm.to_complex())
-    print("  norm^2 =", inner(psi, psi).to_complex())
+    print("  read back:", cp, cm)
+    print("  norm^2 =", inner(psi, psi))
     print()
 
 
@@ -58,10 +57,10 @@ def pseudoscalar_is_the_imaginary_unit():
     eps_plus, _ = basis_eps()
     rotated = left_mul(E123, eps_plus)
     cp, cm = to_amplitudes(rotated)
-    print("e123 eps_plus has amplitudes", cp.to_complex(), cm.to_complex())
+    print("e123 eps_plus has amplitudes", cp, cm)
     twice = left_mul(E123, rotated)
     cp, cm = to_amplitudes(twice)
-    print("e123 e123 eps_plus has amplitudes", cp.to_complex(), cm.to_complex())
+    print("e123 e123 eps_plus has amplitudes", cp, cm)
     print()
 
 

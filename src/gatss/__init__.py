@@ -40,7 +40,6 @@ from .algebra import (
 )
 from .spinor import (
     AlgebraicSpinor,
-    CenterScalar,
     basis_eps,
     from_amplitudes,
     idempotent_f,

@@ -197,7 +197,8 @@ def trajectory_deviations(
 
     dev_p and dev_s compare the probabilities and spin expectations with the
     matrix dynamics; dev_u compares the axis with its closed form (e3 in
-    zero field).
+    zero field).  Where the oracle breaks down (its state is non-finite or
+    off unit norm), dev_p and dev_s are NaN, which fails every check.
     """
     h_mat = matrixqm.rep(hamiltonian_from_field(cfg).as_multivector())
     psi0_col = matrixqm.spinor_rep(psi0)
@@ -205,10 +206,14 @@ def trajectory_deviations(
     devs: dict[str, list[float]] = {"dev_p": [], "dev_s": [], "dev_u": []}
     for i, t in enumerate(table["t"]):
         col_t = matrixqm.evolve_matrix(psi0_col, h_mat, t, cfg.hbar)
+        if abs(np.linalg.norm(col_t) - 1.0) <= matrixqm.STATE_NORM_TOL:
+            p_ref = (abs(col_t[0]) ** 2, abs(col_t[1]) ** 2)
+            s_ref = [matrixqm.expectation_matrix(s, col_t) for s in s_mats]
+        else:
+            p_ref, s_ref = (np.nan,) * 2, (np.nan,) * 3
         refs = (
-            ("dev_p", ("p_plus", "p_minus"), (abs(col_t[0]) ** 2, abs(col_t[1]) ** 2)),
-            ("dev_s", ("s1", "s2", "s3"),
-             [matrixqm.expectation_matrix(s, col_t) for s in s_mats]),
+            ("dev_p", ("p_plus", "p_minus"), p_ref),
+            ("dev_s", ("s1", "s2", "s3"), s_ref),
             ("dev_u", ("u1", "u2", "u3"),
              u_vector_closed_form(cfg, t) if cfg.b_norm > 0.0 else (0.0, 0.0, 1.0)),
         )

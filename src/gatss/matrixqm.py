@@ -37,11 +37,12 @@ __all__ = [
     "probability_matrix",
     "HERMITIAN_TOL",
     "UNITARY_TOL",
+    "STATE_NORM_TOL",
 ]
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
-_STATE_NORM_TOL = 1e-9
+STATE_NORM_TOL = 1e-9
 
 _SIGMA = (
     np.array([[1.0 + 0.0j, 0.0], [0.0, 1.0]]),
@@ -115,8 +116,7 @@ def spinor_rep(psi: AlgebraicSpinor) -> np.ndarray:
     Intertwines the actions: spinor_rep(left_mul(m, psi)) =
     rep(m) @ spinor_rep(psi).
     """
-    cp, cm = to_amplitudes(psi)
-    return np.array([cp.to_complex(), cm.to_complex()])
+    return np.array(to_amplitudes(psi))
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
@@ -208,7 +208,7 @@ def evolve_matrix(
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (2,):
         raise ValueError(f"expected a 2-component state, got shape {psi.shape}")
-    if abs(np.linalg.norm(psi) - 1.0) > _STATE_NORM_TOL:
+    if not abs(np.linalg.norm(psi) - 1.0) <= STATE_NORM_TOL:
         raise ValueError("state must be normalized")
     if not is_hermitian(h):
         raise ValueError("Hamiltonian must be Hermitian")
@@ -217,14 +217,16 @@ def evolve_matrix(
 
 def expectation_matrix(h: np.ndarray, psi: Sequence[complex] | np.ndarray) -> float:
     """<psi| H |psi> for Hermitian H; the imaginary residue must vanish to
-    1e-13 and is discarded."""
+    1e-13 relative to the largest entry of H (or 1, if larger) and is
+    discarded."""
     psi = np.asarray(psi, dtype=complex)
+    h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("observable must be Hermitian")
-    if abs(np.linalg.norm(psi) - 1.0) > _STATE_NORM_TOL:
+    if not abs(np.linalg.norm(psi) - 1.0) <= STATE_NORM_TOL:
         raise ValueError("state must be normalized")
-    val = complex(np.vdot(psi, np.asarray(h, dtype=complex) @ psi))
-    if abs(val.imag) > 1e-13:
+    val = complex(np.vdot(psi, h @ psi))
+    if abs(val.imag) > 1e-13 * max(1.0, float(np.max(np.abs(h)))):
         raise ArithmeticError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
 
@@ -236,6 +238,6 @@ def probability_matrix(
     u = np.asarray(u, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
     for s in (u, psi):
-        if abs(np.linalg.norm(s) - 1.0) > _STATE_NORM_TOL:
+        if not abs(np.linalg.norm(s) - 1.0) <= STATE_NORM_TOL:
             raise ValueError("states must be normalized")
     return float(abs(np.vdot(u, psi)) ** 2)

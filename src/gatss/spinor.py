@@ -8,8 +8,11 @@ which behave exactly like complex numbers) by the two basis spinors
     eps_minus = e1 f.
 
 A general state is psi = c_plus eps_plus + c_minus eps_minus with
-center-valued amplitudes, and membership of a raw multivector in the ideal
-is equivalent to four linear coefficient constraints checked at
+center-valued amplitudes.  The center is the complex numbers (e123 squares
+to -1 and commutes with everything), so the API takes and returns
+amplitudes and inner products as Python complex numbers, z standing for
+Re z + Im z e123.  Membership of a raw multivector in the ideal is
+equivalent to four linear coefficient constraints checked at
 construction.  left multiplication by any multivector stays inside the
 ideal, and does so exactly in floating point because the constraints only
 involve sign flips and copies.
@@ -18,13 +21,12 @@ involve sign flips and copies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 from typing import Mapping, Sequence
 
-from .algebra import E1, E3, ONE, Multivector, gp, reverse
+from .algebra import E1, Multivector, gp, reverse
 
 __all__ = [
-    "CenterScalar",
     "AlgebraicSpinor",
     "IDEAL_TOL",
     "NORM_TOL",
@@ -38,75 +40,6 @@ __all__ = [
 
 IDEAL_TOL = 1e-12
 NORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CenterScalar:
-    """Element re + ps*e123 of the algebra's center.
-
-    Since e123 squares to -1 these compose exactly like complex numbers;
-    reverse() flips the pseudoscalar part and plays the role of
-    conjugation.
-    """
-
-    re: float
-    ps: float
-
-    def __post_init__(self):
-        re, ps = float(self.re), float(self.ps)
-        if not (math.isfinite(re) and math.isfinite(ps)):
-            raise ValueError("center scalar components must be finite")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "ps", ps)
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.ps)
-
-    def as_multivector(self) -> Multivector:
-        return Multivector([self.re, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, self.ps])
-
-    def reverse(self) -> "CenterScalar":
-        return CenterScalar(self.re, -self.ps)
-
-    def abs2(self) -> float:
-        return self.re * self.re + self.ps * self.ps
-
-    def __abs__(self) -> float:
-        return math.hypot(self.re, self.ps)
-
-    def __add__(self, other: "CenterScalar") -> "CenterScalar":
-        return CenterScalar(self.re + other.re, self.ps + other.ps)
-
-    def __sub__(self, other: "CenterScalar") -> "CenterScalar":
-        return CenterScalar(self.re - other.re, self.ps - other.ps)
-
-    def __neg__(self) -> "CenterScalar":
-        return CenterScalar(-self.re, -self.ps)
-
-    def __mul__(self, other):
-        if isinstance(other, CenterScalar):
-            return CenterScalar(
-                self.re * other.re - self.ps * other.ps,
-                self.re * other.ps + self.ps * other.re,
-            )
-        if isinstance(other, (int, float)):
-            return CenterScalar(self.re * other, self.ps * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return CenterScalar(self.re * other, self.ps * other)
-        return NotImplemented
-
-
-def _coerce_center(value) -> CenterScalar:
-    if isinstance(value, CenterScalar):
-        return value
-    if isinstance(value, complex):
-        return CenterScalar(value.real, value.imag)
-    if isinstance(value, (int, float)):
-        return CenterScalar(float(value), 0.0)
-    raise TypeError(f"cannot interpret {type(value).__name__} as a center scalar")
 
 
 _F = Multivector([0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0])
@@ -149,19 +82,19 @@ class AlgebraicSpinor:
 
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         n = inner(self, self)
-        return abs(n.re - 1.0) <= tol and abs(n.ps) <= tol
+        return abs(n.real - 1.0) <= tol and abs(n.imag) <= tol
 
     def normalized(self) -> "AlgebraicSpinor":
-        n = inner(self, self).re
-        if n <= 0.0:
-            raise ValueError("cannot normalize a null state")
+        n = inner(self, self).real
+        if not 0.0 < n < math.inf:
+            raise ValueError(f"cannot normalize a state of squared norm {n!r}")
         return AlgebraicSpinor(
             Multivector(self._mv.coeffs / math.sqrt(n)), check=False
         )
 
     def to_json_dict(self) -> dict[str, list[float]]:
         cp, cm = to_amplitudes(self)
-        return {"c_plus": [cp.re, cp.ps], "c_minus": [cm.re, cm.ps]}
+        return {"c_plus": [cp.real, cp.imag], "c_minus": [cm.real, cm.imag]}
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Sequence[float]]) -> "AlgebraicSpinor":
@@ -173,8 +106,7 @@ class AlgebraicSpinor:
         if len(cp) != 2 or len(cm) != 2:
             raise ValueError("amplitudes must each hold [re, ps]")
         return from_amplitudes(
-            CenterScalar(float(cp[0]), float(cp[1])),
-            CenterScalar(float(cm[0]), float(cm[1])),
+            complex(float(cp[0]), float(cp[1])), complex(float(cm[0]), float(cm[1]))
         )
 
     def allclose(self, other: "AlgebraicSpinor", tol: float = 1e-12) -> bool:
@@ -188,8 +120,8 @@ class AlgebraicSpinor:
     def __repr__(self) -> str:
         cp, cm = to_amplitudes(self)
         return (
-            f"AlgebraicSpinor(c_plus=({cp.re:.12g}, {cp.ps:.12g}), "
-            f"c_minus=({cm.re:.12g}, {cm.ps:.12g}))"
+            f"AlgebraicSpinor(c_plus=({cp.real:.12g}, {cp.imag:.12g}), "
+            f"c_minus=({cm.real:.12g}, {cm.imag:.12g}))"
         )
 
 
@@ -202,27 +134,29 @@ def basis_eps() -> tuple[AlgebraicSpinor, AlgebraicSpinor]:
     return _EPS_PLUS, _EPS_MINUS
 
 
-def from_amplitudes(c_plus, c_minus) -> AlgebraicSpinor:
-    """Build c_plus eps_plus + c_minus eps_minus.
+def _center(z: numbers.Complex) -> Multivector:
+    """The center element Re z + Im z e123 that carries the amplitude z."""
+    if not isinstance(z, numbers.Complex):
+        raise TypeError(f"cannot interpret {type(z).__name__} as an amplitude")
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"amplitudes must be finite, got {z!r}")
+    return Multivector([z.real, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, z.imag])
 
-    Amplitudes may be CenterScalar, complex, or real numbers.
-    """
-    cp = _coerce_center(c_plus)
-    cm = _coerce_center(c_minus)
-    mv = gp(cp.as_multivector(), _EPS_PLUS.mv) + gp(cm.as_multivector(), _EPS_MINUS.mv)
+
+def from_amplitudes(c_plus: numbers.Complex, c_minus: numbers.Complex) -> AlgebraicSpinor:
+    """Build c_plus eps_plus + c_minus eps_minus from any finite numbers."""
+    mv = gp(_center(c_plus), _EPS_PLUS.mv) + gp(_center(c_minus), _EPS_MINUS.mv)
     return AlgebraicSpinor(mv, check=False)
 
 
-def to_amplitudes(psi: AlgebraicSpinor) -> tuple[CenterScalar, CenterScalar]:
+def to_amplitudes(psi: AlgebraicSpinor) -> tuple[complex, complex]:
     """Recover (c_plus, c_minus); exact, reading four coefficients."""
     c = psi.mv.coeffs
-    return (
-        CenterScalar(2.0 * c[0], 2.0 * c[7]),
-        CenterScalar(2.0 * c[1], 2.0 * c[2]),
-    )
+    return complex(2.0 * c[0], 2.0 * c[7]), complex(2.0 * c[1], 2.0 * c[2])
 
 
-def inner(a: AlgebraicSpinor, b: AlgebraicSpinor) -> CenterScalar:
+def inner(a: AlgebraicSpinor, b: AlgebraicSpinor) -> complex:
     """Center-valued inner product 2(<reverse(a) b>_0 + <reverse(a) b>_3 e123).
 
     Sesquilinear: center factors pass through on the right and reversed on
@@ -230,7 +164,7 @@ def inner(a: AlgebraicSpinor, b: AlgebraicSpinor) -> CenterScalar:
     on the left leave it unchanged.
     """
     p = gp(reverse(a.mv), b.mv)
-    return CenterScalar(2.0 * p[0], 2.0 * p[7])
+    return complex(2.0 * p[0], 2.0 * p[7])
 
 
 def left_mul(m: Multivector, psi: AlgebraicSpinor) -> AlgebraicSpinor:

@@ -37,7 +37,7 @@ from .algebra import (
     sandwich,
     vector,
 )
-from .spinor import AlgebraicSpinor, basis_eps, inner, left_mul
+from .spinor import AlgebraicSpinor, basis_eps, left_mul
 
 __all__ = [
     "Hamiltonian",

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatss.cli import main
 
@@ -161,6 +165,35 @@ class TestEvolve:
         assert out.splitlines()[-1].endswith(",nan,nan,1.1102230246251565e-16")
         assert err.endswith("check: max_deviation = nan\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--B=1e150,0,0", "--t-end=2", "--steps=4"],
+            ["--B=1,0,1", "--t-start=1e9", "--t-end=1e9", "--steps=1"],
+        ],
+        ids=["overflow", "lost_unitarity"],
+    )
+    def test_check_oracle_breakdown_exit_2(self, capsys, argv):
+        # the oracle's state overflows to NaN, or drifts off unit norm after
+        # about 30 squarings; either way its rows cannot be trusted
+        code, out, err = run_cli(capsys, ["evolve", *argv, "--check"])
+        assert code == 2
+        assert out.splitlines()[-1].split(",")[9:11] == ["nan", "nan"]
+        assert err == "check: max_deviation = nan\n"
+
+    @pytest.mark.parametrize("hbar", ["1e6", "1e10"])
+    def test_check_large_hbar_exit_2(self, capsys, hbar):
+        # spin expectations of order hbar carry an imaginary residue far
+        # above 1e-13 (5.7e-12 and 5.2e-8 here), which the oracle accepts
+        # relative to the operator; the check then fails on a finite worst
+        argv = ["evolve", "--B=1,2,3", f"--hbar={hbar}", "--theta0=0.7",
+                "--t-end=10", "--steps=3", "--check"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert err.startswith("check: max_deviation = ")
+        worst = float(err[len("check: max_deviation = "):])
+        assert math.isfinite(worst) and worst > 1e-10
+
     def test_check_rabi(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -291,6 +324,25 @@ class TestEvolve:
         assert code == 1
         assert "normalized" in err
 
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            ({"c_plus": [math.nan, 0.0], "c_minus": [0.0, 0.0]},
+             "bad state: amplitudes must be finite, got (nan+0j)"),
+            ({"c_plus": [1e154, 0.0], "c_minus": [1e154, 0.0]}, "state must be normalized"),
+        ],
+        ids=["nan", "norm_overflows"],
+    )
+    def test_state_out_of_range(self, capsys, tmp_path, state, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"state": state}))
+        code, out, err = run_cli(
+            capsys,
+            ["evolve", "--B", "0,0,1", "--t-end", "1", "--steps", "2", "--config", str(cfg)],
+        )
+        assert code == 1
+        assert err == f"gatss evolve: error: {message}\n"
+
     def test_theta0_conflicts_with_state(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"state": "minus"}))
@@ -383,8 +435,8 @@ class TestSubprocess:
             (["diag", "--h=1e160,0,0,0"], 0, ""),
             (
                 ["evolve", "--B=1e150,0,0", "--t-end=2", "--steps=4", "--check"],
-                1,
-                "gatss evolve: error: state must be normalized\n",
+                2,
+                "check: max_deviation = nan\n",
             ),
         ],
         ids=["diag", "evolve"],
@@ -395,3 +447,32 @@ class TestSubprocess:
         done = subprocess.run([sys.executable, "-m", "gatss.cli", *argv], capture_output=True)
         assert done.returncode == code
         assert done.stderr.decode() == err
+
+
+def magnitudes(lo, hi):
+    """Floats in [lo, hi]: hypothesis' own choice, or log-uniform."""
+    log_uniform = st.floats(math.log10(lo), math.log10(hi)).map(
+        lambda e: min(hi, max(lo, 10.0 ** e))
+    )
+    return st.one_of(st.floats(lo, hi), log_uniform)
+
+
+signed_field = st.tuples(magnitudes(1e-8, 1e150), st.booleans()).map(
+    lambda m: -m[0] if m[1] else m[0]
+)
+
+
+class TestCheckProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.tuples(signed_field, signed_field, signed_field),
+        magnitudes(1e-6, 1e10),
+        magnitudes(1e-8, 1e30),
+    )
+    def test_check_never_raises(self, b, hbar, t_end):
+        # exit 1 remains where |h| t / hbar leaves the algebra's domain
+        argv = ["evolve", "--B=" + ",".join(map(repr, b)), f"--hbar={hbar!r}",
+                "--theta0=0.7", f"--t-end={t_end!r}", "--steps=3", "--check"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)

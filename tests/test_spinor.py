@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from gatss.algebra import (
 )
 from gatss.spinor import (
     AlgebraicSpinor,
-    CenterScalar,
     basis_eps,
     from_amplitudes,
     idempotent_f,
@@ -36,7 +36,12 @@ EPS_PLUS, EPS_MINUS = basis_eps()
 amp_component = st.floats(
     -10.0, 10.0, allow_nan=False, allow_infinity=False, width=64
 ).filter(lambda x: x == 0.0 or abs(x) > 1e-300)
-center_strategy = st.builds(CenterScalar, amp_component, amp_component)
+center_strategy = st.builds(complex, amp_component, amp_component)
+
+
+def center(z):
+    """The center element Re z + Im z e123 standing for the complex z."""
+    return Multivector([z.real, 0, 0, 0, 0, 0, 0, z.imag])
 
 
 def random_mv(rng, span=10.0):
@@ -47,9 +52,7 @@ def random_spinor(rng, normalized=False):
     raw = rng.normal(size=4)
     if normalized:
         raw = raw / np.linalg.norm(raw)
-    return from_amplitudes(
-        CenterScalar(raw[0], raw[1]), CenterScalar(raw[2], raw[3])
-    )
+    return from_amplitudes(complex(raw[0], raw[1]), complex(raw[2], raw[3]))
 
 
 class TestIdempotent:
@@ -80,42 +83,52 @@ class TestBasis:
         assert EPS_MINUS.mv.coeffs.tolist() == [0, 0.5, 0, 0, 0, -0.5, 0, 0]
 
     def test_orthonormality(self):
-        assert inner(EPS_PLUS, EPS_PLUS) == CenterScalar(1.0, 0.0)
-        assert inner(EPS_MINUS, EPS_MINUS) == CenterScalar(1.0, 0.0)
-        assert inner(EPS_PLUS, EPS_MINUS) == CenterScalar(0.0, 0.0)
-        assert inner(EPS_MINUS, EPS_PLUS) == CenterScalar(0.0, 0.0)
+        assert inner(EPS_PLUS, EPS_PLUS) == complex(1.0, 0.0)
+        assert inner(EPS_MINUS, EPS_MINUS) == complex(1.0, 0.0)
+        assert inner(EPS_PLUS, EPS_MINUS) == complex(0.0, 0.0)
+        assert inner(EPS_MINUS, EPS_PLUS) == complex(0.0, 0.0)
 
 
 class TestCenterScalar:
+    """The center span{1, e123} is the complex numbers, checked through gp."""
+
     @settings(max_examples=80, deadline=None)
     @given(center_strategy, center_strategy)
     def test_matches_complex_arithmetic(self, a, b):
-        prod = (a * b).to_complex()
-        assert abs(prod - a.to_complex() * b.to_complex()) <= 1e-12 * max(
-            1.0, abs(a.to_complex()) * abs(b.to_complex())
-        )
-        assert (a + b).to_complex() == a.to_complex() + b.to_complex()
+        prod = gp(center(a), center(b))
+        assert prod.coeffs[1:7].tolist() == [0.0] * 6
+        assert abs(complex(prod[0], prod[7]) - a * b) <= 1e-12 * max(1.0, abs(a) * abs(b))
+        assert center(a) + center(b) == center(a + b)
 
     def test_reverse_is_conjugation(self):
-        c = CenterScalar(2.0, -3.0)
-        assert c.reverse() == CenterScalar(2.0, 3.0)
-        assert c.abs2() == 13.0
+        z = complex(2.0, -3.0)
+        assert reverse(center(z)) == center(z.conjugate())
+        assert gp(reverse(center(z)), center(z)) == center(13.0)
 
     def test_as_multivector_round_trip(self):
-        c = CenterScalar(1.5, -0.25)
-        m = c.as_multivector()
-        assert m.coeffs.tolist() == [1.5, 0, 0, 0, 0, 0, 0, -0.25]
+        # the amplitude z enters the state as the center element Re z + Im z e123
+        psi = from_amplitudes(complex(1.5, -0.25), 0.0)
+        m = Multivector([1.5, 0, 0, 0, 0, 0, 0, -0.25])
+        assert psi.mv == gp(m, idempotent_f())
+        assert to_amplitudes(psi)[0] == complex(1.5, -0.25)
 
     def test_center_elements_commute_exactly(self):
         rng = np.random.default_rng(71)
         for _ in range(200):
-            c = CenterScalar(*rng.uniform(-10, 10, 2)).as_multivector()
+            c = center(complex(*rng.uniform(-10, 10, 2)))
             m = random_mv(rng)
             assert gp(c, m) == gp(m, c)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            CenterScalar(math.inf, 0.0)
+        for bad in (math.inf, -math.inf, math.nan, complex(0.0, math.inf), complex(math.nan, 0.0)):
+            with pytest.raises(ValueError):
+                from_amplitudes(bad, 0.0)
+            with pytest.raises(ValueError):
+                from_amplitudes(0.0, bad)
+        with pytest.raises(TypeError):
+            from_amplitudes("1", 0.0)
+        with pytest.raises(TypeError):
+            from_amplitudes(1.0, None)
 
 
 class TestIdealMembership:
@@ -156,15 +169,15 @@ class TestAmplitudes:
         assert got_p == cp and got_m == cm
 
     def test_basis_amplitudes(self):
-        assert to_amplitudes(EPS_PLUS) == (CenterScalar(1, 0), CenterScalar(0, 0))
-        assert to_amplitudes(EPS_MINUS) == (CenterScalar(0, 0), CenterScalar(1, 0))
+        assert to_amplitudes(EPS_PLUS) == (complex(1, 0), complex(0, 0))
+        assert to_amplitudes(EPS_MINUS) == (complex(0, 0), complex(1, 0))
 
     def test_rotor_tilt_matches_matrix_oracle(self):
         # amplitudes of R eps_plus cross-checked against the 2x2 image of R
         for theta in (0.3, 0.7, 2.0, math.pi / 4):
             r = rotor_axis_angle(E2, theta)
             psi = left_mul(r.mv, EPS_PLUS)
-            got = np.array([c.to_complex() for c in to_amplitudes(psi)])
+            got = np.array(to_amplitudes(psi))
             expected = matrixqm.rep(r.mv) @ np.array([1.0 + 0j, 0.0])
             assert np.max(np.abs(got - expected)) <= 1e-15
             assert abs(got[0] - math.cos(theta / 2)) <= 1e-15
@@ -172,14 +185,20 @@ class TestAmplitudes:
 
     def test_pseudoscalar_acts_as_imaginary_unit(self):
         psi = left_mul(E123, EPS_PLUS)
-        assert to_amplitudes(psi) == (CenterScalar(0.0, 1.0), CenterScalar(0.0, 0.0))
+        assert to_amplitudes(psi) == (complex(0.0, 1.0), complex(0.0, 0.0))
 
     def test_amplitudes_coerce_plain_numbers(self):
         psi = from_amplitudes(1.0, 0.0)
         assert psi == EPS_PLUS
         psi = from_amplitudes(0.6, complex(0.0, 0.8))
         cp, cm = to_amplitudes(psi)
-        assert cp == CenterScalar(0.6, 0.0) and cm == CenterScalar(0.0, 0.8)
+        assert cp == complex(0.6, 0.0) and cm == complex(0.0, 0.8)
+        assert from_amplitudes(Fraction(3, 5), np.complex128(0.8j)) == psi
+
+    def test_amplitudes_and_inner_are_complex(self):
+        psi = from_amplitudes(0.6, 0.8j)
+        assert all(type(c) is complex for c in to_amplitudes(psi))
+        assert type(inner(psi, EPS_PLUS)) is complex
 
 
 class TestInner:
@@ -187,7 +206,7 @@ class TestInner:
         rng = np.random.default_rng(79)
         for _ in range(500):
             a, b = random_spinor(rng), random_spinor(rng)
-            got = inner(a, b).to_complex()
+            got = inner(a, b)
             expected = complex(np.vdot(matrixqm.spinor_rep(a), matrixqm.spinor_rep(b)))
             assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
@@ -195,20 +214,20 @@ class TestInner:
         rng = np.random.default_rng(83)
         for _ in range(200):
             a, b = random_spinor(rng), random_spinor(rng)
-            c = CenterScalar(*rng.uniform(-5, 5, 2))
+            c = complex(*rng.uniform(-5, 5, 2))
             scale_cap = max(1.0, abs(c) * abs(inner(a, b)))
-            right = inner(a, left_mul(c.as_multivector(), b))
-            assert abs((right - c * inner(a, b)).to_complex()) <= 1e-12 * scale_cap
-            left = inner(left_mul(c.as_multivector(), a), b)
-            assert abs((left - c.reverse() * inner(a, b)).to_complex()) <= 1e-12 * scale_cap
+            right = inner(a, left_mul(center(c), b))
+            assert abs(right - c * inner(a, b)) <= 1e-12 * scale_cap
+            left = inner(left_mul(center(c), a), b)
+            assert abs(left - c.conjugate() * inner(a, b)) <= 1e-12 * scale_cap
 
     def test_norm_is_real_nonnegative(self):
         rng = np.random.default_rng(89)
         for _ in range(200):
             a = random_spinor(rng)
             n = inner(a, a)
-            assert abs(n.ps) <= 1e-12 * max(1.0, n.re)
-            assert n.re >= 0.0
+            assert abs(n.imag) <= 1e-12 * max(1.0, n.real)
+            assert n.real >= 0.0
 
     def test_rotor_action_preserves_norm(self):
         rng = np.random.default_rng(97)
@@ -224,7 +243,7 @@ class TestInner:
             psi = random_spinor(rng)
             before = inner(psi, psi)
             after = inner(left_mul(r.mv, psi), left_mul(r.mv, psi))
-            assert abs((after - before).to_complex()) <= 1e-12 * max(1.0, before.re)
+            assert abs(after - before) <= 1e-12 * max(1.0, before.real)
 
 
 class TestRepresentationConsistency:
@@ -232,8 +251,8 @@ class TestRepresentationConsistency:
     @given(center_strategy, center_strategy)
     def test_spinor_rep_returns_amplitudes_exactly(self, cp, cm):
         col = matrixqm.spinor_rep(from_amplitudes(cp, cm))
-        assert col[0] == cp.to_complex()
-        assert col[1] == cm.to_complex()
+        assert col[0] == cp
+        assert col[1] == cm
 
 
 class TestNormalization:
@@ -243,14 +262,19 @@ class TestNormalization:
 
     def test_normalized(self):
         psi = from_amplitudes(3.0, 4.0).normalized()
-        assert abs(inner(psi, psi).re - 1.0) <= 1e-15
+        assert abs(inner(psi, psi).real - 1.0) <= 1e-15
         with pytest.raises(ValueError):
             from_amplitudes(0.0, 0.0).normalized()
+
+    def test_normalized_rejects_overflowing_norm(self):
+        # the squared norm 2e308 overflows to inf; dividing by it would give zero
+        with pytest.raises(ValueError):
+            from_amplitudes(1e154, 1e154).normalized()
 
 
 class TestJson:
     def test_round_trip(self):
-        psi = from_amplitudes(CenterScalar(0.6, 0.0), CenterScalar(0.0, -0.8))
+        psi = from_amplitudes(complex(0.6, 0.0), complex(0.0, -0.8))
         blob = psi.to_json_dict()
         assert blob == {"c_plus": [0.6, 0.0], "c_minus": [0.0, -0.8]}
         assert AlgebraicSpinor.from_json_dict(blob) == psi

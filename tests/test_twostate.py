@@ -21,7 +21,7 @@ from gatss.algebra import (
     sandwich,
     vector,
 )
-from gatss.spinor import CenterScalar, basis_eps, from_amplitudes, inner, left_mul, to_amplitudes
+from gatss.spinor import basis_eps, from_amplitudes, inner, left_mul, to_amplitudes
 from gatss.twostate import (
     EigenSystem,
     FieldConfig,
@@ -198,11 +198,11 @@ class TestEigensystem:
     def test_example_amplitudes(self):
         es = eigensystem(H_EXAMPLE)
         cp, cm = to_amplitudes(es.psi_plus)
-        assert abs(cp.re - COS_PI_8) <= 1e-15 and cp.ps == 0.0
-        assert abs(cm.re - SIN_PI_8) <= 1e-15 and cm.ps == 0.0
+        assert abs(cp.real - COS_PI_8) <= 1e-15 and cp.imag == 0.0
+        assert abs(cm.real - SIN_PI_8) <= 1e-15 and cm.imag == 0.0
         cp, cm = to_amplitudes(es.psi_minus)
-        assert abs(cp.re + SIN_PI_8) <= 1e-15 and cp.ps == 0.0
-        assert abs(cm.re - COS_PI_8) <= 1e-15 and cm.ps == 0.0
+        assert abs(cp.real + SIN_PI_8) <= 1e-15 and cp.imag == 0.0
+        assert abs(cm.real - COS_PI_8) <= 1e-15 and cm.imag == 0.0
 
     def test_eigen_relation(self):
         rng = np.random.default_rng(17)
@@ -221,9 +221,9 @@ class TestEigensystem:
         for _ in range(300):
             es = eigensystem(random_hamiltonian(rng))
             assert es.e_plus >= es.e_minus
-            assert abs(inner(es.psi_plus, es.psi_plus).to_complex() - 1.0) <= 1e-12
-            assert abs(inner(es.psi_minus, es.psi_minus).to_complex() - 1.0) <= 1e-12
-            assert abs(inner(es.psi_plus, es.psi_minus).to_complex()) <= 1e-12
+            assert abs(inner(es.psi_plus, es.psi_plus) - 1.0) <= 1e-12
+            assert abs(inner(es.psi_minus, es.psi_minus) - 1.0) <= 1e-12
+            assert abs(inner(es.psi_plus, es.psi_minus)) <= 1e-12
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(23)
@@ -325,8 +325,8 @@ class TestEvolve:
         t = 0.7
         psi_t = evolve(EPS_PLUS, evolution_rotor(h, t))
         cp, cm = to_amplitudes(psi_t)
-        assert abs(cp.to_complex() - complex(math.cos(t / 2), math.sin(t / 2))) <= 1e-15
-        assert cm == CenterScalar(0.0, 0.0)
+        assert abs(cp - complex(math.cos(t / 2), math.sin(t / 2))) <= 1e-15
+        assert cm == complex(0.0, 0.0)
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(41)
@@ -409,7 +409,7 @@ class TestProbability:
         for _ in range(200):
             u = polar_state(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
             psi = polar_state(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
-            assert abs(probability(u, psi) - abs(inner(u, psi).to_complex()) ** 2) <= 1e-12
+            assert abs(probability(u, psi) - abs(inner(u, psi)) ** 2) <= 1e-12
 
     def test_completeness(self):
         rng = np.random.default_rng(59)
@@ -621,4 +621,4 @@ class TestSchrodingerResidual:
             h = hamiltonian_from_field(cfg)
             psi0 = polar_state(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
             psi_t = evolve(psi0, evolution_rotor(h, rng.uniform(0, 10), cfg.hbar))
-            assert abs(inner(psi_t, psi_t).to_complex() - 1.0) <= 1e-12
+            assert abs(inner(psi_t, psi_t) - 1.0) <= 1e-12
