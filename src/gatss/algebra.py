@@ -111,6 +111,14 @@ def _build_product_table() -> np.ndarray:
 
 _PRODUCT_TABLE = _build_product_table()
 
+# The 64 nonzero entries of the table as eight signed terms per output
+# blade, term-major: entry 8 n + k is blade k's n-th term, a[i] b[j] with
+# (i, j) in the order in which gp's einsum visits them.
+_TERM_BLADE, _TERM_LEFT, _TERM_RIGHT = (
+    idx.reshape(8, 8).T.ravel() for idx in np.nonzero(_PRODUCT_TABLE.transpose(2, 0, 1))
+)
+_TERM_SIGN = _PRODUCT_TABLE[_TERM_LEFT, _TERM_RIGHT, _TERM_BLADE]
+
 
 class Multivector:
     """Immutable element of the eight-dimensional algebra."""
@@ -223,6 +231,22 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
     return Multivector(out)
 
 
+def _gp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Geometric product row by row of coefficient blocks of shape (N, 8);
+    either may be a single row of shape (8,), used for every row.
+
+    Each blade sums its eight signed terms in gp's order, starting from
+    +0.0 as the einsum does, so every row equals gp of that row bit for
+    bit, signed zeros included.  Nothing is checked: rows may be inf or NaN.
+    """
+    terms = (a[..., _TERM_LEFT] * b[..., _TERM_RIGHT]) * _TERM_SIGN
+    terms = terms.reshape(terms.shape[:-1] + (8, 8))
+    out = 0.0 + terms[..., 0, :]
+    for n in range(1, 8):
+        out += terms[..., n, :]
+    return out
+
+
 def grade(a: Multivector, k: int) -> Multivector:
     """Projection onto the grade-k part (k in 0..3)."""
     if k not in (0, 1, 2, 3):
@@ -311,11 +335,15 @@ def exp_bivector(b: Multivector) -> Rotor:
 
     Below |B| = 1e-8 the truncated series 1 + B + B^2/2 + B^3/6 is used to
     avoid the 0/0 in the normalized direction; B^2 = -|B|^2 keeps it cheap.
+    Raises OverflowError when |B|^2 overflows, from about |B| = 1.3e154.
     """
     c = b.coeffs
     if c[0] != 0.0 or c[1] != 0.0 or c[2] != 0.0 or c[3] != 0.0 or c[7] != 0.0:
         raise ValueError("exp_bivector requires a pure bivector argument")
-    theta = math.sqrt(c[4] * c[4] + c[5] * c[5] + c[6] * c[6])
+    c4, c5, c6 = c[4:7].tolist()
+    theta = math.sqrt(c4 * c4 + c5 * c5 + c6 * c6)
+    if theta == math.inf:
+        raise OverflowError("bivector magnitude overflows: |B|^2 exceeds the float range")
     out = np.zeros(8)
     if theta < _EXP_SERIES_CUTOFF:
         out[0] = 1.0 - theta * theta / 2.0
@@ -324,6 +352,33 @@ def exp_bivector(b: Multivector) -> Rotor:
         out[0] = math.cos(theta)
         out[4:7] = c[4:7] * (math.sin(theta) / theta)
     return Rotor(Multivector(out))
+
+
+def _exp_bivector_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp_bivector row by row of a block of bivectors of shape (N, 8).
+
+    Returns the rotor rows, their angles theta = |B| and their deviations
+    |R reverse(R) - 1|, each row equal to exp_bivector's bit for bit.
+    Nothing raises: a row whose theta is inf comes back NaN, and the
+    caller tests theta and the deviation.  Run under np.errstate.
+    """
+    b = c[:, 4:7]
+    theta = np.sqrt(b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2])
+    finite = theta < math.inf
+    # the C library's cos and sin, as in exp_bivector: numpy's own may
+    # differ from them in the last bit on some builds
+    angles = np.where(finite, theta, 0.0).tolist()
+    cos = np.array([math.cos(x) for x in angles])
+    sin = np.array([math.sin(x) for x in angles])
+    series = theta < _EXP_SERIES_CUTOFF
+    theta2 = theta * theta
+    out = np.zeros(c.shape)
+    out[:, 0] = np.where(series, 1.0 - theta2 / 2.0, cos)
+    out[:, 4:7] = b * np.where(series, 1.0 - theta2 / 6.0, sin / theta)[:, None]
+    out[~finite] = np.nan
+    off = _gp_rows(out, out * _REVERSION_SIGNS)
+    off[:, 0] -= 1.0
+    return out, theta, np.sqrt(np.sum(off * off, axis=1))
 
 
 def rotor_axis_angle(n_hat: Multivector, alpha: float) -> Rotor:

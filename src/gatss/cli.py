@@ -9,6 +9,7 @@ produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -307,7 +308,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The command line parser, built on the first call and then reused;
+    help text reads the terminal width only when it is printed."""
     parser = _Parser(prog="gatss", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _) in _COMMANDS.items():
@@ -319,9 +323,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse raises SystemExit for both --help (code 0) and usage
         # errors (remapped to 1 above)

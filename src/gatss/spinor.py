@@ -24,7 +24,9 @@ import math
 import numbers
 from typing import Mapping, Sequence
 
-from .algebra import E1, Multivector, gp, reverse
+import numpy as np
+
+from .algebra import _REVERSION_SIGNS, E1, Multivector, _gp_rows, gp, reverse
 
 __all__ = [
     "AlgebraicSpinor",
@@ -165,6 +167,13 @@ def inner(a: AlgebraicSpinor, b: AlgebraicSpinor) -> complex:
     """
     p = gp(reverse(a.mv), b.mv)
     return complex(2.0 * p[0], 2.0 * p[7])
+
+
+def _is_normalized_rows(psi: np.ndarray) -> np.ndarray:
+    """AlgebraicSpinor.is_normalized row by row of a block of spinor
+    coefficient rows of shape (N, 8): a boolean per row."""
+    p = _gp_rows(psi * _REVERSION_SIGNS, psi)
+    return (np.abs(2.0 * p[:, 0] - 1.0) <= NORM_TOL) & (np.abs(2.0 * p[:, 7]) <= NORM_TOL)
 
 
 def left_mul(m: Multivector, psi: AlgebraicSpinor) -> AlgebraicSpinor:

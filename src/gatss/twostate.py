@@ -20,24 +20,30 @@ projections and reproduce the usual closed forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .algebra import (
+    _REVERSION_SIGNS,
     E2,
     E3,
+    UNIT_TOL,
     Multivector,
     Rotor,
+    _exp_bivector_rows,
+    _gp_rows,
     exp_bivector,
     gp,
     hodge_dual,
     reverse,
     rotor_axis_angle,
-    sandwich,
     vector,
 )
-from .spinor import AlgebraicSpinor, basis_eps, left_mul
+from .spinor import AlgebraicSpinor, _is_normalized_rows, basis_eps, left_mul
 
 __all__ = [
     "Hamiltonian",
@@ -204,6 +210,12 @@ def hamiltonian_from_field(cfg: FieldConfig) -> Hamiltonian:
     return Hamiltonian(0.0, (k * cfg.B[0], k * cfg.B[1], k * cfg.B[2]))
 
 
+_PHASE_OVERFLOW = (
+    "phase |h| t / hbar overflows at t = {t!r}: the rotor exponential needs "
+    "it below about 1.3e154"
+)
+
+
 def evolution_rotor(h: Hamiltonian, t: float, hbar: float = 1.0) -> Rotor:
     """Time evolution rotor U(t) = exp_bivector(-(t/hbar) e123 h).
 
@@ -219,7 +231,10 @@ def evolution_rotor(h: Hamiltonian, t: float, hbar: float = 1.0) -> Rotor:
         )
     if not math.isfinite(float(t)) or not math.isfinite(float(hbar)) or hbar <= 0.0:
         raise ValueError("need finite t and positive finite hbar")
-    return exp_bivector(hodge_dual(h.vector_part()) * (-float(t) / float(hbar)))
+    try:
+        return exp_bivector(hodge_dual(h.vector_part()) * (-float(t) / float(hbar)))
+    except OverflowError:
+        raise ValueError(_PHASE_OVERFLOW.format(t=float(t))) from None
 
 
 def evolve(psi0: AlgebraicSpinor, u: Rotor) -> AlgebraicSpinor:
@@ -281,17 +296,13 @@ def precession_trajectory(
     """
     if cfg.B[0] != 0.0 or cfg.B[1] != 0.0:
         raise ValueError("precession trajectory requires an axial field (B1 = B2 = 0)")
-    h = hamiltonian_from_field(cfg)
-    psi0 = polar_state(theta0)
-    s_ops = spin_vectors(cfg.hbar)
-    rows = []
-    for t in t_grid:
-        t = float(t)
-        psi_t = evolve(psi0, evolution_rotor(h, t, cfg.hbar))
-        rows.append(
-            (t, *(expectation(op, psi_t) for op in s_ops))
-        )
-    return rows
+    table = trajectory(cfg, polar_state(theta0), t_grid)
+    return list(zip(table["t"], table["s1"], table["s2"], table["s3"]))
+
+
+# Rows per block of the trajectory kernel: its temporaries are a few
+# (rows, 64) arrays, so memory stays flat however long the grid is.
+_BLOCK_ROWS = 512
 
 
 def trajectory(
@@ -304,25 +315,61 @@ def trajectory(
     Returns the columns t, p_plus, p_minus (probabilities of the basis
     states), s1, s2, s3 (spin expectations) and u1, u2, u3 (the precessing
     axis u(t) = U e3 reverse(U)), in that order.
+
+    Each row is what evolution_rotor, evolve, probability, expectation and
+    sandwich give at its t, bit for bit, computed in blocks of rows.  An
+    invalid row raises their ValueError: for the first such row, the
+    first check it fails.
     """
-    eps_plus, eps_minus = basis_eps()
-    ham = hamiltonian_from_field(cfg)
-    s_ops = spin_vectors(cfg.hbar)
     table: dict[str, list[float]] = {
         name: [] for name in ("t", "p_plus", "p_minus", "s1", "s2", "s3", "u1", "u2", "u3")
     }
-    for t in t_grid:
-        t = float(t)
-        u_rotor = evolution_rotor(ham, t, cfg.hbar)
-        psi_t = evolve(psi0, u_rotor)
-        p_plus = probability(eps_plus, psi_t)
-        p_minus = probability(eps_minus, psi_t)
-        spins = [expectation(op, psi_t) for op in s_ops]
-        u = sandwich(u_rotor, E3)
-        row = (t, p_plus, p_minus, *spins, u[1], u[2], u[3])
-        for column, value in zip(table.values(), row):
-            column.append(value)
+    bivector = hodge_dual(hamiltonian_from_field(cfg).vector_part()).coeffs
+    spins = [op.coeffs for op in spin_vectors(cfg.hbar)]
+    times = iter(t_grid)
+    while (t := np.fromiter(map(float, itertools.islice(times, _BLOCK_ROWS)), float)).size:
+        with np.errstate(all="ignore"):
+            block = _trajectory_block(cfg, psi0, bivector, spins, t)
+        for column, values in zip(table.values(), block):
+            column.extend(values.tolist())
     return table
+
+
+def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
+    """trajectory's columns for one block of times, as arrays; every check
+    is a mask over the rows, decided before anything is returned."""
+    eps_plus, eps_minus = (eps.mv.coeffs for eps in basis_eps())
+    # evolution_rotor: exp_bivector of e123 h scaled by -t / hbar
+    exponent = bivector * (-t / cfg.hbar)[:, None]
+    rotor, theta, rotor_dev = _exp_bivector_rows(exponent)
+    # evolve, then the products of probability, expectation and sandwich
+    psi = _gp_rows(rotor, psi0.mv.coeffs)
+    psi_rev = psi * _REVERSION_SIGNS
+    products = [
+        _gp_rows(_gp_rows(_gp_rows(eps * _REVERSION_SIGNS, psi), psi_rev), eps)
+        for eps in (eps_plus, eps_minus)
+    ]
+    products += [_gp_rows(psi_rev, _gp_rows(op, psi)) for op in spins]
+    axis = _gp_rows(_gp_rows(rotor, E3.coeffs), rotor * _REVERSION_SIGNS)
+    checks = (
+        (~np.isfinite(t), "need finite t and positive finite hbar"),
+        (~np.isfinite(exponent).all(axis=1), "multivector coefficients must be finite"),
+        (~np.isfinite(theta), _PHASE_OVERFLOW),
+        (rotor_dev > UNIT_TOL, "rotor must have unit norm, |R~R - 1| = {dev:.3e}"),
+        (np.full(t.shape, not psi0.is_normalized()), "initial state must be normalized"),
+        (~np.isfinite(psi).all(axis=1), "multivector coefficients must be finite"),
+        (~_is_normalized_rows(psi), "both states must be normalized"),
+        (
+            ~np.isfinite(np.hstack([*products, axis])).all(axis=1),
+            "multivector coefficients must be finite",
+        ),
+    )
+    failed = np.array([mask for mask, _ in checks])
+    if failed.any():
+        row = int(np.argmax(failed.any(axis=0)))
+        message = checks[int(np.argmax(failed[:, row]))][1]
+        raise ValueError(message.format(t=float(t[row]), dev=float(rotor_dev[row])))
+    return [t, *(2.0 * p[:, 0] for p in products), axis[:, 1], axis[:, 2], axis[:, 3]]
 
 
 def u_vector_closed_form(cfg: FieldConfig, t: float) -> tuple[float, float, float]:

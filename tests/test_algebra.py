@@ -22,6 +22,8 @@ from gatss.algebra import (
     Multivector,
     Quaternion,
     Rotor,
+    _exp_bivector_rows,
+    _gp_rows,
     commutator,
     exp_bivector,
     gp,
@@ -243,6 +245,71 @@ class TestExpBivector:
         r = exp_bivector(b)
         assert r.mv[0] == 1.0 - 0.5e-20
         assert abs(r.mv[4] - 1e-10) < 1e-25
+
+
+    def test_overflowing_magnitude(self):
+        # |B|^2 overflows although every coefficient is finite
+        with pytest.raises(OverflowError, match="bivector magnitude overflows"):
+            exp_bivector(E12 * 1e155)
+
+
+# Coefficients with exact and signed zeros, where the product's zero signs
+# are decided, and wide magnitudes.
+row_coeff = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False, width=64),
+)
+
+def row_block(n):
+    return st.lists(st.lists(row_coeff, min_size=8, max_size=8), min_size=n, max_size=n).map(
+        np.array
+    )
+
+
+block_pairs = st.integers(1, 6).flatmap(lambda n: st.tuples(row_block(n), row_block(n)))
+
+
+def hex_rows(block):
+    return [[x.hex() for x in row] for row in np.asarray(block).reshape(-1, 8).tolist()]
+
+
+class TestRowKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(block_pairs)
+    def test_row_product_is_gp_bit_for_bit(self, pair):
+        a, b = pair
+        expected = [gp(Multivector(x), Multivector(y)).coeffs for x, y in zip(a, b)]
+        assert hex_rows(_gp_rows(a, b)) == hex_rows(expected)
+        # a single row on either side stands for every row
+        assert hex_rows(_gp_rows(a[0], b)) == hex_rows(
+            [gp(Multivector(a[0]), Multivector(y)).coeffs for y in b])
+        assert hex_rows(_gp_rows(a, b[0])) == hex_rows(
+            [gp(Multivector(x), Multivector(b[0])).coeffs for x in a])
+
+    def test_row_product_zero_signs(self):
+        # gp's einsum starts each blade from +0.0, so it never returns -0.0
+        # even where all eight terms are -0.0
+        rng = np.random.default_rng(11)
+        a = np.where(rng.random((400, 8)) < 0.5, -0.0, 0.0)
+        b = np.where(rng.random((400, 8)) < 0.5, -0.0, 0.0)
+        expected = [gp(Multivector(x), Multivector(y)).coeffs for x, y in zip(a, b)]
+        assert hex_rows(_gp_rows(a, b)) == hex_rows(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(row_coeff, row_coeff, row_coeff), min_size=1, max_size=6))
+    def test_row_exponential_is_exp_bivector_bit_for_bit(self, bivectors):
+        c = np.zeros((len(bivectors), 8))
+        c[:, 4:7] = bivectors
+        with np.errstate(all="ignore"):
+            rotors, theta, dev = _exp_bivector_rows(c)
+        for i, row in enumerate(c):
+            try:
+                expected = exp_bivector(Multivector(row))
+            except OverflowError:
+                assert theta[i] == math.inf and np.isnan(rotors[i]).all()
+                continue
+            assert hex_rows(rotors[i]) == hex_rows(expected.mv.coeffs)
+            assert dev[i] <= 1e-9
 
 
 class TestRotorType:

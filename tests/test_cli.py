@@ -256,6 +256,28 @@ class TestEvolve:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, t",
+        [
+            (["evolve", "--B=1,0,0", "--t-end=1e300", "--steps=3"], "5e+299"),
+            # the squares of the exponent overflow although |h| t / hbar
+            # (about 9e167) is a finite double
+            (
+                ["evolve", "--B=1.08e91,-3.04e149,-6.03e105", "--hbar=6.13e9",
+                 "--theta0=0.7", "--t-end=1.88e12", "--steps=3", "--check"],
+                "940000000000.0",
+            ),
+        ],
+        ids=["t_end", "large_field"],
+    )
+    def test_phase_overflow_exit_1(self, capsys, argv, t):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"gatss evolve: error: phase |h| t / hbar overflows at t = {t}: "
+            "the rotor exponential needs it below about 1.3e154\n"
+        )
+
     def test_rejects_hamiltonian_in_config(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"h": [0, 1, 0, 1]}))
@@ -470,7 +492,8 @@ class TestCheckProperty:
         magnitudes(1e-8, 1e30),
     )
     def test_check_never_raises(self, b, hbar, t_end):
-        # exit 1 remains where |h| t / hbar leaves the algebra's domain
+        # exit 1 remains where |h| t / hbar leaves the algebra's domain,
+        # with the message of test_phase_overflow_exit_1
         argv = ["evolve", "--B=" + ",".join(map(repr, b)), f"--hbar={hbar!r}",
                 "--theta0=0.7", f"--t-end={t_end!r}", "--steps=3", "--check"]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

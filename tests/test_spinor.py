@@ -21,6 +21,7 @@ from gatss.algebra import (
 )
 from gatss.spinor import (
     AlgebraicSpinor,
+    _is_normalized_rows,
     basis_eps,
     from_amplitudes,
     idempotent_f,
@@ -259,6 +260,15 @@ class TestNormalization:
     def test_is_normalized(self):
         assert EPS_PLUS.is_normalized()
         assert not from_amplitudes(2.0, 0.0).is_normalized()
+
+    def test_rows_match_is_normalized(self):
+        # inner(psi, psi) = 1 + 0.72 d: on each side of NORM_TOL = 1e-9
+        states = [EPS_PLUS, EPS_MINUS]
+        for d in (0.0, 1.3e-9, 1.5e-9, -1.3e-9, -1.5e-9, 1.0):
+            states.append(from_amplitudes((1.0 + d) * 0.6, 0.8j))
+        rows = np.array([psi.mv.coeffs for psi in states])
+        assert _is_normalized_rows(rows).tolist() == [psi.is_normalized() for psi in states]
+        assert _is_normalized_rows(np.full((1, 8), np.nan)).tolist() == [False]
 
     def test_normalized(self):
         psi = from_amplitudes(3.0, 4.0).normalized()

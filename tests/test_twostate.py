@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatss import matrixqm
 from gatss.algebra import (
@@ -37,6 +39,7 @@ from gatss.twostate import (
     probability,
     rabi_probability,
     spin_vectors,
+    _BLOCK_ROWS,
     trajectory,
     u_vector_closed_form,
 )
@@ -578,6 +581,116 @@ class TestTrajectory:
                 assert abs(table[f"u{k + 1}"][i] - u[k]) <= 1e-12
                 # out of eps_plus the spin follows the axis: s = (hbar/2) u
                 assert abs(table[f"s{k + 1}"][i] - 0.5 * self.CFG.hbar * u[k]) <= 1e-12
+
+
+def reference_table(cfg, psi0, t_grid):
+    """trajectory's columns from a loop over the object API, row by row."""
+    h = hamiltonian_from_field(cfg)
+    table = {name: [] for name in ("t", "p_plus", "p_minus", "s1", "s2", "s3", "u1", "u2", "u3")}
+    # the object path's numpy scalars warn on overflow; its checks raise
+    with np.errstate(all="ignore"):
+        for t in t_grid:
+            u = evolution_rotor(h, t, cfg.hbar)
+            psi = evolve(psi0, u)
+            axis = sandwich(u, E3)
+            row = (
+                float(t),
+                probability(EPS_PLUS, psi),
+                probability(EPS_MINUS, psi),
+                *(expectation(op, psi) for op in spin_vectors(cfg.hbar)),
+                axis[1],
+                axis[2],
+                axis[3],
+            )
+            for column, value in zip(table.values(), row):
+                column.append(value)
+    return table
+
+
+def outcome(make_table):
+    """The table with every value as float.hex, or the ValueError's text."""
+    try:
+        return {name: [v.hex() for v in column] for name, column in make_table().items()}
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+field_component = st.floats(-5.0, 5.0)
+fields = st.builds(
+    FieldConfig,
+    B=st.one_of(
+        st.tuples(field_component, field_component, field_component),
+        st.tuples(field_component, field_component, field_component),
+        st.tuples(st.just(0.0), st.just(0.0), field_component),  # axial
+        st.just((0.0, 0.0, 0.0)),
+    ),
+    q=st.floats(0.2, 3.0),
+    m=st.floats(0.2, 3.0),
+    hbar=st.one_of(st.floats(0.05, 20.0), st.sampled_from([1e-300, 1e300])),
+)
+amplitude = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+polar_states = st.builds(polar_state, st.floats(0.0, math.pi), st.floats(-math.pi, math.pi))
+amplitude_states = (
+    st.tuples(amplitude, amplitude)
+    .filter(lambda cs: abs(cs[0]) + abs(cs[1]) > 1e-3)
+    .map(lambda cs: from_amplitudes(*cs).normalized())
+)
+# one draw in five is not normalized, which fails the first row of any grid
+states = st.one_of(
+    polar_states, polar_states, amplitude_states, amplitude_states,
+    st.just(from_amplitudes(1.0, 1.0)),
+)
+times = st.one_of(
+    st.sampled_from([0.0, -0.0]),  # the exponential's series branch
+    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0),
+    # out of the domain: the phase or -t / hbar overflows, or t is not finite
+    st.sampled_from([1e300, 3e155, 1e10, math.inf, -math.inf, math.nan]),
+)
+
+
+class TestTrajectoryMatchesObjectPath:
+    """The blocked kernel of trajectory against a per-row loop over the
+    public object API: values bit for bit, errors by message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fields, states, st.lists(times, min_size=1, max_size=6))
+    def test_rows_and_errors(self, cfg, psi0, t_grid):
+        assert outcome(lambda: trajectory(cfg, psi0, t_grid)) == outcome(
+            lambda: reference_table(cfg, psi0, t_grid)
+        )
+
+    @pytest.mark.parametrize("t_grid", [[], [0.0], [2.5]], ids=["empty", "zero", "single"])
+    def test_short_grids(self, t_grid):
+        cfg = FieldConfig(B=(0.4, -1.1, 2.2), hbar=0.9)
+        table = trajectory(cfg, EPS_PLUS, t_grid)
+        assert outcome(lambda: table) == outcome(lambda: reference_table(cfg, EPS_PLUS, t_grid))
+        assert all(len(column) == len(t_grid) for column in table.values())
+
+    def test_empty_grid_checks_nothing(self):
+        # as in the row loop, an empty grid never tests the initial state
+        table = trajectory(FieldConfig(B=(1.0, 0.0, 0.0)), from_amplitudes(1.0, 1.0), [])
+        assert list(table) == ["t", "p_plus", "p_minus", "s1", "s2", "s3", "u1", "u2", "u3"]
+        assert all(column == [] for column in table.values())
+
+    def test_grid_longer_than_a_block(self):
+        cfg = FieldConfig(B=(0.4, -1.1, 2.2), q=1.5, m=0.7, hbar=0.9)
+        psi0 = polar_state(0.7, -0.3)
+        grid = np.linspace(0.0, 40.0, 2 * _BLOCK_ROWS + 3)
+        assert outcome(lambda: trajectory(cfg, psi0, grid)) == outcome(
+            lambda: reference_table(cfg, psi0, grid)
+        )
+
+    def test_error_in_a_later_block(self):
+        cfg = FieldConfig(B=(1.0, 0.0, 0.0))
+        grid = [1.0] * (_BLOCK_ROWS + 2) + [1e300, math.inf]
+        with pytest.raises(ValueError, match=r"phase \|h\| t / hbar overflows at t = 1e\+300"):
+            trajectory(cfg, EPS_PLUS, grid)
+
+    def test_any_iterable(self):
+        cfg = FieldConfig(B=(0.4, -1.1, 2.2))
+        grid = [0.0, 1.5, 3.0]
+        assert trajectory(cfg, EPS_PLUS, iter(grid)) == trajectory(cfg, EPS_PLUS, grid)
 
 
 class TestSpinCommutators:
