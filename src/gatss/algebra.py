@@ -120,6 +120,11 @@ _TERM_BLADE, _TERM_LEFT, _TERM_RIGHT = (
 _TERM_SIGN = _PRODUCT_TABLE[_TERM_LEFT, _TERM_RIGHT, _TERM_BLADE]
 
 
+# Error messages shared with the row kernels of twostate.trajectory.
+_NOT_FINITE = "multivector coefficients must be finite"
+_NOT_UNIT = "rotor must have unit norm, |R~R - 1| = {dev:.3e}"
+
+
 class Multivector:
     """Immutable element of the eight-dimensional algebra."""
 
@@ -130,7 +135,7 @@ class Multivector:
         if c.shape != (8,):
             raise ValueError(f"expected 8 blade coefficients, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
-            raise ValueError("multivector coefficients must be finite")
+            raise ValueError(_NOT_FINITE)
         c.setflags(write=False)
         self._c = c
 
@@ -235,9 +240,13 @@ def _gp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geometric product row by row of coefficient blocks of shape (N, 8);
     either may be a single row of shape (8,), used for every row.
 
-    Each blade sums its eight signed terms in gp's order, starting from
-    +0.0 as the einsum does, so every row equals gp of that row bit for
-    bit, signed zeros included.  Nothing is checked: rows may be inf or NaN.
+    Each blade sums its eight signed terms in the (i, j) order in which
+    gp's einsum visits them, starting from +0.0 as the einsum does, so
+    every row equals gp of that row bit for bit, signed zeros included.
+    NumPy does not specify einsum's summation order: the equality holds
+    for the order of the numpy builds this was checked on (2.x), and
+    tests/test_algebra.py::TestRowKernels fails on a build that sums in
+    another.  Nothing is checked: rows may be inf or NaN.
     """
     terms = (a[..., _TERM_LEFT] * b[..., _TERM_RIGHT]) * _TERM_SIGN
     terms = terms.reshape(terms.shape[:-1] + (8, 8))
@@ -302,7 +311,7 @@ class Rotor:
             raise ValueError("rotor must be even-graded (scalar + bivector only)")
         dev = norm(gp(mv, reverse(mv)) - ONE)
         if dev > UNIT_TOL:
-            raise ValueError(f"rotor must have unit norm, |R~R - 1| = {dev:.3e}")
+            raise ValueError(_NOT_UNIT.format(dev=dev))
         self._mv = mv
 
     @classmethod
@@ -330,20 +339,28 @@ class Rotor:
         return f"Rotor({self._mv.coeffs.tolist()})"
 
 
+def _bivector_angle(b: Multivector) -> float:
+    """|B| of the bivector part, as exp_bivector takes it; inf once the
+    sum of squares overflows."""
+    c4, c5, c6 = b.coeffs[4:7].tolist()
+    return math.sqrt(c4 * c4 + c5 * c5 + c6 * c6)
+
+
 def exp_bivector(b: Multivector) -> Rotor:
     """Exponential of a bivector: cos|B| + (B/|B|) sin|B|.
 
     Below |B| = 1e-8 the truncated series 1 + B + B^2/2 + B^3/6 is used to
     avoid the 0/0 in the normalized direction; B^2 = -|B|^2 keeps it cheap.
-    Raises OverflowError when |B|^2 overflows, from about |B| = 1.3e154.
+    Raises ValueError when |B|^2 overflows, from about |B| = 1.3e154.
     """
     c = b.coeffs
     if c[0] != 0.0 or c[1] != 0.0 or c[2] != 0.0 or c[3] != 0.0 or c[7] != 0.0:
         raise ValueError("exp_bivector requires a pure bivector argument")
-    c4, c5, c6 = c[4:7].tolist()
-    theta = math.sqrt(c4 * c4 + c5 * c5 + c6 * c6)
+    theta = _bivector_angle(b)
     if theta == math.inf:
-        raise OverflowError("bivector magnitude overflows: |B|^2 exceeds the float range")
+        raise ValueError(
+            "bivector magnitude |B| overflows: exp_bivector needs it below about 1.3e154"
+        )
     out = np.zeros(8)
     if theta < _EXP_SERIES_CUTOFF:
         out[0] = 1.0 - theta * theta / 2.0
@@ -357,7 +374,8 @@ def exp_bivector(b: Multivector) -> Rotor:
 def _exp_bivector_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """exp_bivector row by row of a block of bivectors of shape (N, 8).
 
-    Returns the rotor rows, their angles theta = |B| and their deviations
+    Returns the rotor rows, their angles theta (_bivector_angle of each
+    row, by the same float operations) and their deviations
     |R reverse(R) - 1|, each row equal to exp_bivector's bit for bit.
     Nothing raises: a row whose theta is inf comes back NaN, and the
     caller tests theta and the deviation.  Run under np.errstate.

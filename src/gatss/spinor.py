@@ -84,7 +84,7 @@ class AlgebraicSpinor:
 
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         n = inner(self, self)
-        return abs(n.real - 1.0) <= tol and abs(n.imag) <= tol
+        return bool(_near_unit(n.real, n.imag, tol))
 
     def normalized(self) -> "AlgebraicSpinor":
         n = inner(self, self).real
@@ -169,11 +169,17 @@ def inner(a: AlgebraicSpinor, b: AlgebraicSpinor) -> complex:
     return complex(2.0 * p[0], 2.0 * p[7])
 
 
+def _near_unit(re, ps, tol: float = NORM_TOL):
+    """The normalization rule on the squared norm re + ps e123: both parts
+    within tol of 1 + 0 e123.  Takes floats or arrays of them."""
+    return (abs(re - 1.0) <= tol) & (abs(ps) <= tol)
+
+
 def _is_normalized_rows(psi: np.ndarray) -> np.ndarray:
     """AlgebraicSpinor.is_normalized row by row of a block of spinor
     coefficient rows of shape (N, 8): a boolean per row."""
     p = _gp_rows(psi * _REVERSION_SIGNS, psi)
-    return (np.abs(2.0 * p[:, 0] - 1.0) <= NORM_TOL) & (np.abs(2.0 * p[:, 7]) <= NORM_TOL)
+    return _near_unit(2.0 * p[:, 0], 2.0 * p[:, 7])
 
 
 def left_mul(m: Multivector, psi: AlgebraicSpinor) -> AlgebraicSpinor:

@@ -28,12 +28,15 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import (
+    _NOT_FINITE,
+    _NOT_UNIT,
     _REVERSION_SIGNS,
     E2,
     E3,
     UNIT_TOL,
     Multivector,
     Rotor,
+    _bivector_angle,
     _exp_bivector_rows,
     _gp_rows,
     exp_bivector,
@@ -210,10 +213,14 @@ def hamiltonian_from_field(cfg: FieldConfig) -> Hamiltonian:
     return Hamiltonian(0.0, (k * cfg.B[0], k * cfg.B[1], k * cfg.B[2]))
 
 
+# Error messages shared by the object API and trajectory's row kernel.
+_BAD_TIME = "need finite t and positive finite hbar"
 _PHASE_OVERFLOW = (
     "phase |h| t / hbar overflows at t = {t!r}: the rotor exponential needs "
     "it below about 1.3e154"
 )
+_PSI0_NOT_NORMALIZED = "initial state must be normalized"
+_STATES_NOT_NORMALIZED = "both states must be normalized"
 
 
 def evolution_rotor(h: Hamiltonian, t: float, hbar: float = 1.0) -> Rotor:
@@ -230,17 +237,17 @@ def evolution_rotor(h: Hamiltonian, t: float, hbar: float = 1.0) -> Rotor:
             "carry exp(-e123 h0 t / hbar) on the amplitudes instead"
         )
     if not math.isfinite(float(t)) or not math.isfinite(float(hbar)) or hbar <= 0.0:
-        raise ValueError("need finite t and positive finite hbar")
-    try:
-        return exp_bivector(hodge_dual(h.vector_part()) * (-float(t) / float(hbar)))
-    except OverflowError:
-        raise ValueError(_PHASE_OVERFLOW.format(t=float(t))) from None
+        raise ValueError(_BAD_TIME)
+    exponent = hodge_dual(h.vector_part()) * (-float(t) / float(hbar))
+    if _bivector_angle(exponent) == math.inf:
+        raise ValueError(_PHASE_OVERFLOW.format(t=float(t)))
+    return exp_bivector(exponent)
 
 
 def evolve(psi0: AlgebraicSpinor, u: Rotor) -> AlgebraicSpinor:
     """Apply an evolution rotor to a normalized state."""
     if not psi0.is_normalized():
-        raise ValueError("initial state must be normalized")
+        raise ValueError(_PSI0_NOT_NORMALIZED)
     return left_mul(u.mv, psi0)
 
 
@@ -262,7 +269,7 @@ def probability(u_n: AlgebraicSpinor, psi: AlgebraicSpinor) -> float:
     Equals the squared magnitude of inner(u_n, psi) for normalized states.
     """
     if not u_n.is_normalized() or not psi.is_normalized():
-        raise ValueError("both states must be normalized")
+        raise ValueError(_STATES_NOT_NORMALIZED)
     p = gp(gp(gp(reverse(u_n.mv), psi.mv), reverse(psi.mv)), u_n.mv)
     return 2.0 * p[0]
 
@@ -352,17 +359,14 @@ def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
     products += [_gp_rows(psi_rev, _gp_rows(op, psi)) for op in spins]
     axis = _gp_rows(_gp_rows(rotor, E3.coeffs), rotor * _REVERSION_SIGNS)
     checks = (
-        (~np.isfinite(t), "need finite t and positive finite hbar"),
-        (~np.isfinite(exponent).all(axis=1), "multivector coefficients must be finite"),
+        (~np.isfinite(t), _BAD_TIME),
+        (~np.isfinite(exponent).all(axis=1), _NOT_FINITE),
         (~np.isfinite(theta), _PHASE_OVERFLOW),
-        (rotor_dev > UNIT_TOL, "rotor must have unit norm, |R~R - 1| = {dev:.3e}"),
-        (np.full(t.shape, not psi0.is_normalized()), "initial state must be normalized"),
-        (~np.isfinite(psi).all(axis=1), "multivector coefficients must be finite"),
-        (~_is_normalized_rows(psi), "both states must be normalized"),
-        (
-            ~np.isfinite(np.hstack([*products, axis])).all(axis=1),
-            "multivector coefficients must be finite",
-        ),
+        (rotor_dev > UNIT_TOL, _NOT_UNIT),
+        (np.full(t.shape, not psi0.is_normalized()), _PSI0_NOT_NORMALIZED),
+        (~np.isfinite(psi).all(axis=1), _NOT_FINITE),
+        (~_is_normalized_rows(psi), _STATES_NOT_NORMALIZED),
+        (~np.isfinite(np.hstack([*products, axis])).all(axis=1), _NOT_FINITE),
     )
     failed = np.array([mask for mask, _ in checks])
     if failed.any():

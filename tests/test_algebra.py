@@ -249,8 +249,11 @@ class TestExpBivector:
 
     def test_overflowing_magnitude(self):
         # |B|^2 overflows although every coefficient is finite
-        with pytest.raises(OverflowError, match="bivector magnitude overflows"):
+        with pytest.raises(ValueError, match=r"bivector magnitude \|B\| overflows"):
             exp_bivector(E12 * 1e155)
+        # and so does a rotation by an angle past twice that bound
+        with pytest.raises(ValueError, match=r"bivector magnitude \|B\| overflows"):
+            rotor_axis_angle(E3, 1e300)
 
 
 # Coefficients with exact and signed zeros, where the product's zero signs
@@ -305,7 +308,7 @@ class TestRowKernels:
         for i, row in enumerate(c):
             try:
                 expected = exp_bivector(Multivector(row))
-            except OverflowError:
+            except ValueError:
                 assert theta[i] == math.inf and np.isnan(rotors[i]).all()
                 continue
             assert hex_rows(rotors[i]) == hex_rows(expected.mv.coeffs)

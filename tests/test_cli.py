@@ -278,6 +278,15 @@ class TestEvolve:
             "the rotor exponential needs it below about 1.3e154\n"
         )
 
+    def test_tilt_overflow_exit_1(self, capsys):
+        # the tilt's rotor exponential overflows before any row is evolved
+        code, out, err = run_cli(capsys, ["evolve", "--B=0,0,1", "--theta0=1e300", "--t-end=1", "--steps=3"])
+        assert (code, out) == (1, "")
+        assert err == (
+            "gatss evolve: error: bivector magnitude |B| overflows: "
+            "exp_bivector needs it below about 1.3e154\n"
+        )
+
     def test_rejects_hamiltonian_in_config(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"h": [0, 1, 0, 1]}))
