@@ -1,7 +1,7 @@
 """Two-state quantum systems in the geometric algebra of 3D space.
 
 The `algebra` module carries the eight-blade multivector arithmetic of
-Cl(3,0) (rotors, quaternions, duality); `spinor` puts quantum states inside
+Cl(3,0) (rotors, duality); `spinor` puts quantum states inside
 the minimal left ideal of the idempotent (1 + e3)/2; `twostate` does
 rotor-based diagonalization and exact field dynamics of Hermitian two-state
 Hamiltonians; `matrixqm` is an independent conventional 2x2 complex-matrix
@@ -22,7 +22,6 @@ from .algebra import (
     PSEUDOSCALAR,
     ZERO,
     Multivector,
-    Quaternion,
     Rotor,
     commutator,
     exp_bivector,
@@ -30,8 +29,6 @@ from .algebra import (
     grade,
     hodge_dual,
     norm,
-    quaternion_embed,
-    quaternion_polar,
     reverse,
     rotor_axis_angle,
     sandwich,

@@ -20,7 +20,6 @@ role of a complex amplitude elsewhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "BLADE_NAMES",
     "Multivector",
     "Rotor",
-    "Quaternion",
     "ZERO",
     "ONE",
     "E1",
@@ -51,8 +49,6 @@ __all__ = [
     "exp_bivector",
     "rotor_axis_angle",
     "sandwich",
-    "quaternion_embed",
-    "quaternion_polar",
 ]
 
 BLADE_NAMES = ("1", "e1", "e2", "e3", "e23", "e31", "e12", "e123")
@@ -418,68 +414,3 @@ def sandwich(r: Rotor, a: Multivector) -> Multivector:
     """R a reverse(R).  Pass r.reverse() for the opposite orientation."""
     m = r.mv
     return gp(gp(m, a), reverse(m))
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Hamilton quaternion q0 + q1 i + q2 j + q3 k."""
-
-    q0: float
-    q1: float
-    q2: float
-    q3: float
-
-    def __post_init__(self):
-        for name in ("q0", "q1", "q2", "q3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError("quaternion components must be finite")
-            object.__setattr__(self, name, v)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        a0, a1, a2, a3 = self.q0, self.q1, self.q2, self.q3
-        b0, b1, b2, b3 = other.q0, other.q1, other.q2, other.q3
-        return Quaternion(
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
-
-    def norm(self) -> float:
-        return math.sqrt(self.q0 ** 2 + self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2)
-
-
-def quaternion_embed(q: Quaternion) -> Multivector:
-    """Embed a quaternion into the even subalgebra.
-
-    The quaternion units map to negated bivectors (i -> -e23, j -> -e31,
-    k -> -e12), which makes the embedding multiplicative under the
-    geometric product.
-    """
-    return Multivector([q.q0, 0.0, 0.0, 0.0, -q.q1, -q.q2, -q.q3, 0.0])
-
-
-def quaternion_polar(q: Quaternion) -> tuple[float, Multivector, float]:
-    """Polar decomposition (magnitude, unit axis, angle) of a quaternion.
-
-    Satisfies exp_bivector(-e123 n_hat alpha/2).mv * magnitude ==
-    quaternion_embed(q), with alpha = 2 atan2(|imaginary part|, q0).
-
-    For pure scalars the axis defaults to e3, with alpha = 0 for positive
-    q0 and alpha = 2*pi (returned exactly, the boundary of the angle range)
-    for negative q0, reflecting the rotor double cover.
-    """
-    mag = q.norm()
-    if mag == 0.0:
-        raise ValueError("zero quaternion has no polar decomposition")
-    imag = math.sqrt(q.q1 ** 2 + q.q2 ** 2 + q.q3 ** 2)
-    if imag > 0.0:
-        n_hat = vector(q.q1 / imag, q.q2 / imag, q.q3 / imag)
-        alpha = 2.0 * math.atan2(imag, q.q0)
-    else:
-        n_hat = E3
-        alpha = 0.0 if q.q0 > 0.0 else 2.0 * math.pi
-    return mag, n_hat, alpha

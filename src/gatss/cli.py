@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Any, Sequence
 
@@ -333,9 +334,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         # numpy's floating point warnings name the installed source file;
         # the NaN or inf they signal fails a check or raises ValueError
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command][1](_settings(args))
+            code = _COMMANDS[args.command][1](_settings(args))
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"gatss {args.command}: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout has gone, as in `gatss evolve ... | head`: as
+        # the Python docs advise for SIGPIPE, point stdout at devnull so
+        # that the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

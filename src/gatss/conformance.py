@@ -1,14 +1,23 @@
 """Checks of the algebra against the matrix oracle and the closed forms.
 
-This is the one module where the algebra meets `matrixqm`.  Four randomized
-suites back the command line `conformance` subcommand: the matrix
-representation being multiplicative, associativity of the geometric
-product, exactness of the spin commutators, and the three-way agreement of
-the transition probability (closed form, rotor dynamics, matrix dynamics).
-The residual and deviation functions back the checks of `diag` and
+This is the one module where the algebra meets `matrixqm`.  Four suites
+back the command line `conformance` subcommand: the matrix representation
+being multiplicative, associativity of the geometric product, exactness of
+the spin commutators, and the three-way agreement of the transition
+probability (closed form, rotor dynamics, matrix dynamics).  The residual
+and deviation functions back the checks of `diag` and
 `evolve --check/--check-rabi`.  Every check reduces its deviations with
 `worst_deviation` and decides with `SuiteResult.passed`, so a NaN
 deviation fails it.
+
+The three randomized suites draw all their values as one block per suite,
+the same stream of numbers that drawing them one at a time gives, and run
+on blocks of coefficient rows (`algebra._gp_rows`, `_exp_bivector_rows`)
+and stacked matrices (the oracle's (N, 2, 2) forms); so does the oracle
+side of `trajectory_deviations`.  Every deviation equals, bit for bit,
+what the per-draw objects give.  Each check those objects make (finite
+coefficients, unit rotors, normalized states, a Hermitian H, the oracle's
+state norm) is a mask: a draw or row that fails one has NaN deviations.
 
 They double as a tamper check for modified builds: flipping any single
 sign in the blade product table makes the homomorphism suite fail, which
@@ -22,16 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixqm
-from .algebra import Multivector, commutator, gp, hodge_dual, norm
-from .spinor import AlgebraicSpinor, basis_eps, left_mul
+from .algebra import E123, Multivector, _gp_rows, commutator, hodge_dual
+from .spinor import AlgebraicSpinor, _is_normalized_rows, basis_eps, left_mul
 from .twostate import (
+    _BLOCK_ROWS,
     EigenSystem,
     FieldConfig,
     Hamiltonian,
-    evolution_rotor,
-    evolve,
+    _evolution_rows,
+    _probability_rows,
+    _rabi,
     hamiltonian_from_field,
-    probability,
     rabi_probability,
     spin_vectors,
     u_vector_closed_form,
@@ -83,29 +93,58 @@ def worst_deviation(deviations) -> float:
     return float(np.max(np.asarray(deviations, dtype=float), initial=0.0))
 
 
-def _random_mv(rng: np.random.Generator) -> Multivector:
-    return Multivector(rng.uniform(-_COEFF_SPAN, _COEFF_SPAN, 8))
+def _worst_by_block(devs_of, draws: np.ndarray) -> float:
+    """worst_deviation of devs_of(draws), computed over blocks of rows so
+    that memory stays flat however many draws there are."""
+    return worst_deviation([
+        worst_deviation(devs_of(draws[start:start + _BLOCK_ROWS]))
+        for start in range(0, len(draws), _BLOCK_ROWS)
+    ])
+
+
+def _finite_rows(*blocks: np.ndarray) -> np.ndarray:
+    """Rows of (N, 8) coefficient blocks that are finite in every block: the
+    check each Multivector of a per-draw computation makes."""
+    return np.isfinite(np.hstack(blocks)).all(axis=1)
 
 
 def suite_homomorphism(rng: np.random.Generator, count: int) -> SuiteResult:
     """rep(a b) == rep(a) rep(b), entrywise, over random pairs."""
-    devs = []
-    for _ in range(count):
-        a, b = _random_mv(rng), _random_mv(rng)
-        devs.append(np.abs(matrixqm.rep(gp(a, b)) - matrixqm.rep(a) @ matrixqm.rep(b)))
-    return SuiteResult("homomorphism", worst_deviation(devs), HOMOMORPHISM_TOL, count)
+    pairs = rng.uniform(-_COEFF_SPAN, _COEFF_SPAN, (count, 2, 8))
+    return SuiteResult("homomorphism", _worst_by_block(_homomorphism_devs, pairs),
+                       HOMOMORPHISM_TOL, count)
+
+
+def _homomorphism_devs(pairs: np.ndarray) -> np.ndarray:
+    """|rep(a b) - rep(a) rep(b)| for coefficient pairs (a, b) of shape
+    (N, 2, 8), shape (N, 2, 2); NaN in a row whose a, b or a b is not
+    finite."""
+    a, b = pairs[:, 0], pairs[:, 1]
+    with np.errstate(all="ignore"):
+        ab = _gp_rows(a, b)
+        gap = np.abs(matrixqm.rep(ab) - matrixqm.rep(a) @ matrixqm.rep(b))
+    return np.where(_finite_rows(a, b, ab)[:, None, None], gap, np.nan)
 
 
 def suite_associativity(rng: np.random.Generator, count: int) -> SuiteResult:
     """(a b) c == a (b c), scaled by the product of coefficient norms."""
-    devs = []
-    for _ in range(count):
-        a, b, c = _random_mv(rng), _random_mv(rng), _random_mv(rng)
-        lhs = gp(gp(a, b), c)
-        rhs = gp(a, gp(b, c))
-        scale_factor = max(1.0, norm(a) * norm(b) * norm(c))
-        devs.append(np.abs(lhs.coeffs - rhs.coeffs) / scale_factor)
-    return SuiteResult("associativity", worst_deviation(devs), ASSOCIATIVITY_TOL, count)
+    triples = rng.uniform(-_COEFF_SPAN, _COEFF_SPAN, (count, 3, 8))
+    return SuiteResult("associativity", _worst_by_block(_associativity_devs, triples),
+                       ASSOCIATIVITY_TOL, count)
+
+
+def _associativity_devs(triples: np.ndarray) -> np.ndarray:
+    """|(a b) c - a (b c)| / max(1, |a| |b| |c|) for coefficient triples
+    (a, b, c) of shape (N, 3, 8), shape (N, 8); NaN in a row where one of
+    the factors or products is not finite."""
+    a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
+    with np.errstate(all="ignore"):
+        ab, bc = _gp_rows(a, b), _gp_rows(b, c)
+        lhs, rhs = _gp_rows(ab, c), _gp_rows(a, bc)
+        # algebra.norm of each row, summed as np.dot sums it
+        product = np.sqrt(np.vecdot(a, a)) * np.sqrt(np.vecdot(b, b)) * np.sqrt(np.vecdot(c, c))
+        gap = np.abs(lhs - rhs) / np.where(product > 1.0, product, 1.0)[:, None]
+    return np.where(_finite_rows(a, b, c, ab, bc, lhs, rhs)[:, None], gap, np.nan)
 
 
 def suite_commutators() -> SuiteResult:
@@ -125,31 +164,47 @@ def suite_commutators() -> SuiteResult:
     return SuiteResult("commutators", worst_deviation(devs), 0.0, 9)
 
 
+def _field_draws(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count rows (b1, b2, b3, t): the field from uniform(-5, 5) and t from
+    uniform(0, 10), drawn as one block.  Rows with an all-zero field are
+    dropped, and as many rows again are drawn as a block of their own after
+    it, until count rows have a field."""
+    rows = np.empty((0, 4))
+    while len(rows) < count:
+        block = rng.uniform([-5.0, -5.0, -5.0, 0.0], [5.0, 5.0, 5.0, 10.0],
+                            (count - len(rows), 4))
+        rows = np.vstack([rows, block[block[:, :3].any(axis=1)]])
+    return rows
+
+
 def suite_rabi_triangle(rng: np.random.Generator, count: int) -> SuiteResult:
     """Transition probability out of eps_plus agrees pairwise between the
     closed form, the rotor dynamics and the matrix dynamics."""
+    return SuiteResult("rabi_triangle", _worst_by_block(_rabi_devs, _field_draws(rng, count)),
+                       RABI_TRIANGLE_TOL, count)
+
+
+def _rabi_devs(draws: np.ndarray) -> np.ndarray:
+    """The pairwise gaps |closed - rotor|, |rotor - matrix| and
+    |closed - matrix| of the transition probability at each row
+    (b1, b2, b3, t) with q = m = hbar = 1, shape (N, 3).  A row that fails
+    a check of the rotor route or of the oracle has NaN in its gaps."""
     eps_plus, eps_minus = basis_eps()
-    psi0_col = matrixqm.spinor_rep(eps_plus)
-    minus_col = matrixqm.spinor_rep(eps_minus)
-    devs = []
-    while len(devs) < count:
-        b = rng.uniform(-5.0, 5.0, 3)
-        if b[0] == 0.0 and b[1] == 0.0 and b[2] == 0.0:
-            continue
-        t = rng.uniform(0.0, 10.0)
-        cfg = FieldConfig(B=tuple(b))
-        h = hamiltonian_from_field(cfg)
-        p_closed = rabi_probability(cfg, t)
-        psi_t = evolve(eps_plus, evolution_rotor(h, t, cfg.hbar))
-        p_rotor = probability(eps_minus, psi_t)
-        col_t = matrixqm.evolve_matrix(
-            psi0_col, matrixqm.rep(h.as_multivector()), t, cfg.hbar
-        )
-        p_matrix = matrixqm.probability_matrix(minus_col, col_t)
-        devs.append(
-            (abs(p_closed - p_rotor), abs(p_rotor - p_matrix), abs(p_closed - p_matrix))
-        )
-    return SuiteResult("rabi_triangle", worst_deviation(devs), RABI_TRIANGLE_TOL, count)
+    t = draws[:, 3]
+    # hamiltonian_from_field: h = -(q hbar / 2 m) B, h0 = 0
+    h = np.zeros((len(draws), 8))
+    h[:, 1:4] = -0.5 * draws[:, :3]
+    p_closed = np.array([_rabi(row[:3], 1.0, 1.0, row[3]) for row in draws.tolist()])
+    with np.errstate(all="ignore"):
+        # evolution_rotor of e123 h, evolve, then probability
+        _, _, psi, checks = _evolution_rows(eps_plus, _gp_rows(E123.coeffs, h), t, 1.0)
+        product = _probability_rows(eps_minus.mv.coeffs, psi)
+        failed = np.any([mask for mask, _ in checks], axis=0)
+        failed |= ~_is_normalized_rows(psi) | ~_finite_rows(product)
+        p_rotor = np.where(failed, np.nan, 2.0 * product[:, 0])
+        col_t = matrixqm.evolve_matrix(matrixqm.spinor_rep(eps_plus), matrixqm.rep(h), t, 1.0)
+        p_matrix = matrixqm.probability_matrix(matrixqm.spinor_rep(eps_minus), col_t)
+    return np.abs(np.transpose([p_closed - p_rotor, p_rotor - p_matrix, p_closed - p_matrix]))
 
 
 def run_all(seed: int, count: int) -> list[SuiteResult]:
@@ -196,30 +251,36 @@ def trajectory_deviations(
     """Per-row deviations of a `twostate.trajectory` table of psi0 in cfg.
 
     dev_p and dev_s compare the probabilities and spin expectations with the
-    matrix dynamics; dev_u compares the axis with its closed form (e3 in
-    zero field).  Where the oracle breaks down (its state is non-finite or
-    off unit norm), dev_p and dev_s are NaN, which fails every check.
+    matrix dynamics, run on blocks of rows; dev_u compares the axis with its
+    closed form (e3 in zero field).  Where the oracle breaks down (its state
+    is non-finite or off unit norm, or an expectation keeps an imaginary
+    residue), dev_p and dev_s are NaN, which fails every check.
     """
     h_mat = matrixqm.rep(hamiltonian_from_field(cfg).as_multivector())
     psi0_col = matrixqm.spinor_rep(psi0)
+    basis_cols = [matrixqm.spinor_rep(eps) for eps in basis_eps()]
     s_mats = [0.5 * cfg.hbar * matrixqm.pauli(k) for k in (1, 2, 3)]
-    devs: dict[str, list[float]] = {"dev_p": [], "dev_s": [], "dev_u": []}
-    for i, t in enumerate(table["t"]):
-        col_t = matrixqm.evolve_matrix(psi0_col, h_mat, t, cfg.hbar)
-        if abs(np.linalg.norm(col_t) - 1.0) <= matrixqm.STATE_NORM_TOL:
-            p_ref = (abs(col_t[0]) ** 2, abs(col_t[1]) ** 2)
-            s_ref = [matrixqm.expectation_matrix(s, col_t) for s in s_mats]
-        else:
-            p_ref, s_ref = (np.nan,) * 2, (np.nan,) * 3
-        refs = (
-            ("dev_p", ("p_plus", "p_minus"), p_ref),
-            ("dev_s", ("s1", "s2", "s3"), s_ref),
-            ("dev_u", ("u1", "u2", "u3"),
-             u_vector_closed_form(cfg, t) if cfg.b_norm > 0.0 else (0.0, 0.0, 1.0)),
-        )
-        for dev, columns, ref in refs:
-            devs[dev].append(worst_deviation([abs(table[c][i] - r) for c, r in zip(columns, ref)]))
-    return devs
+    t = np.array(table["t"], dtype=float)
+    # rows p_plus, p_minus, s1, s2, s3 of the oracle, one column per time
+    blocks = [np.empty((5, 0))]
+    with np.errstate(all="ignore"):
+        for start in range(0, len(t), _BLOCK_ROWS):
+            col_t = matrixqm.evolve_matrix(psi0_col, h_mat, t[start:start + _BLOCK_ROWS],
+                                           cfg.hbar)
+            blocks.append([matrixqm.probability_matrix(e, col_t) for e in basis_cols]
+                          + [matrixqm.expectation_matrix(s, col_t) for s in s_mats])
+    oracle = np.hstack(blocks)
+    u_ref = u_vector_closed_form(cfg, t) if cfg.b_norm > 0.0 else np.array([[0.0], [0.0], [1.0]])
+    refs = (
+        ("dev_p", ("p_plus", "p_minus"), oracle[:2]),
+        ("dev_s", ("s1", "s2", "s3"), oracle[2:]),
+        ("dev_u", ("u1", "u2", "u3"), u_ref),
+    )
+    return {
+        dev: np.max(np.abs(np.array([table[c] for c in columns]) - ref), axis=0,
+                    initial=0.0).tolist()
+        for dev, columns, ref in refs
+    }
 
 
 def rabi_deviation(cfg: FieldConfig, table: dict[str, list[float]]) -> float:

@@ -11,6 +11,13 @@ evidence rather than circular bookkeeping.
 mat_exp is a truncated Taylor series under scaling-and-squaring, on purpose:
 the rotor exponential elsewhere is closed-form trigonometry, and keeping the
 matrix side on a different algorithm lets each validate the other.
+
+mat_exp, evolve_matrix, expectation_matrix and probability_matrix also take
+stacks, (N, 2, 2) matrices and (N, 2) states, and run them in one pass,
+each row equal bit for bit to the same call on that row alone.  A single
+input that fails a check (a state off unit norm, H not Hermitian) raises;
+in a stack, the rows that fail come back NaN.  The single form is the
+stacked code run on one row.
 """
 
 from __future__ import annotations
@@ -84,10 +91,12 @@ def _blade_images() -> np.ndarray:
 _IMAGES = _blade_images()
 
 
-def rep(a: Multivector) -> np.ndarray:
+def rep(a: Multivector | np.ndarray) -> np.ndarray:
     """Linear extension of the blade map to a 2x2 complex matrix; an algebra
-    isomorphism, so rep(a b) = rep(a) rep(b)."""
-    return np.tensordot(a.coeffs, _IMAGES, axes=1)
+    isomorphism, so rep(a b) = rep(a) rep(b).  Also maps coefficient rows,
+    shape (N, 8), to a stack of matrices, shape (N, 2, 2)."""
+    c = a.coeffs if isinstance(a, Multivector) else np.asarray(a, dtype=float)
+    return np.tensordot(c, _IMAGES, axes=1)
 
 
 def unrep(m: np.ndarray) -> Multivector:
@@ -119,9 +128,12 @@ def spinor_rep(psi: AlgebraicSpinor) -> np.ndarray:
     return np.array(to_amplitudes(psi))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL):
+    """Whether max |m - m^dagger| <= tol: a bool for one matrix, a bool
+    array for a stack of them (NaN entries fail)."""
     m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    return bool(dev <= tol) if m.ndim == 2 else dev <= tol
 
 
 def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
@@ -171,73 +183,145 @@ def eigen_hermitian(h: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.nda
     return values, (v_plus, v_minus)
 
 
+# what a row that fails comes back as: NaN in both parts
+_NAN = complex(np.nan, np.nan)
+
+
+def _stacked(x, core: tuple[int, ...], what: str) -> np.ndarray:
+    """x as a complex array of shape core, or (N,) + core for a stack."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape[x.ndim - len(core):] != core or x.ndim > len(core) + 1:
+        raise ValueError(f"expected {what} or a stack of them, got shape {x.shape}")
+    return x
+
+
+def _is_normalized(psi: np.ndarray):
+    """|1 - norm| <= STATE_NORM_TOL for a state or each row of a stack,
+    the norm summed as np.linalg.norm sums it for one state."""
+    return abs(np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))
+               - 1.0) <= STATE_NORM_TOL
+
+
+def _settle(value: np.ndarray, checks, single: bool):
+    """The value of a single input, or of a stack with NaN in the rows that
+    fail a check.  checks are (passed, error) pairs in the order they are
+    made; a single input that fails one raises its error."""
+    ok = True
+    for passed, error in checks:
+        if single and not passed:
+            raise error
+        ok = ok & passed
+    if single:
+        return value if value.ndim else float(value)
+    ok = np.reshape(ok, np.shape(ok) + (1,) * (value.ndim - np.ndim(ok)))
+    return np.where(ok, value, _NAN if np.iscomplexobj(value) else np.nan)
+
+
+# mat_exp scales a matrix down by 2^s; from this 1-norm on, 2^s overflows.
+_MAX_EXP_NORM = 2.0 ** 1022
+
+
 def mat_exp(a: np.ndarray, order: int = 18) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring over a Taylor core.
 
     The argument is halved until its 1-norm drops below 0.5, the series is
     summed to the given order (18 terms is more than double precision needs
     at that norm; 12 is the floor), and the result squared back up.
+
+    A stack of matrices, shape (N, 2, 2), is exponentiated in one pass:
+    each row keeps its own squaring count and is squared only while it
+    still needs it, so every row equals mat_exp of that matrix bit for bit.
+    A matrix that is not finite, or whose 1-norm is 2^1022 or more (too
+    large to halve), comes back NaN.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
+    a = _stacked(a, (2, 2), "a 2x2 matrix")
     if order < 12:
         raise ValueError("Taylor order below 12 loses double precision")
-    nrm = float(np.max(np.sum(np.abs(a), axis=0)))
-    squarings = 0
-    while nrm / (2.0 ** squarings) >= 0.5:
-        squarings += 1
-    a_scaled = a / (2.0 ** squarings)
-    out = np.array(_SIGMA[0])
-    term = np.array(_SIGMA[0])
+    rows = a.reshape(-1, 2, 2)
+    nrm = np.max(np.sum(np.abs(rows), axis=1), axis=1)
+    ok = nrm < _MAX_EXP_NORM
+    # the least s with nrm / 2^s < 0.5: frexp's exponent e has
+    # 2^(e-1) <= nrm < 2^e
+    squarings = np.where(ok & (nrm >= 0.5), np.frexp(nrm)[1] + 1, 0)
+    scale = np.ldexp(1.0, squarings).astype(complex)[:, None, None]
+    a_scaled = np.where(ok[:, None, None], rows, 0.0) / scale
+    out = np.repeat(_SIGMA[0][None], len(rows), axis=0)
+    term = out.copy()
     for k in range(1, order + 1):
         term = term @ a_scaled / k
         out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
+    for n in range(int(squarings.max(initial=0))):
+        again = squarings > n
+        out[again] = out[again] @ out[again]
+    out[~ok] = _NAN
+    return out.reshape(a.shape)
 
 
 def evolve_matrix(
     psi: Sequence[complex] | np.ndarray,
     h: np.ndarray,
-    t: float,
+    t: float | np.ndarray,
     hbar: float = 1.0,
 ) -> np.ndarray:
-    """mat_exp(-i H t / hbar) applied to a normalized state."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError(f"expected a 2-component state, got shape {psi.shape}")
-    if not abs(np.linalg.norm(psi) - 1.0) <= STATE_NORM_TOL:
-        raise ValueError("state must be normalized")
-    if not is_hermitian(h):
-        raise ValueError("Hamiltonian must be Hermitian")
-    return mat_exp(np.asarray(h, dtype=complex) * (-1j * float(t) / float(hbar))) @ psi
+    """mat_exp(-i H t / hbar) applied to a normalized state.
+
+    Any of psi (shape (N, 2)), h (shape (N, 2, 2)) and t (shape (N,)) may
+    be a stack, evolving N rows in one pass; the others then hold for
+    every row.  Rows whose state is off unit norm or whose H is not
+    Hermitian come back NaN, where a single input raises ValueError.
+    """
+    psi = _stacked(psi, (2,), "a 2-component state")
+    h = _stacked(h, (2, 2), "a 2x2 matrix")
+    t = np.asarray(t, dtype=float)
+    single = psi.ndim == 1 and h.ndim == 2 and t.ndim == 0
+    # -i t / hbar as Python complex arithmetic, one time at a time
+    phase = np.array([-1j * x / float(hbar) for x in t.ravel().tolist()])
+    with np.errstate(all="ignore"):
+        u = mat_exp(h * phase.reshape(t.shape + (1, 1)))
+        out = np.matmul(u, psi[..., None])[..., 0]
+    return _settle(out, [
+        (_is_normalized(psi), ValueError("state must be normalized")),
+        (is_hermitian(h), ValueError("Hamiltonian must be Hermitian")),
+    ], single)
 
 
-def expectation_matrix(h: np.ndarray, psi: Sequence[complex] | np.ndarray) -> float:
+def expectation_matrix(h: np.ndarray, psi: Sequence[complex] | np.ndarray):
     """<psi| H |psi> for Hermitian H; the imaginary residue must vanish to
     1e-13 relative to the largest entry of H (or 1, if larger) and is
-    discarded."""
-    psi = np.asarray(psi, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h):
-        raise ValueError("observable must be Hermitian")
-    if not abs(np.linalg.norm(psi) - 1.0) <= STATE_NORM_TOL:
-        raise ValueError("state must be normalized")
-    val = complex(np.vdot(psi, h @ psi))
-    if abs(val.imag) > 1e-13 * max(1.0, float(np.max(np.abs(h)))):
-        raise ArithmeticError(f"expectation has imaginary residue {val.imag:.3e}")
-    return val.real
+    discarded.
+
+    h (shape (N, 2, 2)) and psi (shape (N, 2)) may be stacks: the result is
+    then an array of N values, NaN in the rows where a single input would
+    raise (ValueError, or ArithmeticError for the residue).
+    """
+    h = _stacked(h, (2, 2), "a 2x2 matrix")
+    psi = _stacked(psi, (2,), "a 2-component state")
+    single = h.ndim == 2 and psi.ndim == 1
+    with np.errstate(all="ignore"):
+        val = np.vecdot(psi, np.matmul(h, psi[..., None])[..., 0])
+        bound = 1e-13 * np.maximum(1.0, np.max(np.abs(h), axis=(-2, -1)))
+    residue = ArithmeticError(
+        f"expectation has imaginary residue {float(val.imag):.3e}") if single else None
+    return _settle(val.real, [
+        (is_hermitian(h), ValueError("observable must be Hermitian")),
+        (_is_normalized(psi), ValueError("state must be normalized")),
+        (abs(val.imag) <= bound, residue),
+    ], single)
 
 
 def probability_matrix(
     u: Sequence[complex] | np.ndarray, psi: Sequence[complex] | np.ndarray
-) -> float:
-    """|<u|psi>|^2 for normalized states."""
-    u = np.asarray(u, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    for s in (u, psi):
-        if not abs(np.linalg.norm(s) - 1.0) <= STATE_NORM_TOL:
-            raise ValueError("states must be normalized")
-    return float(abs(np.vdot(u, psi)) ** 2)
+):
+    """|<u|psi>|^2 for normalized states; either may be a stack of shape
+    (N, 2), giving N values with NaN where a single pair would raise."""
+    u = _stacked(u, (2,), "a 2-component state")
+    psi = _stacked(psi, (2,), "a 2-component state")
+    with np.errstate(all="ignore"):
+        z = np.vecdot(u, psi)
+        # squared one scalar at a time, as abs(np.vdot(u, psi)) ** 2 is: the
+        # scalar power is C pow, which x * x is not
+        magnitude = np.hypot(z.real, z.imag)
+        p = np.array([x ** 2 for x in magnitude.ravel()]).reshape(z.shape)
+    return _settle(p, [
+        (_is_normalized(u) & _is_normalized(psi), ValueError("states must be normalized")),
+    ], u.ndim == 1 and psi.ndim == 1)

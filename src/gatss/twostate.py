@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -68,6 +69,24 @@ __all__ = [
 ]
 
 
+def _norm3(x: float, y: float, z: float) -> float:
+    """sqrt(x^2 + y^2 + z^2) over the whole finite range.
+
+    In-range values take the plain sum of squares, so their bits do not
+    depend on the rescaling; only a sum that overflows, or that falls below
+    the normal range while a component is nonzero, is recomputed on the
+    components divided by the largest magnitude (Blue, ACM TOMS 4, 1978).
+    """
+    try:
+        s = x ** 2 + y ** 2 + z ** 2
+    except OverflowError:  # a Python float square out of range
+        s = math.inf
+    if s == math.inf or (s < sys.float_info.min and (x or y or z)):
+        big = max(abs(x), abs(y), abs(z))
+        return big * math.sqrt((x / big) ** 2 + (y / big) ** 2 + (z / big) ** 2)
+    return math.sqrt(s)
+
+
 @dataclass(frozen=True)
 class Hamiltonian:
     """Hermitian observable h0 + h . e, stored as (h0, (h1, h2, h3))."""
@@ -88,7 +107,7 @@ class Hamiltonian:
     @property
     def r_norm(self) -> float:
         """Length of the vector part; half the level splitting."""
-        return math.sqrt(self.h[0] ** 2 + self.h[1] ** 2 + self.h[2] ** 2)
+        return _norm3(*self.h)
 
     def vector_part(self) -> Multivector:
         return vector(*self.h)
@@ -130,7 +149,7 @@ class FieldConfig:
 
     @property
     def b_norm(self) -> float:
-        return math.sqrt(self.B[0] ** 2 + self.B[1] ** 2 + self.B[2] ** 2)
+        return _norm3(*self.B)
 
     @property
     def omega(self) -> float:
@@ -238,7 +257,9 @@ def evolution_rotor(h: Hamiltonian, t: float, hbar: float = 1.0) -> Rotor:
         )
     if not math.isfinite(float(t)) or not math.isfinite(float(hbar)) or hbar <= 0.0:
         raise ValueError(_BAD_TIME)
-    exponent = hodge_dual(h.vector_part()) * (-float(t) / float(hbar))
+    # an exponent out of range is NaN or inf, which Multivector rejects
+    with np.errstate(all="ignore"):
+        exponent = hodge_dual(h.vector_part()) * (-float(t) / float(hbar))
     if _bivector_angle(exponent) == math.inf:
         raise ValueError(_PHASE_OVERFLOW.format(t=float(t)))
     return exp_bivector(exponent)
@@ -278,11 +299,17 @@ def rabi_probability(cfg: FieldConfig, t: float) -> float:
     """Closed-form transition probability out of eps_plus in a static field:
     (1/2) sin^2(theta) (1 - cos(omega t)) with omega = q |B| / m and theta
     the angle between B and e3.  Zero field gives identically zero."""
-    b = cfg.b_norm
+    return _rabi(cfg.B, cfg.q, cfg.m, float(t))
+
+
+def _rabi(B: tuple[float, float, float], q: float, m: float, t: float) -> float:
+    """rabi_probability on plain floats, for fields that are not a
+    FieldConfig."""
+    b = _norm3(*B)
     if b == 0.0:
         return 0.0
-    sin_theta = math.hypot(cfg.B[0], cfg.B[1]) / b
-    return 0.5 * sin_theta * sin_theta * (1.0 - math.cos(cfg.omega * float(t)))
+    sin_theta = math.hypot(B[0], B[1]) / b
+    return 0.5 * sin_theta * sin_theta * (1.0 - math.cos(q * b / m * t))
 
 
 def polar_state(theta: float, phi: float = 0.0) -> AlgebraicSpinor:
@@ -346,28 +373,16 @@ def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
     """trajectory's columns for one block of times, as arrays; every check
     is a mask over the rows, decided before anything is returned."""
     eps_plus, eps_minus = (eps.mv.coeffs for eps in basis_eps())
-    # evolution_rotor: exp_bivector of e123 h scaled by -t / hbar
-    exponent = bivector * (-t / cfg.hbar)[:, None]
-    rotor, theta, rotor_dev = _exp_bivector_rows(exponent)
-    # evolve, then the products of probability, expectation and sandwich
-    psi = _gp_rows(rotor, psi0.mv.coeffs)
+    rotor, rotor_dev, psi, checks = _evolution_rows(psi0, bivector, t, cfg.hbar)
+    # the products of probability, expectation and sandwich
     psi_rev = psi * _REVERSION_SIGNS
-    products = [
-        _gp_rows(_gp_rows(_gp_rows(eps * _REVERSION_SIGNS, psi), psi_rev), eps)
-        for eps in (eps_plus, eps_minus)
-    ]
+    products = [_probability_rows(eps, psi) for eps in (eps_plus, eps_minus)]
     products += [_gp_rows(psi_rev, _gp_rows(op, psi)) for op in spins]
     axis = _gp_rows(_gp_rows(rotor, E3.coeffs), rotor * _REVERSION_SIGNS)
-    checks = (
-        (~np.isfinite(t), _BAD_TIME),
-        (~np.isfinite(exponent).all(axis=1), _NOT_FINITE),
-        (~np.isfinite(theta), _PHASE_OVERFLOW),
-        (rotor_dev > UNIT_TOL, _NOT_UNIT),
-        (np.full(t.shape, not psi0.is_normalized()), _PSI0_NOT_NORMALIZED),
-        (~np.isfinite(psi).all(axis=1), _NOT_FINITE),
+    checks += [
         (~_is_normalized_rows(psi), _STATES_NOT_NORMALIZED),
         (~np.isfinite(np.hstack([*products, axis])).all(axis=1), _NOT_FINITE),
-    )
+    ]
     failed = np.array([mask for mask, _ in checks])
     if failed.any():
         row = int(np.argmax(failed.any(axis=0)))
@@ -376,7 +391,37 @@ def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
     return [t, *(2.0 * p[:, 0] for p in products), axis[:, 1], axis[:, 2], axis[:, 3]]
 
 
-def u_vector_closed_form(cfg: FieldConfig, t: float) -> tuple[float, float, float]:
+def _evolution_rows(psi0, bivector, t, hbar):
+    """evolution_rotor and evolve row by row: the rotors
+    exp_bivector(bivector * (-t / hbar)) for bivector rows e123 h (one row,
+    or one per time) and the states U psi0, each row equal to the object
+    API's bit for bit.
+
+    Returns the rotor rows, their deviations from unit norm, the state
+    rows and the checks the two functions make, as (mask, message) pairs
+    in the order they make them.  Run under np.errstate.
+    """
+    exponent = bivector * (-t / hbar)[:, None]
+    rotor, theta, rotor_dev = _exp_bivector_rows(exponent)
+    psi = _gp_rows(rotor, psi0.mv.coeffs)
+    checks = [
+        (~np.isfinite(t), _BAD_TIME),
+        (~np.isfinite(exponent).all(axis=1), _NOT_FINITE),
+        (~np.isfinite(theta), _PHASE_OVERFLOW),
+        (rotor_dev > UNIT_TOL, _NOT_UNIT),
+        (np.full(t.shape, not psi0.is_normalized()), _PSI0_NOT_NORMALIZED),
+        (~np.isfinite(psi).all(axis=1), _NOT_FINITE),
+    ]
+    return rotor, rotor_dev, psi, checks
+
+
+def _probability_rows(u_n: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The product of probability(u_n, psi) row by row, unchecked: twice
+    its scalar part is the probability."""
+    return _gp_rows(_gp_rows(_gp_rows(u_n * _REVERSION_SIGNS, psi), psi * _REVERSION_SIGNS), u_n)
+
+
+def u_vector_closed_form(cfg: FieldConfig, t):
     """Closed form of u(t): with theta the field's tilt from e3 and
     alpha = q |B| t / m,
 
@@ -385,19 +430,30 @@ def u_vector_closed_form(cfg: FieldConfig, t: float) -> tuple[float, float, floa
         u3 = cos^2 th + sin^2 th cos a
 
     i.e. e3 swept clockwise about the field axis, matching the sandwich
-    route exactly up to roundoff."""
+    route exactly up to roundoff.  t may also be an array of times, which
+    gives arrays u1, u2, u3, each entry equal to the call at that time."""
     b = cfg.b_norm
     if b == 0.0:
         raise ValueError("u(t) needs a nonzero field")
     b1, b2, b3 = cfg.B
-    alpha = cfg.alpha(t)
+    # cfg.alpha(t), by the same float operations
+    alpha = cfg.q * b * np.asarray(t, dtype=float) / cfg.m
+    if not sys.float_info.min <= b * b < math.inf:
+        # the squares below would leave the normal range; only the
+        # field's direction enters them
+        b1, b2, b3, b = b1 / b, b2 / b, b3 / b, 1.0
     cos_th = b3 / b
     sin_th2 = (b1 * b1 + b2 * b2) / (b * b)
-    ca, sa = math.cos(alpha), math.sin(alpha)
+    # the C library's cos and sin, one angle at a time
+    angles = alpha.ravel().tolist()
+    ca = np.array([math.cos(x) for x in angles]).reshape(alpha.shape)
+    sa = np.array([math.sin(x) for x in angles]).reshape(alpha.shape)
     u1 = (b1 * cos_th * (1.0 - ca) - b2 * sa) / b
     u2 = (b2 * cos_th * (1.0 - ca) + b1 * sa) / b
     u3 = cos_th * cos_th + sin_th2 * ca
-    return u1, u2, u3
+    if alpha.ndim:
+        return u1, u2, u3
+    return float(u1), float(u2), float(u3)
 
 
 def spin_vectors(hbar: float = 1.0) -> tuple[Multivector, Multivector, Multivector]:

@@ -1,0 +1,69 @@
+"""The matrix oracle as it ran before it took stacks: one matrix or state
+at a time, its halving count found by a while loop, its checks raising.
+
+The stacked forms in `gatss.matrixqm` must equal these row by row, bit for
+bit, and give NaN where these raise; the tests compare the two.
+"""
+
+import numpy as np
+
+from gatss.matrixqm import HERMITIAN_TOL, STATE_NORM_TOL, pauli
+
+
+def reference_mat_exp(a, order=18):
+    a = np.asarray(a, dtype=complex)
+    nrm = float(np.max(np.sum(np.abs(a), axis=0)))
+    squarings = 0
+    while nrm / (2.0 ** squarings) >= 0.5:
+        squarings += 1
+    a_scaled = a / (2.0 ** squarings)
+    out = np.array(pauli(0))
+    term = np.array(pauli(0))
+    for k in range(1, order + 1):
+        term = term @ a_scaled / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def reference_is_hermitian(m):
+    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)
+
+
+def reference_is_normalized(psi):
+    return abs(np.linalg.norm(psi) - 1.0) <= STATE_NORM_TOL
+
+
+def reference_evolve(psi, h, t, hbar):
+    psi = np.asarray(psi, dtype=complex)
+    if not reference_is_normalized(psi):
+        raise ValueError("state must be normalized")
+    if not reference_is_hermitian(h):
+        raise ValueError("Hamiltonian must be Hermitian")
+    return reference_mat_exp(h * (-1j * float(t) / float(hbar))) @ psi
+
+
+def reference_expectation(h, psi):
+    if not reference_is_hermitian(h):
+        raise ValueError("observable must be Hermitian")
+    if not reference_is_normalized(psi):
+        raise ValueError("state must be normalized")
+    val = complex(np.vdot(psi, h @ psi))
+    if abs(val.imag) > 1e-13 * max(1.0, float(np.max(np.abs(h)))):
+        raise ArithmeticError(f"expectation has imaginary residue {val.imag:.3e}")
+    return val.real
+
+
+def reference_probability(u, psi):
+    if not (reference_is_normalized(u) and reference_is_normalized(psi)):
+        raise ValueError("states must be normalized")
+    return float(abs(np.vdot(u, psi)) ** 2)
+
+
+def hexes(x):
+    """An array's values as float.hex strings, real and imaginary parts
+    apart, so that signed zeros and NaNs compare too."""
+    x = np.asarray(x)
+    parts = [x.real, x.imag] if np.iscomplexobj(x) else [x]
+    return [[float(v).hex() for v in part.ravel()] for part in parts]

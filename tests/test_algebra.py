@@ -20,7 +20,6 @@ from gatss.algebra import (
     PSEUDOSCALAR,
     ZERO,
     Multivector,
-    Quaternion,
     Rotor,
     _exp_bivector_rows,
     _gp_rows,
@@ -30,8 +29,6 @@ from gatss.algebra import (
     grade,
     hodge_dual,
     norm,
-    quaternion_embed,
-    quaternion_polar,
     reverse,
     rotor_axis_angle,
     sandwich,
@@ -418,74 +415,6 @@ class TestWedge:
         for p in (p1, p2, p3):
             assert p.allclose(target, 1e-15)
         assert p1.allclose(p2, 1e-15) and p2.allclose(p3, 1e-15)
-
-
-class TestQuaternions:
-    def test_unit_embeddings(self):
-        assert quaternion_embed(Quaternion(1, 0, 0, 0)) == ONE
-        assert quaternion_embed(Quaternion(0, 1, 0, 0)) == -E23
-        assert quaternion_embed(Quaternion(0, 0, 1, 0)) == -E31
-        assert quaternion_embed(Quaternion(0, 0, 0, 1)) == -E12
-
-    def test_hamilton_table_through_embedding(self):
-        i, j, k = Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)
-        assert gp(quaternion_embed(i), quaternion_embed(j)) == quaternion_embed(k)
-        assert gp(quaternion_embed(j), quaternion_embed(k)) == quaternion_embed(i)
-        assert gp(quaternion_embed(k), quaternion_embed(i)) == quaternion_embed(j)
-        assert gp(quaternion_embed(i), quaternion_embed(i)) == -ONE
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(finite_coeff, min_size=4, max_size=4),
-        st.lists(finite_coeff, min_size=4, max_size=4),
-    )
-    def test_embedding_is_multiplicative(self, pc, qc):
-        p, q = Quaternion(*pc), Quaternion(*qc)
-        lhs = quaternion_embed(p * q)
-        rhs = gp(quaternion_embed(p), quaternion_embed(q))
-        assert lhs.allclose(rhs, 1e-12 * max(1.0, p.norm() * q.norm()))
-
-    def test_polar_worked_example(self):
-        mag, n_hat, alpha = quaternion_polar(Quaternion(1, 1, 1, 1))
-        assert mag == 2.0
-        s3 = math.sqrt(3.0)
-        assert n_hat.allclose(vector(1 / s3, 1 / s3, 1 / s3), 1e-15)
-        assert abs(alpha - 2.0 * math.pi / 3.0) <= 1e-15
-
-    def test_polar_pure_scalars(self):
-        mag, n_hat, alpha = quaternion_polar(Quaternion(5, 0, 0, 0))
-        assert (mag, alpha) == (5.0, 0.0) and n_hat == E3
-        mag, n_hat, alpha = quaternion_polar(Quaternion(-5, 0, 0, 0))
-        assert mag == 5.0 and n_hat == E3 and alpha == 2.0 * math.pi
-
-    def test_polar_zero_rejected(self):
-        with pytest.raises(ValueError):
-            quaternion_polar(Quaternion(0, 0, 0, 0))
-
-    def test_polar_axis_is_unit_bivector(self):
-        rng = np.random.default_rng(59)
-        for _ in range(50):
-            q = Quaternion(*rng.uniform(-5, 5, 4))
-            if q.norm() == 0.0:
-                continue
-            _, n_hat, _ = quaternion_polar(q)
-            plane = hodge_dual(n_hat)
-            assert gp(plane, plane).allclose(-ONE, 1e-15)
-
-    def test_polar_reconstruction(self):
-        rng = np.random.default_rng(61)
-        for _ in range(200):
-            q = Quaternion(*rng.uniform(-5, 5, 4))
-            if q.norm() < 1e-6:
-                continue
-            mag, n_hat, alpha = quaternion_polar(q)
-            rebuilt = exp_bivector(hodge_dual(n_hat) * (-alpha / 2.0)).mv * mag
-            assert rebuilt.allclose(quaternion_embed(q), 1e-12 * max(1.0, mag))
-            assert 0.0 <= alpha <= 2.0 * math.pi
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Quaternion(math.nan, 0, 0, 0)
 
 
 class TestMultivectorType:

@@ -57,6 +57,19 @@ class TestDiag:
         assert code == 2
         assert "status = tolerance-exceeded" in out
 
+    @pytest.mark.parametrize("h, e_plus", [
+        ("0,1e200,1e200,0", "1.414213562373095e+200"),
+        ("1e300,1e300,0,0", "2.0000000000000001e+300"),
+        ("0,1e-200,0,1e-200", "1.414213562373095e-200"),
+    ])
+    def test_norm_over_the_whole_range(self, capsys, h, e_plus):
+        # the oracle's discriminant is not scaled yet, so its residuals
+        # may still fail the check (exit 2), but the norm no longer raises
+        code, out, err = run_cli(capsys, ["diag", f"--h={h}"])
+        assert code in (0, 2) and err == ""
+        assert out.splitlines()[0] == f"e_plus = {e_plus}"
+        assert "degenerate = false" in out
+
     def test_missing_h(self, capsys):
         code, out, err = run_cli(capsys, ["diag"])
         assert code == 1
@@ -193,6 +206,14 @@ class TestEvolve:
         assert err.startswith("check: max_deviation = ")
         worst = float(err[len("check: max_deviation = "):])
         assert math.isfinite(worst) and worst > 1e-10
+
+    @pytest.mark.parametrize("b", ["0,0,1e-162", "1e-200,0,1e-200", "1e-170,1e-170,0"])
+    def test_check_tiny_field(self, capsys, b):
+        # the closed form of u(t) squares the field; its direction suffices
+        code, out, err = run_cli(capsys, ["evolve", f"--B={b}", "--t-end=1", "--steps=3",
+                                          "--check"])
+        assert code == 0
+        assert float(err[len("check: max_deviation = "):]) <= 1e-15
 
     def test_check_rabi(self, capsys):
         code, out, err = run_cli(
@@ -459,6 +480,17 @@ class TestSubprocess:
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.decode().splitlines()[0] == CSV_HEADER
+
+    def test_closed_stdout_pipe_exits_1_quietly(self):
+        # the reader takes one line and closes the pipe, as `| head -1` does
+        argv = ["evolve", "--B=1,0,1", "--t-end=1", "--steps=5000"]
+        proc = subprocess.Popen([sys.executable, "-m", "gatss", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == (CSV_HEADER + "\n").encode()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
     @pytest.mark.parametrize(
         "argv, code, err",

@@ -1,22 +1,46 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gatss.algebra import Multivector, gp, norm
 from gatss.conformance import (
     SuiteResult,
+    _associativity_devs,
+    _field_draws,
+    _homomorphism_devs,
+    _rabi_devs,
     eigensystem_residuals,
     rabi_deviation,
     run_all,
     suite_commutators,
     suite_homomorphism,
+    suite_rabi_triangle,
     trajectory_deviations,
     worst_deviation,
 )
+from gatss.matrixqm import STATE_NORM_TOL, pauli, rep, spinor_rep
 from gatss.spinor import basis_eps
-from gatss.twostate import FieldConfig, Hamiltonian, eigensystem, polar_state, trajectory
+from gatss.twostate import (
+    _BLOCK_ROWS,
+    FieldConfig,
+    Hamiltonian,
+    eigensystem,
+    evolution_rotor,
+    evolve,
+    hamiltonian_from_field,
+    polar_state,
+    probability,
+    rabi_probability,
+    trajectory,
+    u_vector_closed_form,
+)
+from per_row_oracle import hexes, reference_evolve, reference_expectation, reference_probability
 
-EPS_PLUS = basis_eps()[0]
+EPS_PLUS, EPS_MINUS = basis_eps()
 TILTED = FieldConfig(B=(0.4, -1.1, 2.2), q=1.5, m=0.7, hbar=0.9)
 
 
@@ -129,3 +153,228 @@ class TestPassRule:
         assert worst_deviation([1e-12, 3e-12, 2e-12]) == 3e-12
         assert SuiteResult("check", 3e-12, 3e-12, 3).passed
         assert not SuiteResult("check", float("inf"), 1e-10, 1).passed
+
+
+# Per-draw references: the suites and checks as they ran before they took
+# blocks, one draw or row at a time through the object API and the per-row
+# oracle.  A check that raised there is NaN here, as in the batched code.
+
+
+def nan_on_error(compute, shape, dtype=float):
+    with np.errstate(all="ignore"):
+        try:
+            return np.asarray(compute(), dtype=dtype)
+        except (ValueError, ArithmeticError, OverflowError):
+            return np.full(shape, np.nan, dtype=dtype)
+
+
+def reference_homomorphism(a, b):
+    def compute():
+        ma, mb = Multivector(a), Multivector(b)
+        return np.abs(rep(gp(ma, mb)) - rep(ma) @ rep(mb))
+
+    return nan_on_error(compute, (2, 2))
+
+
+def reference_associativity(a, b, c):
+    def compute():
+        ma, mb, mc = Multivector(a), Multivector(b), Multivector(c)
+        lhs = gp(gp(ma, mb), mc)
+        rhs = gp(ma, gp(mb, mc))
+        return np.abs(lhs.coeffs - rhs.coeffs) / max(1.0, norm(ma) * norm(mb) * norm(mc))
+
+    return nan_on_error(compute, 8)
+
+
+def reference_rabi(b, t):
+    cfg = FieldConfig(B=tuple(b))
+    h = hamiltonian_from_field(cfg)
+    p_closed = rabi_probability(cfg, t)
+    p_rotor = nan_on_error(
+        lambda: probability(EPS_MINUS, evolve(EPS_PLUS, evolution_rotor(h, t, cfg.hbar))), ())
+    p_matrix = nan_on_error(lambda: reference_probability(
+        spinor_rep(EPS_MINUS),
+        reference_evolve(spinor_rep(EPS_PLUS), rep(h.as_multivector()), t, cfg.hbar),
+    ), ())
+    return np.abs([p_closed - p_rotor, p_rotor - p_matrix, p_closed - p_matrix])
+
+
+def reference_run_all(seed, count):
+    """The worst of each randomized suite, drawing per draw as before."""
+    rng = np.random.default_rng(seed)
+    span = 10.0
+    hom = [reference_homomorphism(rng.uniform(-span, span, 8), rng.uniform(-span, span, 8))
+           for _ in range(count)]
+    assoc = [reference_associativity(*(rng.uniform(-span, span, 8) for _ in range(3)))
+             for _ in range(count)]
+    rabi = []
+    while len(rabi) < count:
+        b = rng.uniform(-5.0, 5.0, 3)
+        if b[0] == 0.0 and b[1] == 0.0 and b[2] == 0.0:
+            continue
+        rabi.append(reference_rabi(b, rng.uniform(0.0, 10.0)))
+    return [worst_deviation(devs).hex() for devs in (hom, assoc, rabi)]
+
+
+def reference_deviations(cfg, psi0, table):
+    h_mat = rep(hamiltonian_from_field(cfg).as_multivector())
+    psi0_col = spinor_rep(psi0)
+    s_mats = [0.5 * cfg.hbar * pauli(k) for k in (1, 2, 3)]
+    devs = {"dev_p": [], "dev_s": [], "dev_u": []}
+    for i, t in enumerate(table["t"]):
+        col_t = nan_on_error(lambda: reference_evolve(psi0_col, h_mat, t, cfg.hbar), 2, complex)
+        if abs(np.linalg.norm(col_t) - 1.0) <= STATE_NORM_TOL:
+            p_ref = (abs(col_t[0]) ** 2, abs(col_t[1]) ** 2)
+            s_ref = [nan_on_error(lambda: reference_expectation(s, col_t), ()) for s in s_mats]
+        else:
+            p_ref, s_ref = (np.nan,) * 2, (np.nan,) * 3
+        refs = (
+            ("dev_p", ("p_plus", "p_minus"), p_ref),
+            ("dev_s", ("s1", "s2", "s3"), s_ref),
+            ("dev_u", ("u1", "u2", "u3"),
+             u_vector_closed_form(cfg, t) if cfg.b_norm > 0.0 else (0.0, 0.0, 1.0)),
+        )
+        for dev, columns, ref in refs:
+            devs[dev].append(worst_deviation([abs(table[c][i] - r) for c, r in zip(columns, ref)]))
+    return devs
+
+
+def signed(magnitude):
+    return st.tuples(magnitude, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+# draws of the suites' own ranges, and out of them up to where products
+# overflow, so that the masks of the per-draw checks come into play
+coefficient = st.one_of(
+    st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+    signed(st.floats(-5.0, 200.0).map(lambda e: 10.0 ** e)),
+)
+coefficient_rows = st.lists(coefficient, min_size=8, max_size=8)
+# nonzero fields of the suite's range and beyond, up to where the rotor's
+# phase overflows (|h| t from about 1.3e154), keeping q |B| t finite
+field_component = st.one_of(
+    st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+    signed(st.floats(-300.0, 150.0).map(lambda e: 10.0 ** e)),
+)
+field_rows = st.tuples(field_component, field_component, field_component).filter(any)
+
+
+class TestBatchedSuitesMatchPerDraw:
+    """Each suite's deviations, row by row, against the per-draw loop, by
+    float.hex; a row whose per-draw computation raises is NaN."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(coefficient_rows, coefficient_rows), min_size=1, max_size=6))
+    def test_homomorphism(self, pairs):
+        got = _homomorphism_devs(np.array(pairs))
+        assert [hexes(row) for row in got] == [hexes(reference_homomorphism(*p)) for p in pairs]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(coefficient_rows, coefficient_rows, coefficient_rows),
+                    min_size=1, max_size=6))
+    def test_associativity(self, triples):
+        got = _associativity_devs(np.array(triples))
+        assert [hexes(row) for row in got] == [hexes(reference_associativity(*t)) for t in triples]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(field_rows, st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e6))),
+                    min_size=1, max_size=6))
+    def test_rabi(self, draws):
+        got = _rabi_devs(np.array([[*b, t] for b, t in draws]))
+        assert [hexes(row) for row in got] == [hexes(reference_rabi(b, t)) for b, t in draws]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_run_all_draws_the_same_stream(self, seed, count):
+        assert [r.worst.hex() for r in run_all(seed, count) if r.name != "commutators"] == (
+            reference_run_all(seed, count))
+
+    def test_run_all_across_blocks(self):
+        count = _BLOCK_ROWS + 17
+        assert [r.worst.hex() for r in run_all(11, count) if r.name != "commutators"] == (
+            reference_run_all(11, count))
+
+
+class StubRng:
+    """Hands out the given blocks in turn and records the sizes asked for."""
+
+    def __init__(self, *blocks):
+        self.blocks = [np.array(b, dtype=float) for b in blocks]
+        self.sizes = []
+
+    def uniform(self, low, high, size):
+        assert np.array_equal(low, [-5.0, -5.0, -5.0, 0.0])
+        assert np.array_equal(high, [5.0, 5.0, 5.0, 10.0])
+        self.sizes.append(size)
+        return self.blocks.pop(0)
+
+
+class TestRabiTopUp:
+    # the first block has two zero fields (one of them -0.0); the first
+    # top-up has one more, so a second top-up of one row follows
+    FIRST = [[0.5, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 2.0], [1.0, 1.0, 1.0, 3.0],
+             [0.0, -0.0, 0.0, 4.0]]
+    TOP_UPS = ([[0.0, 0.0, 0.0, 5.0], [0.0, 2.0, 0.0, 6.0]], [[-1.5, 0.0, 2.0, 7.0]])
+    KEPT = [[0.5, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 3.0], [0.0, 2.0, 0.0, 6.0],
+            [-1.5, 0.0, 2.0, 7.0]]
+
+    def test_zero_fields_are_drawn_again_after_the_block(self):
+        rng = StubRng(self.FIRST, *self.TOP_UPS)
+        assert _field_draws(rng, 4).tolist() == self.KEPT
+        assert rng.sizes == [(4, 4), (2, 4), (1, 4)]
+
+    def test_suite_runs_on_the_kept_rows(self):
+        result = suite_rabi_triangle(StubRng(self.FIRST, *self.TOP_UPS), 4)
+        expected = worst_deviation([reference_rabi(row[:3], row[3]) for row in self.KEPT])
+        assert (result.count, result.worst.hex()) == (4, expected.hex())
+
+
+check_fields = st.one_of(
+    st.just(FieldConfig(B=(0.0, 0.0, 0.0))),
+    st.builds(lambda b3, hbar: FieldConfig(B=(0.0, 0.0, b3), hbar=hbar),
+              st.floats(-5.0, 5.0), st.sampled_from([1.0, 0.9, 1e6])),
+    st.builds(lambda b, q, hbar: FieldConfig(B=b, q=q, hbar=hbar),
+              st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+              st.floats(0.2, 3.0), st.sampled_from([1.0, 0.9, 1e6])),
+)
+check_times = st.one_of(
+    st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0, 1e9, 1e30]),
+)
+
+
+def hex_columns(devs):
+    return {name: [v.hex() for v in column] for name, column in devs.items()}
+
+
+class TestDeviationsMatchPerRow:
+    """trajectory_deviations on blocks against the per-row oracle loop, by
+    float.hex: the dev_* columns of evolve --check."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(check_fields, st.floats(0.0, math.pi), st.floats(-math.pi, math.pi),
+           st.lists(check_times, min_size=1, max_size=6))
+    def test_rows(self, cfg, theta0, phi0, t_grid):
+        psi0 = polar_state(theta0, phi0)
+        try:
+            table = trajectory(cfg, psi0, t_grid)
+        except ValueError:
+            assume(False)
+        assert hex_columns(trajectory_deviations(cfg, psi0, table)) == hex_columns(
+            reference_deviations(cfg, psi0, table))
+
+    @pytest.mark.parametrize("cfg", [
+        FieldConfig(B=(0.0, 0.0, 0.0)),
+        FieldConfig(B=(0.0, 0.0, -1.3), hbar=0.9),
+        FieldConfig(B=(0.4, -1.1, 2.2), q=1.5, m=0.7, hbar=0.9),
+    ], ids=["zero", "axial", "general"])
+    def test_grid_longer_than_a_block(self, cfg):
+        psi0 = polar_state(0.7, -1.2)
+        table = trajectory(cfg, psi0, np.linspace(-3.0, 40.0, 2 * _BLOCK_ROWS + 5))
+        assert hex_columns(trajectory_deviations(cfg, psi0, table)) == hex_columns(
+            reference_deviations(cfg, psi0, table))
+
+    def test_empty_table(self):
+        cfg = FieldConfig(B=(1.0, 0.0, 0.0))
+        table = trajectory(cfg, EPS_PLUS, [])
+        assert trajectory_deviations(cfg, EPS_PLUS, table) == {
+            "dev_p": [], "dev_s": [], "dev_u": []}

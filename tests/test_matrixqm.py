@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatss.algebra import (
     E1,
@@ -29,6 +31,13 @@ from gatss.matrixqm import (
     unrep,
 )
 from gatss.spinor import basis_eps, from_amplitudes, left_mul
+from per_row_oracle import (
+    hexes,
+    reference_evolve,
+    reference_expectation,
+    reference_mat_exp,
+    reference_probability,
+)
 
 EPS_PLUS, EPS_MINUS = basis_eps()
 
@@ -309,3 +318,165 @@ class TestExpectationAndProbability:
     def test_probability_rejections(self):
         with pytest.raises(ValueError):
             probability_matrix([2.0, 0.0], [1.0, 0.0])
+
+
+def row_outcome(reference, *args, shape=()):
+    """The reference's value on one row as float.hex strings; a row the
+    reference rejects (or cannot scale) is NaN, as in a stack."""
+    with np.errstate(all="ignore"):
+        try:
+            value = np.asarray(reference(*args))
+        except (ValueError, ArithmeticError, OverflowError):
+            value = np.full(shape, complex(np.nan, np.nan) if shape else np.nan)
+        if reference is reference_mat_exp and not np.isfinite(args[0]).all():
+            # the per-row loop raised, or spread NaN over only some entries
+            value = np.full(shape, complex(np.nan, np.nan))
+    return hexes(value)
+
+
+def stacked_outcome(fn, *args):
+    with np.errstate(all="ignore"):
+        out = fn(*args)
+    return [hexes(row) for row in out]
+
+
+def signed(magnitude):
+    return st.tuples(magnitude, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+# zeros of both signs, plain values, and magnitudes over the whole finite
+# range, so that one stack mixes rows needing no squaring with rows
+# needing hundreds, and rows too large to scale
+component = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2.0, 2.0),
+    signed(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)),
+)
+entries = st.builds(complex, component, component)
+matrices = st.lists(entries, min_size=4, max_size=4).map(lambda e: np.reshape(e, (2, 2)))
+hermitians = st.lists(st.one_of(st.floats(-5.0, 5.0), component), min_size=4, max_size=4).map(
+    lambda h: h[0] * np.array(pauli(0)) + h[1] * np.array(pauli(1))
+    + h[2] * np.array(pauli(2)) + h[3] * np.array(pauli(3))
+)
+# unit states, and states off unit norm by about the tolerance
+raw_states = st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4).filter(
+    lambda x: math.hypot(*x) > 1e-3
+)
+states = st.builds(
+    lambda x, drift: (np.array([x[0] + 1j * x[1], x[2] + 1j * x[3]]) / math.hypot(*x))
+    * (1.0 + drift),
+    raw_states,
+    st.sampled_from([0.0, 0.0, 0.0, 1e-9, -1e-9, 1.01e-9, 0.99e-9, 0.5]),
+)
+times = st.one_of(st.floats(-50.0, 50.0), signed(st.floats(-8.0, 30.0).map(lambda e: 10.0 ** e)))
+
+
+class TestStackedOracle:
+    """Every row of a stacked call equals the per-row reference bit for
+    bit, and NaN where the reference raises; a single input is a stack of
+    one row."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(matrices, min_size=1, max_size=6))
+    def test_mat_exp_rows(self, stack):
+        expected = [row_outcome(reference_mat_exp, a, shape=(2, 2)) for a in stack]
+        assert stacked_outcome(mat_exp, np.array(stack)) == expected
+        with np.errstate(all="ignore"):
+            assert [hexes(mat_exp(a)) for a in stack] == expected
+
+    def test_mat_exp_squaring_counts_in_one_stack(self):
+        # 1-norms 0, 0.3, 0.5 (the first to halve), 1e10 (35 halvings),
+        # 1e300 (998), non-finite rows and one too large to halve
+        stack = np.array([
+            np.zeros((2, 2)),
+            0.3j * np.array(pauli(1)),
+            [[0.25, 0.0], [0.25j, 0.0]],
+            -1e10j * np.array(pauli(2)),
+            1e300j * np.array(pauli(3)),
+            [[np.nan, 0.0], [0.0, 0.0]],
+            [[0.0, np.inf], [0.0, 0.0]],
+            [[2.0 ** 1022, 0.0], [0.0, 0.0]],
+        ])
+        expected = [row_outcome(reference_mat_exp, a, shape=(2, 2)) for a in stack]
+        assert stacked_outcome(mat_exp, stack) == expected
+        # the single form is a stack of one
+        assert [hexes(mat_exp(a)) for a in stack] == expected
+        assert all(np.isnan(mat_exp(a)).all() for a in stack[5:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(states, st.one_of(hermitians, hermitians, matrices), times),
+                 min_size=1, max_size=5),
+        st.sampled_from([1.0, 0.7, 1e-300, 1e300]),
+    )
+    def test_evolve_rows(self, rows, hbar):
+        psi, h, t = (np.array(column) for column in zip(*rows))
+        expected = [row_outcome(reference_evolve, *row, hbar, shape=(2,)) for row in rows]
+        assert stacked_outcome(evolve_matrix, psi, h, t, hbar) == expected
+        # one of the three stacked, the others shared by every row
+        assert stacked_outcome(evolve_matrix, psi[0], h[0], t, hbar) == [
+            row_outcome(reference_evolve, psi[0], h[0], x, hbar, shape=(2,)) for x in t
+        ]
+        assert stacked_outcome(evolve_matrix, psi, h[0], t[0], hbar) == [
+            row_outcome(reference_evolve, x, h[0], t[0], hbar, shape=(2,)) for x in psi
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(hermitians, hermitians, matrices), states),
+                    min_size=1, max_size=5))
+    def test_expectation_rows(self, rows):
+        h, psi = (np.array(column) for column in zip(*rows))
+        expected = [row_outcome(reference_expectation, *row) for row in rows]
+        assert [hexes(v) for v in expectation_matrix(h, psi)] == expected
+        assert [hexes(v) for v in expectation_matrix(h[0], psi)] == [
+            row_outcome(reference_expectation, h[0], x) for x in psi
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(states, states), min_size=1, max_size=5))
+    def test_probability_rows(self, rows):
+        u, psi = (np.array(column) for column in zip(*rows))
+        expected = [row_outcome(reference_probability, *row) for row in rows]
+        assert [hexes(v) for v in probability_matrix(u, psi)] == expected
+        assert [hexes(v) for v in probability_matrix(u[0], psi)] == [
+            row_outcome(reference_probability, u[0], x) for x in psi
+        ]
+
+    @pytest.mark.parametrize("fn, args", [
+        (evolve_matrix, ([2.0, 0.0], np.array(pauli(3)), 1.0)),
+        (evolve_matrix, ([1.0, 0.0], np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)),
+        (expectation_matrix, (np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 0.0])),
+        (expectation_matrix, (np.array(pauli(3)), [2.0, 0.0])),
+        (probability_matrix, ([2.0, 0.0], [1.0, 0.0])),
+    ])
+    def test_single_rejects_where_a_stack_gives_nan(self, fn, args):
+        with pytest.raises(ValueError):
+            fn(*args)
+        stacked = [np.asarray(args[0])[None], *args[1:]]
+        assert np.isnan(fn(*stacked)).all()
+
+    def test_imaginary_residue(self):
+        # Hermitian to 9e-13, within HERMITIAN_TOL, but <psi|H|psi> keeps an
+        # imaginary part of 4.5e-13, above 1e-13
+        h = np.array([[0.0, 1.0 + 9e-13j], [1.0, 0.0]])
+        psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        with pytest.raises(ArithmeticError, match="imaginary residue 4.500e-13"):
+            expectation_matrix(h, psi)
+        assert np.isnan(expectation_matrix(h[None], psi)).all()
+        assert np.isnan(expectation_matrix(h, psi[None])).all()
+
+    def test_empty_stacks(self):
+        assert mat_exp(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+        assert evolve_matrix([1.0, 0.0], np.array(pauli(3)), []).shape == (0, 2)
+        assert expectation_matrix(np.zeros((0, 2, 2)), [1.0, 0.0]).shape == (0,)
+        assert probability_matrix(np.zeros((0, 2)), [1.0, 0.0]).shape == (0,)
+
+    def test_is_hermitian_rows(self):
+        stack = np.array([pauli(1), [[0.0, 1.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 0.0]]])
+        assert is_hermitian(stack).tolist() == [True, False, False]
+        assert is_hermitian(stack[0]) is True
+
+    def test_rep_rows(self):
+        rng = np.random.default_rng(53)
+        rows = rng.uniform(-10.0, 10.0, (20, 8))
+        assert stacked_outcome(rep, rows) == [hexes(rep(Multivector(r))) for r in rows]

@@ -1,8 +1,10 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gatss import matrixqm
@@ -34,6 +36,7 @@ from gatss.twostate import (
     expectation,
     hamiltonian_from_field,
     polar_angles,
+    _norm3,
     polar_state,
     precession_trajectory,
     probability,
@@ -84,6 +87,29 @@ class TestHamiltonianType:
             Hamiltonian(math.nan, (0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             Hamiltonian(0.0, (math.inf, 0.0, 0.0))
+
+
+class TestNorm3:
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(-1e100, 1e100)] * 3))
+    def test_in_range_keeps_the_plain_sum(self, v):
+        squares = v[0] ** 2 + v[1] ** 2 + v[2] ** 2
+        assume(squares >= sys.float_info.min or not any(v))
+        assert _norm3(*v).hex() == math.sqrt(squares).hex()
+
+    @pytest.mark.parametrize("v, expected", [
+        ((0.0, 1e200, 1e200), 1.414213562373095e200),  # a square raises OverflowError
+        ((1e154, 1e154, 1e154), 1.7320508075688772e154),  # the sum overflows
+        ((1e300, 0.0, 0.0), 1e300),
+        ((-1e308, 1e308, 0.0), 1.4142135623730951e308),
+        ((0.0, 1e-200, 1e-200), 1.414213562373095e-200),  # the squares underflow
+        ((5e-324, 0.0, 0.0), 5e-324),
+        ((0.0, -0.0, 0.0), 0.0),
+    ])
+    def test_out_of_range(self, v, expected):
+        assert _norm3(*v) == expected
+        assert Hamiltonian(0.0, v).r_norm == expected
+        assert FieldConfig(B=v).b_norm == expected
 
 
 class TestFieldConfig:
@@ -292,6 +318,20 @@ class TestEvolutionRotor:
             evolution_rotor(h, math.nan)
         with pytest.raises(ValueError):
             evolution_rotor(h, 1.0, hbar=0.0)
+
+    @pytest.mark.parametrize("b, t, hbar", [
+        ((1.0, 0.0, 0.0), 1e10, 1e-300),  # -t / hbar is -inf and 0 * -inf NaN
+        ((1e150, 0.0, 0.0), 1e200, 1.0),  # the product overflows
+    ])
+    def test_exponent_out_of_range_raises_without_warning(self, b, t, hbar):
+        # the same row fails trajectory with the same message
+        h = hamiltonian_from_field(FieldConfig(B=b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^multivector coefficients must be finite$"):
+                evolution_rotor(h, t, hbar)
+            with pytest.raises(ValueError, match="^multivector coefficients must be finite$"):
+                trajectory(FieldConfig(B=b, hbar=hbar), EPS_PLUS, [t])
 
     def test_unitarity(self):
         rng = np.random.default_rng(29)
