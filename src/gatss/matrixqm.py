@@ -230,7 +230,8 @@ def mat_exp(a: np.ndarray, order: int = 18) -> np.ndarray:
 
     A stack of matrices, shape (N, 2, 2), is exponentiated in one pass:
     each row keeps its own squaring count and is squared only while it
-    still needs it, so every row equals mat_exp of that matrix bit for bit.
+    still needs it, so every row equals mat_exp of that matrix alone, bit
+    for bit.
     A matrix that is not finite, or whose 1-norm is 2^1022 or more (too
     large to halve), comes back NaN.
     """

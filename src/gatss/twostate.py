@@ -334,8 +334,9 @@ def precession_trajectory(
     return list(zip(table["t"], table["s1"], table["s2"], table["s3"]))
 
 
-# Rows per block of the trajectory kernel: its temporaries are a few
-# (rows, 64) arrays, so memory stays flat however long the grid is.
+# Rows per block of the row kernels (trajectory here, the suites and the
+# oracle checks in conformance): their temporaries are a few (rows, 64)
+# arrays, so memory stays flat however long the grid or the draw is.
 _BLOCK_ROWS = 512
 
 
