@@ -6,10 +6,12 @@ blade basis
     [1, e1, e2, e3, e23, e31, e12, e123]
 
 (note the canonical fifth blade is e31, not e13).  The geometric product of
-two basis blades is always a third blade times +/-1, so full products are
-driven by an 8x8x8 sign table built once from the generator relations
-e_i^2 = +1 and e_i e_j = -e_j e_i; blade arithmetic therefore stays exact
-in floating point.
+two basis blades is always a third blade times +/-1, so a full product is
+64 signed terms, listed once from the generator relations e_i^2 = +1 and
+e_i e_j = -e_j e_i; blade arithmetic therefore stays exact in floating
+point.  Both products read that one list: `gp` on the eight Python floats
+a Multivector holds, and `_gp_rows` on blocks of coefficient rows, summing
+the terms in the same order, so the two agree bit for bit.
 
 The pseudoscalar e123 commutes with everything and squares to -1.
 Multiplying by it (the Hodge dual) swaps vectors with bivectors and scalars
@@ -56,13 +58,14 @@ BLADE_NAMES = ("1", "e1", "e2", "e3", "e23", "e31", "e12", "e123")
 # Generator factors of each basis blade, written in canonical order.
 _BLADE_FACTORS = ((), (1,), (2,), (3,), (2, 3), (3, 1), (1, 2), (1, 2, 3))
 
-_GRADE_OF_INDEX = (0, 1, 1, 1, 2, 2, 2, 3)
 _GRADE_INDICES = {0: (0,), 1: (1, 2, 3), 2: (4, 5, 6), 3: (7,)}
 
 # Reversion negates grades 2 and 3.
 _REVERSION_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 
 UNIT_TOL = 1e-9
+# Below this magnitude no sum of eight squares overflows.
+_SQUARES_IN_RANGE = 1e150
 _EXP_SERIES_CUTOFF = 1e-8
 
 
@@ -88,32 +91,51 @@ def _reduce_word(factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(seq)
 
 
-def _build_product_table() -> np.ndarray:
+def _product_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 64 signed terms of the geometric product, term-major: entry
+    8 i + k is blade k's term sign * a[i] b[j], the one whose left factor is
+    blade i.  Returns the arrays of i, j and sign."""
     # canonical[word] = (blade index, sign relating the ascending word to
     # that blade's canonical spelling), e.g. e1 e3 = -e31.
     canonical: dict[tuple[int, ...], tuple[int, int]] = {}
     for idx, factors in enumerate(_BLADE_FACTORS):
         s, word = _reduce_word(factors)
         canonical[word] = (idx, s)
-    table = np.zeros((8, 8, 8))
-    for l in range(8):
-        for m in range(8):
-            s, word = _reduce_word(_BLADE_FACTORS[l] + _BLADE_FACTORS[m])
-            idx, cs = canonical[word]
-            table[l, m, idx] = float(s * cs)
-    table.setflags(write=False)
-    return table
+    right = np.zeros(64, dtype=int)
+    sign = np.zeros(64)
+    for i in range(8):
+        for j in range(8):
+            s, word = _reduce_word(_BLADE_FACTORS[i] + _BLADE_FACTORS[j])
+            k, cs = canonical[word]
+            right[8 * i + k] = j
+            sign[8 * i + k] = s * cs
+    return np.repeat(np.arange(8), 8), right, sign
 
 
-_PRODUCT_TABLE = _build_product_table()
+_TERM_LEFT, _TERM_RIGHT, _TERM_SIGN = _product_terms()
 
-# The 64 nonzero entries of the table as eight signed terms per output
-# blade, term-major: entry 8 n + k is blade k's n-th term, a[i] b[j] with
-# (i, j) in the order in which gp's einsum visits them.
-_TERM_BLADE, _TERM_LEFT, _TERM_RIGHT = (
-    idx.reshape(8, 8).T.ravel() for idx in np.nonzero(_PRODUCT_TABLE.transpose(2, 0, 1))
-)
-_TERM_SIGN = _PRODUCT_TABLE[_TERM_LEFT, _TERM_RIGHT, _TERM_BLADE]
+
+def _float_product():
+    """The product of two tuples of eight floats, compiled once from the
+    term list: blade k is 0.0 + t_0 + t_1 + ... + t_7 over its terms in
+    term-major order, added left to right as `_gp_rows` adds them (a term
+    of sign -1 is subtracted, which rounds as adding its negation)."""
+    blades = []
+    for k in range(8):
+        expr = "0.0"
+        for e in range(k, 64, 8):
+            op = "+" if _TERM_SIGN[e] > 0.0 else "-"
+            expr += f" {op} a{_TERM_LEFT[e]} * b{_TERM_RIGHT[e]}"
+        blades.append(expr)
+    a = ", ".join(f"a{i}" for i in range(8))
+    b = ", ".join(f"b{i}" for i in range(8))
+    source = f"def product(a, b):\n    {a} = a\n    {b} = b\n    return ({', '.join(blades)})\n"
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["product"]
+
+
+_product = _float_product()
 
 
 # Error messages shared with the row kernels of twostate.trajectory.
@@ -122,54 +144,68 @@ _NOT_UNIT = "rotor must have unit norm, |R~R - 1| = {dev:.3e}"
 
 
 class Multivector:
-    """Immutable element of the eight-dimensional algebra."""
+    """Immutable element of the eight-dimensional algebra, held as a tuple
+    of eight Python floats in blade order."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Sequence[float] | np.ndarray):
-        c = np.array(coeffs, dtype=float)
-        if c.shape != (8,):
-            raise ValueError(f"expected 8 blade coefficients, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
+        # every result of the algebra is a tuple of eight floats; anything
+        # else is read by numpy, which also gives the shape error
+        if type(coeffs) is tuple and len(coeffs) == 8 and set(map(type, coeffs)) == {float}:
+            c = coeffs
+        else:
+            arr = np.array(coeffs, dtype=float)
+            if arr.shape != (8,):
+                raise ValueError(f"expected 8 blade coefficients, got shape {arr.shape}")
+            c = tuple(arr.tolist())
+        if not all(map(math.isfinite, c)):
             raise ValueError(_NOT_FINITE)
-        c.setflags(write=False)
         self._c = c
 
     @classmethod
     def scalar(cls, value: float) -> "Multivector":
-        return cls([float(value), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        return cls((float(value), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     @property
     def coeffs(self) -> np.ndarray:
-        """Read-only coefficient array in blade order."""
-        return self._c
+        """Read-only float64 coefficient array in blade order, built on each
+        access."""
+        c = np.array(self._c)
+        c.setflags(write=False)
+        return c
 
     def to_json(self) -> list[float]:
-        return self._c.tolist()
+        return list(self._c)
 
     def __getitem__(self, idx: int) -> float:
-        return float(self._c[idx])
+        return float(self.coeffs[idx])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
-        return bool(np.array_equal(self._c, other._c))
+        return self._c == other._c
 
     def allclose(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self._c - other._c) <= tol))
+        return all(abs(x - y) <= tol for x, y in zip(self._c, other._c))
 
     def __add__(self, other):
         if isinstance(other, Multivector):
-            return Multivector(self._c + other._c)
+            return Multivector(tuple(map(float.__add__, self._c, other._c)))
         if isinstance(other, (int, float)):
-            return Multivector(self._c + np.array([other, 0, 0, 0, 0, 0, 0, 0], dtype=float))
+            # the other seven blades add +0.0, which turns -0.0 into +0.0
+            c0, *rest = self._c
+            return Multivector((c0 + float(other), *(x + 0.0 for x in rest)))
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (Multivector, int, float)):
-            return self + (-other if isinstance(other, Multivector) else -float(other))
+        # x - y rounds as x + (-y), signed zeros included
+        if isinstance(other, Multivector):
+            return Multivector(tuple(map(float.__sub__, self._c, other._c)))
+        if isinstance(other, (int, float)):
+            return self + -float(other)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -178,27 +214,29 @@ class Multivector:
         return NotImplemented
 
     def __neg__(self) -> "Multivector":
-        return Multivector(-self._c)
+        return Multivector(tuple(map(float.__neg__, self._c)))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return gp(self, other)
         if isinstance(other, (int, float)):
-            return Multivector(self._c * float(other))
+            return Multivector(tuple(map(float(other).__mul__, self._c)))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Multivector(self._c * float(other))
-        return NotImplemented
+    # reached only when the left operand is not a Multivector: a scalar
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return Multivector(self._c / float(other))
+            d = float(other)
+            if d == 0.0:
+                # x / 0.0 is inf or NaN in every blade
+                raise ValueError(_NOT_FINITE)
+            return Multivector(tuple(map(d.__rtruediv__, self._c)))
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"Multivector({self._c.tolist()})"
+        return f"Multivector({list(self._c)})"
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -228,21 +266,16 @@ PSEUDOSCALAR = E123
 
 def gp(a: Multivector, b: Multivector) -> Multivector:
     """Geometric product a b."""
-    out = np.einsum("i,j,ijk->k", a.coeffs, b.coeffs, _PRODUCT_TABLE)
-    return Multivector(out)
+    return Multivector(_product(a._c, b._c))
 
 
 def _gp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geometric product row by row of coefficient blocks of shape (N, 8);
     either may be a single row of shape (8,), used for every row.
 
-    Each blade sums its eight signed terms in the (i, j) order in which
-    gp's einsum visits them, starting from +0.0 as the einsum does, so
-    every row equals gp of that row bit for bit, signed zeros included.
-    NumPy does not specify einsum's summation order: the equality holds
-    for the order of the numpy builds this was checked on (2.x), and
-    tests/test_algebra.py::TestRowKernels fails on a build that sums in
-    another.  Nothing is checked: rows may be inf or NaN.
+    Each blade sums its eight signed terms in term-major order starting
+    from +0.0, as gp does, so every row equals gp of that row bit for bit,
+    signed zeros included.  Nothing is checked: rows may be inf or NaN.
     """
     terms = (a[..., _TERM_LEFT] * b[..., _TERM_RIGHT]) * _TERM_SIGN
     terms = terms.reshape(terms.shape[:-1] + (8, 8))
@@ -256,15 +289,14 @@ def grade(a: Multivector, k: int) -> Multivector:
     """Projection onto the grade-k part (k in 0..3)."""
     if k not in (0, 1, 2, 3):
         raise ValueError(f"grade must be 0, 1, 2 or 3, got {k!r}")
-    out = np.zeros(8)
-    idx = list(_GRADE_INDICES[k])
-    out[idx] = a.coeffs[idx]
-    return Multivector(out)
+    idx = _GRADE_INDICES[k]
+    return Multivector(tuple(x if i in idx else 0.0 for i, x in enumerate(a._c)))
 
 
 def reverse(a: Multivector) -> Multivector:
     """Reversion (order of vector factors flipped): negates grades 2 and 3."""
-    return Multivector(a.coeffs * _REVERSION_SIGNS)
+    c0, c1, c2, c3, c4, c5, c6, c7 = a._c
+    return Multivector((c0, c1, c2, c3, -c4, -c5, -c6, -c7))
 
 
 def hodge_dual(a: Multivector) -> Multivector:
@@ -273,23 +305,28 @@ def hodge_dual(a: Multivector) -> Multivector:
 
 
 def norm(a: Multivector) -> float:
-    """Euclidean norm of the coefficient vector."""
-    return math.sqrt(float(np.dot(a.coeffs, a.coeffs)))
+    """Euclidean norm of the coefficient vector; inf once the sum of squares
+    overflows."""
+    c = np.array(a._c)
+    if max(map(abs, a._c)) < _SQUARES_IN_RANGE:
+        return math.sqrt(float(np.dot(c, c)))
+    with np.errstate(over="ignore"):
+        return math.sqrt(float(np.dot(c, c)))
 
 
 def commutator(a: Multivector, b: Multivector) -> Multivector:
     """a b - b a."""
-    return Multivector(gp(a, b).coeffs - gp(b, a).coeffs)
+    return Multivector(tuple(map(float.__sub__, gp(a, b)._c, gp(b, a)._c)))
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Antisymmetric part (a b - b a)/2; the exterior product for vectors."""
-    return Multivector(0.5 * commutator(a, b).coeffs)
+    return commutator(a, b) * 0.5
 
 
 def vector(x: float, y: float, z: float) -> Multivector:
     """Grade-1 multivector with components (x, y, z)."""
-    return Multivector([0.0, float(x), float(y), float(z), 0.0, 0.0, 0.0, 0.0])
+    return Multivector((0.0, float(x), float(y), float(z), 0.0, 0.0, 0.0, 0.0))
 
 
 class Rotor:
@@ -302,7 +339,7 @@ class Rotor:
     __slots__ = ("_mv",)
 
     def __init__(self, mv: Multivector):
-        c = mv.coeffs
+        c = mv._c
         if c[1] != 0.0 or c[2] != 0.0 or c[3] != 0.0 or c[7] != 0.0:
             raise ValueError("rotor must be even-graded (scalar + bivector only)")
         dev = norm(gp(mv, reverse(mv)) - ONE)
@@ -332,13 +369,13 @@ class Rotor:
         return self._mv == other._mv
 
     def __repr__(self) -> str:
-        return f"Rotor({self._mv.coeffs.tolist()})"
+        return f"Rotor({list(self._mv._c)})"
 
 
 def _bivector_angle(b: Multivector) -> float:
     """|B| of the bivector part, as exp_bivector takes it; inf once the
     sum of squares overflows."""
-    c4, c5, c6 = b.coeffs[4:7].tolist()
+    c4, c5, c6 = b._c[4:7]
     return math.sqrt(c4 * c4 + c5 * c5 + c6 * c6)
 
 
@@ -349,22 +386,19 @@ def exp_bivector(b: Multivector) -> Rotor:
     avoid the 0/0 in the normalized direction; B^2 = -|B|^2 keeps it cheap.
     Raises ValueError when |B|^2 overflows, from about |B| = 1.3e154.
     """
-    c = b.coeffs
-    if c[0] != 0.0 or c[1] != 0.0 or c[2] != 0.0 or c[3] != 0.0 or c[7] != 0.0:
+    c0, c1, c2, c3, c4, c5, c6, c7 = b._c
+    if c0 != 0.0 or c1 != 0.0 or c2 != 0.0 or c3 != 0.0 or c7 != 0.0:
         raise ValueError("exp_bivector requires a pure bivector argument")
     theta = _bivector_angle(b)
     if theta == math.inf:
         raise ValueError(
             "bivector magnitude |B| overflows: exp_bivector needs it below about 1.3e154"
         )
-    out = np.zeros(8)
     if theta < _EXP_SERIES_CUTOFF:
-        out[0] = 1.0 - theta * theta / 2.0
-        out[4:7] = c[4:7] * (1.0 - theta * theta / 6.0)
+        w, s = 1.0 - theta * theta / 2.0, 1.0 - theta * theta / 6.0
     else:
-        out[0] = math.cos(theta)
-        out[4:7] = c[4:7] * (math.sin(theta) / theta)
-    return Rotor(Multivector(out))
+        w, s = math.cos(theta), math.sin(theta) / theta
+    return Rotor(Multivector((w, 0.0, 0.0, 0.0, c4 * s, c5 * s, c6 * s, 0.0)))
 
 
 def _exp_bivector_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,7 +436,7 @@ def rotor_axis_angle(n_hat: Multivector, alpha: float) -> Rotor:
     plane dual to n_hat.  The axis is not silently renormalized; anything
     off unit length beyond 1e-9 is rejected.
     """
-    c = n_hat.coeffs
+    c = n_hat._c
     if any(c[i] != 0.0 for i in (0, 4, 5, 6, 7)):
         raise ValueError("axis must be a pure grade-1 multivector")
     if abs(norm(n_hat) - 1.0) > UNIT_TOL:

@@ -281,8 +281,10 @@ def _cmd_evolve(s: dict[str, Any]) -> int:
 
     if s["format"] == "csv":
         print(",".join(table))
+        # one template per row, formatting each value as _fmt does
+        template = ",".join(["%.17g"] * len(table))
         for row in zip(*table.values()):
-            print(",".join(_fmt(v) for v in row))
+            print(template % row)
     else:
         print(json.dumps(table, indent=2))
     for check in checks:

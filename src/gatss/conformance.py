@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixqm
-from .algebra import E123, Multivector, _gp_rows, commutator, hodge_dual
+from .algebra import E123, _gp_rows, commutator, hodge_dual
 from .spinor import AlgebraicSpinor, _is_normalized_rows, basis_eps, left_mul
 from .twostate import (
     _BLOCK_ROWS,
@@ -147,20 +147,22 @@ def _associativity_devs(triples: np.ndarray) -> np.ndarray:
     return np.where(_finite_rows(a, b, c, ab, bc, lhs, rhs)[:, None], gap, np.nan)
 
 
+# The signed Levi-Civita symbol: (i, j) -> (k, eps_ijk) for i != j.
+_LEVI_CIVITA = {
+    (0, 1): (2, 1.0), (1, 2): (0, 1.0), (2, 0): (1, 1.0),
+    (1, 0): (2, -1.0), (2, 1): (0, -1.0), (0, 2): (1, -1.0),
+}
+
+
 def suite_commutators() -> SuiteResult:
     """[S_i, S_j] = hbar e123 eps_ijk S_k, exact (tolerance zero)."""
     s_ops = spin_vectors(1.0)
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
+    duals = [hodge_dual(s) for s in s_ops]
     devs = []
     for i in range(3):
         for j in range(3):
-            lhs = commutator(s_ops[i], s_ops[j])
-            rhs = Multivector(
-                sum(eps[i, j, k] * hodge_dual(s_ops[k]).coeffs for k in range(3))
-            )
-            devs.append(np.abs(lhs.coeffs - rhs.coeffs))
+            k, sign = _LEVI_CIVITA.get((i, j), (0, 0.0))  # eps_iik = 0
+            devs.append(np.abs((commutator(s_ops[i], s_ops[j]) - duals[k] * sign).coeffs))
     return SuiteResult("commutators", worst_deviation(devs), 0.0, 9)
 
 

@@ -44,7 +44,7 @@ IDEAL_TOL = 1e-12
 NORM_TOL = 1e-9
 
 
-_F = Multivector([0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+_F = Multivector((0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0))
 
 
 def idempotent_f() -> Multivector:
@@ -65,7 +65,7 @@ class AlgebraicSpinor:
 
     def __init__(self, mv: Multivector, *, check: bool = True):
         if check:
-            c = mv.coeffs
+            c = mv._c
             bad = max(
                 abs(c[3] - c[0]),
                 abs(c[6] - c[7]),
@@ -90,9 +90,7 @@ class AlgebraicSpinor:
         n = inner(self, self).real
         if not 0.0 < n < math.inf:
             raise ValueError(f"cannot normalize a state of squared norm {n!r}")
-        return AlgebraicSpinor(
-            Multivector(self._mv.coeffs / math.sqrt(n)), check=False
-        )
+        return AlgebraicSpinor(self._mv / math.sqrt(n), check=False)
 
     def to_json_dict(self) -> dict[str, list[float]]:
         cp, cm = to_amplitudes(self)
@@ -143,7 +141,7 @@ def _center(z: numbers.Complex) -> Multivector:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"amplitudes must be finite, got {z!r}")
-    return Multivector([z.real, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, z.imag])
+    return Multivector((z.real, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, z.imag))
 
 
 def from_amplitudes(c_plus: numbers.Complex, c_minus: numbers.Complex) -> AlgebraicSpinor:
@@ -154,7 +152,7 @@ def from_amplitudes(c_plus: numbers.Complex, c_minus: numbers.Complex) -> Algebr
 
 def to_amplitudes(psi: AlgebraicSpinor) -> tuple[complex, complex]:
     """Recover (c_plus, c_minus); exact, reading four coefficients."""
-    c = psi.mv.coeffs
+    c = psi.mv._c
     return complex(2.0 * c[0], 2.0 * c[7]), complex(2.0 * c[1], 2.0 * c[2])
 
 
@@ -165,7 +163,7 @@ def inner(a: AlgebraicSpinor, b: AlgebraicSpinor) -> complex:
     the left.  inner(psi, psi) is real and nonnegative, and rotors applied
     on the left leave it unchanged.
     """
-    p = gp(reverse(a.mv), b.mv)
+    p = gp(reverse(a.mv), b.mv)._c
     return complex(2.0 * p[0], 2.0 * p[7])
 
 

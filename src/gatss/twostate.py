@@ -113,9 +113,7 @@ class Hamiltonian:
         return vector(*self.h)
 
     def as_multivector(self) -> Multivector:
-        return Multivector(
-            [self.h0, self.h[0], self.h[1], self.h[2], 0.0, 0.0, 0.0, 0.0]
-        )
+        return Multivector((self.h0, *self.h, 0.0, 0.0, 0.0, 0.0))
 
     def split_scalar(self) -> tuple[float, "Hamiltonian"]:
         """(h0, vector-only Hamiltonian); the scalar part only ever
@@ -257,9 +255,8 @@ def evolution_rotor(h: Hamiltonian, t: float, hbar: float = 1.0) -> Rotor:
         )
     if not math.isfinite(float(t)) or not math.isfinite(float(hbar)) or hbar <= 0.0:
         raise ValueError(_BAD_TIME)
-    # an exponent out of range is NaN or inf, which Multivector rejects
-    with np.errstate(all="ignore"):
-        exponent = hodge_dual(h.vector_part()) * (-float(t) / float(hbar))
+    # an exponent out of range is inf or NaN, which Multivector rejects
+    exponent = hodge_dual(h.vector_part()) * (-float(t) / float(hbar))
     if _bivector_angle(exponent) == math.inf:
         raise ValueError(_PHASE_OVERFLOW.format(t=float(t)))
     return exp_bivector(exponent)
@@ -275,13 +272,13 @@ def evolve(psi0: AlgebraicSpinor, u: Rotor) -> AlgebraicSpinor:
 def expectation(op: Hamiltonian | Multivector, psi: AlgebraicSpinor) -> float:
     """<op> = 2 <reverse(psi) op psi>_0 for a grade-{0,1} observable."""
     opm = op.as_multivector() if isinstance(op, Hamiltonian) else op
-    c = opm.coeffs
+    c = opm._c
     if any(c[i] != 0.0 for i in (4, 5, 6, 7)):
         raise ValueError("observable must be grade-{0,1}")
     if not psi.is_normalized():
         raise ValueError("state must be normalized")
     p = gp(reverse(psi.mv), gp(opm, psi.mv))
-    return 2.0 * p[0]
+    return 2.0 * p._c[0]
 
 
 def probability(u_n: AlgebraicSpinor, psi: AlgebraicSpinor) -> float:
@@ -292,7 +289,7 @@ def probability(u_n: AlgebraicSpinor, psi: AlgebraicSpinor) -> float:
     if not u_n.is_normalized() or not psi.is_normalized():
         raise ValueError(_STATES_NOT_NORMALIZED)
     p = gp(gp(gp(reverse(u_n.mv), psi.mv), reverse(psi.mv)), u_n.mv)
-    return 2.0 * p[0]
+    return 2.0 * p._c[0]
 
 
 def rabi_probability(cfg: FieldConfig, t: float) -> float:
@@ -461,8 +458,4 @@ def spin_vectors(hbar: float = 1.0) -> tuple[Multivector, Multivector, Multivect
     """Spin observables S_i = (hbar/2) e_i; their commutators close as
     [S_i, S_j] = hbar e123 eps_ijk S_k exactly in floating point."""
     half = 0.5 * float(hbar)
-    return (
-        Multivector([0.0, half, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-        Multivector([0.0, 0.0, half, 0.0, 0.0, 0.0, 0.0, 0.0]),
-        Multivector([0.0, 0.0, 0.0, half, 0.0, 0.0, 0.0, 0.0]),
-    )
+    return vector(half, 0.0, 0.0), vector(0.0, half, 0.0), vector(0.0, 0.0, half)

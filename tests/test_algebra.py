@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatss import matrixqm
+from gp_reference import TABLE as REFERENCE_TABLE
+from gp_reference import reference_gp
 from gatss.algebra import (
     BLADE_NAMES,
     E1,
@@ -21,6 +24,9 @@ from gatss.algebra import (
     ZERO,
     Multivector,
     Rotor,
+    _TERM_LEFT,
+    _TERM_RIGHT,
+    _TERM_SIGN,
     _exp_bivector_rows,
     _gp_rows,
     commutator,
@@ -287,7 +293,7 @@ class TestRowKernels:
             [gp(Multivector(x), Multivector(b[0])).coeffs for x in a])
 
     def test_row_product_zero_signs(self):
-        # gp's einsum starts each blade from +0.0, so it never returns -0.0
+        # both products start each blade from +0.0, so neither returns -0.0
         # even where all eight terms are -0.0
         rng = np.random.default_rng(11)
         a = np.where(rng.random((400, 8)) < 0.5, -0.0, 0.0)
@@ -310,6 +316,83 @@ class TestRowKernels:
                 continue
             assert hex_rows(rotors[i]) == hex_rows(expected.mv.coeffs)
             assert dev[i] <= 1e-9
+
+
+# Signed zeros, subnormals, values near the edges of the normal range, and
+# magnitudes whose products overflow.
+edge_coeff = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0]),
+    st.floats(-1e-300, 1e-300, allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+edge_row = st.lists(edge_coeff, min_size=8, max_size=8)
+
+
+class TestOneProduct:
+    """gp and _gp_rows both read the term list; the einsum they replaced
+    (tests/gp_reference.py) pins their bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_row, edge_row)
+    def test_gp_is_the_einsum_and_the_row_kernel(self, a, b):
+        with np.errstate(all="ignore"):
+            expected = reference_gp(np.array(a), np.array(b))
+            rows = _gp_rows(np.array([a]), np.array([b]))
+        if np.isfinite(expected).all():
+            assert hex_rows(gp(Multivector(a), Multivector(b)).coeffs) == hex_rows(expected)
+            assert hex_rows(rows) == hex_rows(expected)
+        else:
+            with pytest.raises(ValueError, match="^multivector coefficients must be finite$"):
+                gp(Multivector(a), Multivector(b))
+            assert not np.isfinite(rows).all()
+
+    def test_reference_table_is_the_term_list(self):
+        table = np.zeros((8, 8, 8))
+        for e in range(64):
+            table[_TERM_LEFT[e], _TERM_RIGHT[e], e % 8] = _TERM_SIGN[e]
+        assert np.array_equal(table, REFERENCE_TABLE)
+
+
+class TestSignedZeros:
+    def test_scalar_add_clears_negative_zeros(self):
+        # a scalar adds +0.0 to the other seven blades
+        a = Multivector((-0.0,) * 8)
+        assert hex_rows((a + 0.0).coeffs) == hex_rows([0.0] * 8)
+        assert hex_rows((1.0 + a).coeffs) == hex_rows([1.0] + [0.0] * 7)
+        assert hex_rows((a - 0.0).coeffs) == hex_rows([-0.0] + [0.0] * 7)
+
+    def test_reverse_negates_grades_two_and_three(self):
+        a = Multivector((0.0, -0.0) * 4)
+        assert hex_rows(reverse(a).coeffs) == hex_rows([0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0])
+
+
+class TestNoFloatingPointWarnings:
+    """Out of range results raise ValueError, never a numpy warning or
+    ZeroDivisionError."""
+
+    @pytest.mark.parametrize("op", [
+        lambda: gp(Multivector([1e200] * 8), Multivector([1e200] * 8)),
+        lambda: Multivector([1e300] * 8) * 1e10,
+        lambda: 1e10 * Multivector([1e300] * 8),
+        lambda: E1 / 0.0,
+        lambda: ZERO / -0.0,
+        lambda: 1e308 - Multivector([-1e308, 0, 0, 0, 0, 0, 0, 0]),
+        lambda: Multivector([1e308] * 8) + Multivector([1e308] * 8),
+        lambda: -Multivector([1e308] * 8) - Multivector([1e308] * 8),
+    ], ids=["gp", "mul", "rmul", "div", "div-zero", "rsub", "add", "sub"])
+    def test_overflow_raises_value_error(self, op):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^multivector coefficients must be finite$"):
+                op()
+
+    def test_norm_overflows_to_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm(Multivector([1e300] * 8)) == math.inf
+            with pytest.raises(ValueError, match=r"rotor must have unit norm, .* = inf"):
+                Rotor(Multivector([1e150, 0, 0, 0, 0, 0, 0, 0]))
 
 
 class TestRotorType:
@@ -419,19 +502,29 @@ class TestWedge:
 
 class TestMultivectorType:
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Multivector([math.nan, 0, 0, 0, 0, 0, 0, 0])
-        with pytest.raises(ValueError):
-            Multivector([math.inf, 0, 0, 0, 0, 0, 0, 0])
+        for kind in (list, tuple, np.array):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="^multivector coefficients must be finite$"):
+                    Multivector(kind([bad, 0, 0, 0, 0, 0, 0, 0]))
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            Multivector([1.0, 2.0])
+        for kind in (list, tuple, np.array):
+            with pytest.raises(ValueError, match=r"^expected 8 blade coefficients, got shape \(2,\)$"):
+                Multivector(kind([1.0, 2.0]))
+            with pytest.raises(ValueError, match=r"^expected 8 blade coefficients, got shape \(8, 2\)$"):
+                Multivector(kind([(1.0, 2.0)] * 8))
 
     def test_coefficients_are_read_only(self):
-        a = Multivector([1, 2, 3, 4, 5, 6, 7, 8])
-        with pytest.raises(ValueError):
-            a.coeffs[0] = 9.0
+        for kind in (list, tuple, np.array):
+            a = Multivector(kind([1, 2, 3, 4, 5, 6, 7, 8]))
+            c = a.coeffs
+            assert c.dtype == np.float64 and c.shape == (8,)
+            assert c.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+            assert all(type(x) is float for x in a.to_json())
+            with pytest.raises(ValueError):
+                c[0] = 9.0
+            # a fresh array on each access
+            assert a.coeffs is not c
 
     def test_json_round_trip(self):
         a = Multivector([1, -2, 3.5, 0, 0.25, -6, 7, 8])

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion with its default arguments."""
+"""Every demo script runs to completion with its default arguments, in
+development mode with every warning an error."""
 
 import os
 import subprocess
@@ -20,7 +21,8 @@ def test_demo_runs(demo):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
