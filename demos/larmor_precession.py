@@ -11,14 +11,15 @@ import math
 
 import numpy as np
 
-from gatss import FieldConfig, precession_trajectory
+from gatss import FieldConfig, polar_state, trajectory
 
 
 def run(b3, theta0, t_end, steps, hbar):
     cfg = FieldConfig(B=(0.0, 0.0, b3), hbar=hbar)
     w = cfg.omega_axial
     grid = np.linspace(0.0, t_end, steps)
-    rows = precession_trajectory(theta0, cfg, grid)
+    table = trajectory(cfg, polar_state(theta0), grid)
+    rows = list(zip(table["t"], table["s1"], table["s2"], table["s3"]))
 
     print(f"B3 = {b3}, theta0 = {theta0}, hbar = {hbar}")
     print(f"precession frequency = {w}")

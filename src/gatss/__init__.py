@@ -19,7 +19,6 @@ from .algebra import (
     E31,
     E123,
     ONE,
-    PSEUDOSCALAR,
     ZERO,
     Multivector,
     Rotor,
@@ -55,7 +54,6 @@ from .twostate import (
     hamiltonian_from_field,
     polar_angles,
     polar_state,
-    precession_trajectory,
     probability,
     rabi_probability,
     spin_vectors,

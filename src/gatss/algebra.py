@@ -39,7 +39,6 @@ __all__ = [
     "E31",
     "E12",
     "E123",
-    "PSEUDOSCALAR",
     "gp",
     "grade",
     "reverse",
@@ -261,7 +260,6 @@ E23 = Multivector([0, 0, 0, 0, 1, 0, 0, 0])
 E31 = Multivector([0, 0, 0, 0, 0, 1, 0, 0])
 E12 = Multivector([0, 0, 0, 0, 0, 0, 1, 0])
 E123 = Multivector([0, 0, 0, 0, 0, 0, 0, 1])
-PSEUDOSCALAR = E123
 
 
 def gp(a: Multivector, b: Multivector) -> Multivector:
@@ -301,7 +299,7 @@ def reverse(a: Multivector) -> Multivector:
 
 def hodge_dual(a: Multivector) -> Multivector:
     """Multiplication by the central pseudoscalar e123."""
-    return gp(PSEUDOSCALAR, a)
+    return gp(E123, a)
 
 
 def norm(a: Multivector) -> float:

@@ -19,9 +19,9 @@ what the per-draw objects give.  Each check those objects make (finite
 coefficients, unit rotors, normalized states, a Hermitian H, the oracle's
 state norm) is a mask: a draw or row that fails one has NaN deviations.
 
-They double as a tamper check for modified builds: flipping any single
-sign in the blade product table makes the homomorphism suite fail, which
-is a handy manual sanity procedure after touching the table construction.
+The homomorphism suite doubles as a tamper check: flipping any one of the
+64 signs in the product's term list (`algebra._TERM_SIGN`) makes it fail,
+as `test_homomorphism_sees_every_sign_flip` in tests/test_conformance.py pins.
 """
 
 from __future__ import annotations
@@ -31,13 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixqm
-from .algebra import E123, _gp_rows, commutator, hodge_dual
-from .spinor import AlgebraicSpinor, _is_normalized_rows, basis_eps, left_mul
+from .algebra import _gp_rows, commutator, hodge_dual
+from .spinor import AlgebraicSpinor, basis_eps, left_mul
 from .twostate import (
     _BLOCK_ROWS,
     EigenSystem,
     FieldConfig,
     Hamiltonian,
+    _coupling_rows,
     _evolution_rows,
     _probability_rows,
     _rabi,
@@ -166,23 +167,12 @@ def suite_commutators() -> SuiteResult:
     return SuiteResult("commutators", worst_deviation(devs), 0.0, 9)
 
 
-def _field_draws(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count rows (b1, b2, b3, t): the field from uniform(-5, 5) and t from
-    uniform(0, 10), drawn as one block.  Rows with an all-zero field are
-    dropped, and as many rows again are drawn as a block of their own after
-    it, until count rows have a field."""
-    rows = np.empty((0, 4))
-    while len(rows) < count:
-        block = rng.uniform([-5.0, -5.0, -5.0, 0.0], [5.0, 5.0, 5.0, 10.0],
-                            (count - len(rows), 4))
-        rows = np.vstack([rows, block[block[:, :3].any(axis=1)]])
-    return rows
-
-
 def suite_rabi_triangle(rng: np.random.Generator, count: int) -> SuiteResult:
     """Transition probability out of eps_plus agrees pairwise between the
-    closed form, the rotor dynamics and the matrix dynamics."""
-    return SuiteResult("rabi_triangle", _worst_by_block(_rabi_devs, _field_draws(rng, count)),
+    closed form, the rotor dynamics and the matrix dynamics, over fields
+    from uniform(-5, 5) and times from uniform(0, 10)."""
+    draws = rng.uniform([-5.0, -5.0, -5.0, 0.0], [5.0, 5.0, 5.0, 10.0], (count, 4))
+    return SuiteResult("rabi_triangle", _worst_by_block(_rabi_devs, draws),
                        RABI_TRIANGLE_TOL, count)
 
 
@@ -193,16 +183,13 @@ def _rabi_devs(draws: np.ndarray) -> np.ndarray:
     a check of the rotor route or of the oracle has NaN in its gaps."""
     eps_plus, eps_minus = basis_eps()
     t = draws[:, 3]
-    # hamiltonian_from_field: h = -(q hbar / 2 m) B, h0 = 0
-    h = np.zeros((len(draws), 8))
-    h[:, 1:4] = -0.5 * draws[:, :3]
     p_closed = np.array([_rabi(row[:3], 1.0, 1.0, row[3]) for row in draws.tolist()])
     with np.errstate(all="ignore"):
-        # evolution_rotor of e123 h, evolve, then probability
-        _, _, psi, checks = _evolution_rows(eps_plus, _gp_rows(E123.coeffs, h), t, 1.0)
+        # hamiltonian_from_field, evolution_rotor, evolve, then probability
+        h, bivector = _coupling_rows(draws[:, :3], 1.0, 1.0, 1.0)
+        _, _, psi, checks = _evolution_rows(eps_plus, bivector, t, 1.0)
         product = _probability_rows(eps_minus.mv.coeffs, psi)
-        failed = np.any([mask for mask, _ in checks], axis=0)
-        failed |= ~_is_normalized_rows(psi) | ~_finite_rows(product)
+        failed = np.any([mask for mask, _ in checks], axis=0) | ~_finite_rows(product)
         p_rotor = np.where(failed, np.nan, 2.0 * product[:, 0])
         col_t = matrixqm.evolve_matrix(matrixqm.spinor_rep(eps_plus), matrixqm.rep(h), t, 1.0)
         p_matrix = matrixqm.probability_matrix(matrixqm.spinor_rep(eps_minus), col_t)

@@ -36,19 +36,16 @@ __all__ = [
     "unrep",
     "spinor_rep",
     "is_hermitian",
-    "is_unitary",
     "eigen_hermitian",
     "mat_exp",
     "evolve_matrix",
     "expectation_matrix",
     "probability_matrix",
     "HERMITIAN_TOL",
-    "UNITARY_TOL",
     "STATE_NORM_TOL",
 ]
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
 STATE_NORM_TOL = 1e-9
 
 _SIGMA = (
@@ -128,17 +125,12 @@ def spinor_rep(psi: AlgebraicSpinor) -> np.ndarray:
     return np.array(to_amplitudes(psi))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL):
-    """Whether max |m - m^dagger| <= tol: a bool for one matrix, a bool
-    array for a stack of them (NaN entries fail)."""
+def is_hermitian(m: np.ndarray):
+    """Whether max |m - m^dagger| <= HERMITIAN_TOL: a bool for one matrix,
+    a bool array for a stack of them (NaN entries fail)."""
     m = np.asarray(m, dtype=complex)
-    dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    return bool(dev <= tol) if m.ndim == 2 else dev <= tol
-
-
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m @ m.conj().T - _SIGMA[0])) <= tol)
+    ok = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1)) <= HERMITIAN_TOL
+    return bool(ok) if m.ndim == 2 else ok
 
 
 def eigen_hermitian(h: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -219,14 +211,15 @@ def _settle(value: np.ndarray, checks, single: bool):
 
 # mat_exp scales a matrix down by 2^s; from this 1-norm on, 2^s overflows.
 _MAX_EXP_NORM = 2.0 ** 1022
+# Terms of mat_exp's Taylor core, more than double precision needs below 0.5.
+_TAYLOR_ORDER = 18
 
 
-def mat_exp(a: np.ndarray, order: int = 18) -> np.ndarray:
+def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring over a Taylor core.
 
     The argument is halved until its 1-norm drops below 0.5, the series is
-    summed to the given order (18 terms is more than double precision needs
-    at that norm; 12 is the floor), and the result squared back up.
+    summed to _TAYLOR_ORDER terms, and the result squared back up.
 
     A stack of matrices, shape (N, 2, 2), is exponentiated in one pass:
     each row keeps its own squaring count and is squared only while it
@@ -236,8 +229,6 @@ def mat_exp(a: np.ndarray, order: int = 18) -> np.ndarray:
     large to halve), comes back NaN.
     """
     a = _stacked(a, (2, 2), "a 2x2 matrix")
-    if order < 12:
-        raise ValueError("Taylor order below 12 loses double precision")
     rows = a.reshape(-1, 2, 2)
     nrm = np.max(np.sum(np.abs(rows), axis=1), axis=1)
     ok = nrm < _MAX_EXP_NORM
@@ -248,7 +239,7 @@ def mat_exp(a: np.ndarray, order: int = 18) -> np.ndarray:
     a_scaled = np.where(ok[:, None, None], rows, 0.0) / scale
     out = np.repeat(_SIGMA[0][None], len(rows), axis=0)
     term = out.copy()
-    for k in range(1, order + 1):
+    for k in range(1, _TAYLOR_ORDER + 1):
         term = term @ a_scaled / k
         out = out + term
     for n in range(int(squarings.max(initial=0))):

@@ -82,9 +82,9 @@ class AlgebraicSpinor:
     def mv(self) -> Multivector:
         return self._mv
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
+    def is_normalized(self) -> bool:
         n = inner(self, self)
-        return bool(_near_unit(n.real, n.imag, tol))
+        return bool(_near_unit(n.real, n.imag))
 
     def normalized(self) -> "AlgebraicSpinor":
         n = inner(self, self).real
@@ -167,10 +167,10 @@ def inner(a: AlgebraicSpinor, b: AlgebraicSpinor) -> complex:
     return complex(2.0 * p[0], 2.0 * p[7])
 
 
-def _near_unit(re, ps, tol: float = NORM_TOL):
+def _near_unit(re, ps):
     """The normalization rule on the squared norm re + ps e123: both parts
-    within tol of 1 + 0 e123.  Takes floats or arrays of them."""
-    return (abs(re - 1.0) <= tol) & (abs(ps) <= tol)
+    within NORM_TOL of 1 + 0 e123.  Takes floats or arrays of them."""
+    return (abs(re - 1.0) <= NORM_TOL) & (abs(ps) <= NORM_TOL)
 
 
 def _is_normalized_rows(psi: np.ndarray) -> np.ndarray:

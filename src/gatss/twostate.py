@@ -34,6 +34,7 @@ from .algebra import (
     _REVERSION_SIGNS,
     E2,
     E3,
+    E123,
     UNIT_TOL,
     Multivector,
     Rotor,
@@ -62,7 +63,6 @@ __all__ = [
     "probability",
     "rabi_probability",
     "polar_state",
-    "precession_trajectory",
     "trajectory",
     "u_vector_closed_form",
     "spin_vectors",
@@ -187,11 +187,6 @@ def polar_angles(h: Hamiltonian) -> tuple[float, float]:
     return theta, phi
 
 
-def _polar_rotor(theta: float, phi: float) -> Rotor:
-    """R(phi, theta): turn e3 by theta towards e1, then by phi about e3."""
-    return rotor_axis_angle(E3, phi) * rotor_axis_angle(E2, theta)
-
-
 def eigensystem(h: Hamiltonian) -> EigenSystem:
     """Eigenvalues h0 +/- |h| and rotor-generated eigenspinors.
 
@@ -212,8 +207,9 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
             degenerate=True,
         )
     theta, phi = polar_angles(h)
-    r = _polar_rotor(theta, phi)
-    r_minus = _polar_rotor(theta + math.pi, phi)
+    azimuth = rotor_axis_angle(E3, phi)
+    r = azimuth * rotor_axis_angle(E2, theta)
+    r_minus = azimuth * rotor_axis_angle(E2, theta + math.pi)
     return EigenSystem(
         e_plus=h.h0 + r_norm,
         e_minus=h.h0 - r_norm,
@@ -226,8 +222,18 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
 
 def hamiltonian_from_field(cfg: FieldConfig) -> Hamiltonian:
     """Magnetic coupling H = -(q hbar / 2 m) B, always with h0 = 0."""
-    k = -cfg.q * cfg.hbar / (2.0 * cfg.m)
-    return Hamiltonian(0.0, (k * cfg.B[0], k * cfg.B[1], k * cfg.B[2]))
+    h, _ = _coupling_rows(cfg.B, cfg.q, cfg.m, cfg.hbar)
+    return Hamiltonian(0.0, tuple(h[1:4].tolist()))
+
+
+def _coupling_rows(B, q: float, m: float, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """The coupling of one field B, shape (3,), or of a block of fields,
+    shape (N, 3): the Hamiltonian rows h = -(q hbar / 2 m) B with h0 = 0
+    and their evolution bivectors e123 h, hodge_dual of each."""
+    B = np.asarray(B, dtype=float)
+    h = np.zeros(B.shape[:-1] + (8,))
+    h[..., 1:4] = (-q * hbar / (2.0 * m)) * B
+    return h, _gp_rows(E123.coeffs, h)
 
 
 # Error messages shared by the object API and trajectory's row kernel.
@@ -310,25 +316,10 @@ def _rabi(B: tuple[float, float, float], q: float, m: float, t: float) -> float:
 
 
 def polar_state(theta: float, phi: float = 0.0) -> AlgebraicSpinor:
-    """Spin-up state along the (theta, phi) axis: R(phi, theta) eps_plus."""
-    return left_mul(_polar_rotor(float(theta), float(phi)).mv, basis_eps()[0])
-
-
-def precession_trajectory(
-    theta0: float,
-    cfg: FieldConfig,
-    t_grid: Iterable[float],
-) -> list[tuple[float, float, float, float]]:
-    """Spin expectation trajectory for an axial field B = (0, 0, B3).
-
-    The state starts tilted by theta0 in the e3 e1 plane and the returned
-    rows are (t, <S1>, <S2>, <S3>); they follow
-    (hbar/2)(sin th0 cos(w t), -sin th0 sin(w t), cos th0) with w = q B3/m.
-    """
-    if cfg.B[0] != 0.0 or cfg.B[1] != 0.0:
-        raise ValueError("precession trajectory requires an axial field (B1 = B2 = 0)")
-    table = trajectory(cfg, polar_state(theta0), t_grid)
-    return list(zip(table["t"], table["s1"], table["s2"], table["s3"]))
+    """Spin-up state along the (theta, phi) axis: R(phi, theta) eps_plus,
+    with R turning e3 by theta towards e1, then by phi about e3."""
+    r = rotor_axis_angle(E3, phi) * rotor_axis_angle(E2, theta)
+    return left_mul(r.mv, basis_eps()[0])
 
 
 # Rows per block of the row kernels (trajectory here, the suites and the
@@ -356,7 +347,7 @@ def trajectory(
     table: dict[str, list[float]] = {
         name: [] for name in ("t", "p_plus", "p_minus", "s1", "s2", "s3", "u1", "u2", "u3")
     }
-    bivector = hodge_dual(hamiltonian_from_field(cfg).vector_part()).coeffs
+    _, bivector = _coupling_rows(cfg.B, cfg.q, cfg.m, cfg.hbar)
     spins = [op.coeffs for op in spin_vectors(cfg.hbar)]
     times = iter(t_grid)
     while (t := np.fromiter(map(float, itertools.islice(times, _BLOCK_ROWS)), float)).size:
@@ -377,10 +368,7 @@ def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
     products = [_probability_rows(eps, psi) for eps in (eps_plus, eps_minus)]
     products += [_gp_rows(psi_rev, _gp_rows(op, psi)) for op in spins]
     axis = _gp_rows(_gp_rows(rotor, E3.coeffs), rotor * _REVERSION_SIGNS)
-    checks += [
-        (~_is_normalized_rows(psi), _STATES_NOT_NORMALIZED),
-        (~np.isfinite(np.hstack([*products, axis])).all(axis=1), _NOT_FINITE),
-    ]
+    checks.append((~np.isfinite(np.hstack([*products, axis])).all(axis=1), _NOT_FINITE))
     failed = np.array([mask for mask, _ in checks])
     if failed.any():
         row = int(np.argmax(failed.any(axis=0)))
@@ -397,7 +385,8 @@ def _evolution_rows(psi0, bivector, t, hbar):
 
     Returns the rotor rows, their deviations from unit norm, the state
     rows and the checks the two functions make, as (mask, message) pairs
-    in the order they make them.  Run under np.errstate.
+    in the order they make them, then the normalization check that
+    probability and expectation make on each state.  Run under np.errstate.
     """
     exponent = bivector * (-t / hbar)[:, None]
     rotor, theta, rotor_dev = _exp_bivector_rows(exponent)
@@ -409,6 +398,7 @@ def _evolution_rows(psi0, bivector, t, hbar):
         (rotor_dev > UNIT_TOL, _NOT_UNIT),
         (np.full(t.shape, not psi0.is_normalized()), _PSI0_NOT_NORMALIZED),
         (~np.isfinite(psi).all(axis=1), _NOT_FINITE),
+        (~_is_normalized_rows(psi), _STATES_NOT_NORMALIZED),
     ]
     return rotor, rotor_dev, psi, checks
 

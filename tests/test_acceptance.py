@@ -32,7 +32,6 @@ from gatss.twostate import (
     evolve,
     hamiltonian_from_field,
     polar_state,
-    precession_trajectory,
     trajectory,
     u_vector_closed_form,
 )
@@ -91,7 +90,8 @@ def test_criterion_03_precession_grid():
         cfg = FieldConfig(B=(0.0, 0.0, b3))
         w = cfg.omega_axial
         for theta0 in (0.0, math.pi / 6, math.pi / 2):
-            for t, s1, s2, s3 in precession_trajectory(theta0, cfg, grid):
+            table = trajectory(cfg, polar_state(theta0), grid)
+            for t, s1, s2, s3 in zip(table["t"], table["s1"], table["s2"], table["s3"]):
                 worst = max(
                     worst,
                     abs(s1 - 0.5 * math.sin(theta0) * math.cos(w * t)),

@@ -20,7 +20,6 @@ from gatss.algebra import (
     E31,
     E123,
     ONE,
-    PSEUDOSCALAR,
     ZERO,
     Multivector,
     Rotor,
@@ -105,10 +104,10 @@ class TestProductTable:
     def test_pseudoscalar_is_central_exact(self):
         rng = np.random.default_rng(7)
         for b in ALL_BLADES:
-            assert gp(PSEUDOSCALAR, b) == gp(b, PSEUDOSCALAR)
+            assert gp(E123, b) == gp(b, E123)
         for _ in range(100):
             a = random_mv(rng)
-            assert gp(PSEUDOSCALAR, a) == gp(a, PSEUDOSCALAR)
+            assert gp(E123, a) == gp(a, E123)
 
     def test_gp_matches_matrix_oracle(self):
         # differential check against the independent 2x2 representation

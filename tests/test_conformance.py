@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gatss import algebra
 from gatss.algebra import Multivector, gp, norm
 from gatss.conformance import (
     SuiteResult,
     _associativity_devs,
-    _field_draws,
     _homomorphism_devs,
     _rabi_devs,
     eigensystem_residuals,
@@ -207,12 +207,8 @@ def reference_run_all(seed, count):
            for _ in range(count)]
     assoc = [reference_associativity(*(rng.uniform(-span, span, 8) for _ in range(3)))
              for _ in range(count)]
-    rabi = []
-    while len(rabi) < count:
-        b = rng.uniform(-5.0, 5.0, 3)
-        if b[0] == 0.0 and b[1] == 0.0 and b[2] == 0.0:
-            continue
-        rabi.append(reference_rabi(b, rng.uniform(0.0, 10.0)))
+    rabi = [reference_rabi(rng.uniform(-5.0, 5.0, 3), rng.uniform(0.0, 10.0))
+            for _ in range(count)]
     return [worst_deviation(devs).hex() for devs in (hom, assoc, rabi)]
 
 
@@ -250,13 +246,13 @@ coefficient = st.one_of(
     signed(st.floats(-5.0, 200.0).map(lambda e: 10.0 ** e)),
 )
 coefficient_rows = st.lists(coefficient, min_size=8, max_size=8)
-# nonzero fields of the suite's range and beyond, up to where the rotor's
-# phase overflows (|h| t from about 1.3e154), keeping q |B| t finite
+# fields of the suite's range (zero included) and beyond, up to where the
+# rotor's phase overflows (|h| t from about 1.3e154), keeping q |B| t finite
 field_component = st.one_of(
     st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
     signed(st.floats(-300.0, 150.0).map(lambda e: 10.0 ** e)),
 )
-field_rows = st.tuples(field_component, field_component, field_component).filter(any)
+field_rows = st.tuples(field_component, field_component, field_component)
 
 
 class TestBatchedSuitesMatchPerDraw:
@@ -295,6 +291,18 @@ class TestBatchedSuitesMatchPerDraw:
             reference_run_all(11, count))
 
 
+def test_homomorphism_sees_every_sign_flip(monkeypatch):
+    # the tamper check: a single wrong sign in the product's term list
+    for term in range(64):
+        flipped = algebra._TERM_SIGN.copy()
+        flipped[term] = -flipped[term]
+        monkeypatch.setattr(algebra, "_TERM_SIGN", flipped)
+        result = suite_homomorphism(np.random.default_rng(term), 5)
+        assert not result.passed, f"term {term}: worst={result.worst:.3e}"
+    monkeypatch.undo()
+    assert suite_homomorphism(np.random.default_rng(0), 5).passed
+
+
 class StubRng:
     """Hands out the given blocks in turn and records the sizes asked for."""
 
@@ -309,24 +317,20 @@ class StubRng:
         return self.blocks.pop(0)
 
 
-class TestRabiTopUp:
-    # the first block has two zero fields (one of them -0.0); the first
-    # top-up has one more, so a second top-up of one row follows
-    FIRST = [[0.5, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 2.0], [1.0, 1.0, 1.0, 3.0],
+class TestRabiDraws:
+    # two zero fields, one of them with a -0.0
+    BLOCK = [[0.5, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 2.0], [1.0, 1.0, 1.0, 3.0],
              [0.0, -0.0, 0.0, 4.0]]
-    TOP_UPS = ([[0.0, 0.0, 0.0, 5.0], [0.0, 2.0, 0.0, 6.0]], [[-1.5, 0.0, 2.0, 7.0]])
-    KEPT = [[0.5, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 3.0], [0.0, 2.0, 0.0, 6.0],
-            [-1.5, 0.0, 2.0, 7.0]]
 
-    def test_zero_fields_are_drawn_again_after_the_block(self):
-        rng = StubRng(self.FIRST, *self.TOP_UPS)
-        assert _field_draws(rng, 4).tolist() == self.KEPT
-        assert rng.sizes == [(4, 4), (2, 4), (1, 4)]
-
-    def test_suite_runs_on_the_kept_rows(self):
-        result = suite_rabi_triangle(StubRng(self.FIRST, *self.TOP_UPS), 4)
-        expected = worst_deviation([reference_rabi(row[:3], row[3]) for row in self.KEPT])
+    def test_one_block_and_zero_fields_are_valid(self):
+        rng = StubRng(self.BLOCK)
+        result = suite_rabi_triangle(rng, 4)
+        assert rng.sizes == [(4, 4)]
+        expected = worst_deviation([reference_rabi(row[:3], row[3]) for row in self.BLOCK])
         assert (result.count, result.worst.hex()) == (4, expected.hex())
+        # closed form, rotor route and matrix route all give probability 0
+        gaps = _rabi_devs(np.array(self.BLOCK))
+        assert gaps[[1, 3]].tolist() == [[0.0, 0.0, 0.0]] * 2
 
 
 check_fields = st.one_of(

@@ -22,7 +22,6 @@ from gatss.matrixqm import (
     evolve_matrix,
     expectation_matrix,
     is_hermitian,
-    is_unitary,
     mat_exp,
     pauli,
     probability_matrix,
@@ -142,17 +141,6 @@ class TestChecks:
         assert is_hermitian(np.array([[1.0, 2 + 1j], [2 - 1j, -3.0]]))
         assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_is_unitary(self):
-        assert is_unitary(I2)
-        assert is_unitary(np.array([[0, 1], [1, 0]], dtype=complex))
-        theta = 0.4
-        u = np.array(
-            [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]],
-            dtype=complex,
-        )
-        assert is_unitary(u)
-        assert not is_unitary(2.0 * I2)
-
 
 class TestEigenHermitian:
     def test_sigma3(self):
@@ -220,7 +208,7 @@ class TestMatExp:
         for _ in range(200):
             h = random_hermitian(rng)
             u = mat_exp(-1j * h * rng.uniform(0, 10))
-            assert is_unitary(u)
+            assert np.max(np.abs(u @ u.conj().T - I2)) <= 1e-10
 
     def test_det_one_for_traceless(self):
         rng = np.random.default_rng(31)
@@ -239,10 +227,6 @@ class TestMatExp:
             lhs = mat_exp(-1j * h * (s + t))
             rhs = mat_exp(-1j * h * s) @ mat_exp(-1j * h * t)
             assert np.max(np.abs(lhs - rhs)) <= 1e-11
-
-    def test_order_floor(self):
-        with pytest.raises(ValueError):
-            mat_exp(np.zeros((2, 2)), order=11)
 
     def test_shape_check(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from gatss.algebra import (
     Rotor,
     commutator,
     gp,
+    hodge_dual,
     norm,
     reverse,
     rotor_axis_angle,
@@ -26,6 +27,7 @@ from gatss.algebra import (
     vector,
 )
 from gatss.spinor import basis_eps, from_amplitudes, inner, left_mul, to_amplitudes
+from per_row_oracle import hexes
 from gatss.twostate import (
     EigenSystem,
     FieldConfig,
@@ -38,11 +40,11 @@ from gatss.twostate import (
     polar_angles,
     _norm3,
     polar_state,
-    precession_trajectory,
     probability,
     rabi_probability,
     spin_vectors,
     _BLOCK_ROWS,
+    _coupling_rows,
     trajectory,
     u_vector_closed_form,
 )
@@ -277,6 +279,17 @@ class TestEigensystem:
         assert es.psi_plus == EPS_PLUS and es.psi_minus == EPS_MINUS
         assert es.rotor.mv == ONE
 
+    def test_builds_the_azimuth_rotor_once(self, monkeypatch):
+        calls = []
+
+        def counted(axis, angle):
+            calls.append(axis)
+            return rotor_axis_angle(axis, angle)
+
+        monkeypatch.setattr("gatss.twostate.rotor_axis_angle", counted)
+        eigensystem(H_EXAMPLE)
+        assert calls == [E3, E2, E2]
+
 
 class TestFieldCoupling:
     def test_unit_axial_field(self):
@@ -290,6 +303,17 @@ class TestFieldCoupling:
     def test_parameter_scaling(self):
         h = hamiltonian_from_field(FieldConfig(B=(2.0, -4.0, 6.0), q=3.0, m=2.0, hbar=0.5))
         assert h == Hamiltonian(0.0, (-0.75, 1.5, -2.25))
+
+    def test_rows_match_the_object_coupling(self):
+        rng = np.random.default_rng(67)
+        fields = rng.uniform(-5.0, 5.0, (20, 3))
+        fields[0] = (0.0, -0.0, 0.0)
+        q, m, hbar = 1.5, 0.7, 0.9
+        h_rows, bivectors = _coupling_rows(fields, q, m, hbar)
+        for b, h_row, bivector in zip(fields, h_rows, bivectors):
+            h = hamiltonian_from_field(FieldConfig(B=tuple(b), q=q, m=m, hbar=hbar))
+            assert hexes(h_row) == hexes(h.as_multivector().coeffs)
+            assert hexes(bivector) == hexes(hodge_dual(h.vector_part()).coeffs)
 
 
 class TestEvolutionRotor:
@@ -492,25 +516,28 @@ class TestRabi:
             assert abs(probability(EPS_MINUS, psi_t) - rabi_probability(cfg, t)) <= 1e-12
 
 
-class TestPrecession:
-    def test_rejects_transverse_field(self):
-        with pytest.raises(ValueError):
-            precession_trajectory(0.5, FieldConfig(B=(1.0, 0.0, 1.0)), [0.0])
+def spin_rows(theta0, cfg, grid):
+    """(t, <S1>, <S2>, <S3>) rows of the state tilted by theta0 in the e3 e1
+    plane, evolved in cfg."""
+    table = trajectory(cfg, polar_state(theta0), grid)
+    return list(zip(table["t"], table["s1"], table["s2"], table["s3"]))
 
+
+class TestPrecession:
     def test_closed_form(self):
         for b3, hbar in ((1.0, 1.0), (3.0, 1.0), (0.5, 0.7)):
             cfg = FieldConfig(B=(0.0, 0.0, b3), hbar=hbar)
             theta0 = 0.9
             w = cfg.omega_axial
             grid = np.linspace(0.0, 10.0, 101)
-            for t, s1, s2, s3 in precession_trajectory(theta0, cfg, grid):
+            for t, s1, s2, s3 in spin_rows(theta0, cfg, grid):
                 assert abs(s1 - 0.5 * hbar * math.sin(theta0) * math.cos(w * t)) <= 1e-12
                 assert abs(s2 + 0.5 * hbar * math.sin(theta0) * math.sin(w * t)) <= 1e-12
                 assert abs(s3 - 0.5 * hbar * math.cos(theta0)) <= 1e-12
 
     def test_pole_is_stationary(self):
         cfg = FieldConfig(B=(0.0, 0.0, 2.0))
-        for t, s1, s2, s3 in precession_trajectory(0.0, cfg, [0.0, 1.0, 2.0]):
+        for t, s1, s2, s3 in spin_rows(0.0, cfg, [0.0, 1.0, 2.0]):
             assert abs(s1) <= 1e-15 and abs(s2) <= 1e-15
             assert abs(s3 - 0.5) <= 1e-15
 
