@@ -7,11 +7,13 @@ blade basis
 
 (note the canonical fifth blade is e31, not e13).  The geometric product of
 two basis blades is always a third blade times +/-1, so a full product is
-64 signed terms, listed once from the generator relations e_i^2 = +1 and
-e_i e_j = -e_j e_i; blade arithmetic therefore stays exact in floating
-point.  Both products read that one list: `gp` on the eight Python floats
-a Multivector holds, and `_gp_rows` on blocks of coefficient rows, summing
-the terms in the same order, so the two agree bit for bit.
+64 signed terms, listed once from blade bitmasks (Dorst, Fontijne & Mann,
+2007): the product's blade is the XOR of the two generator masks, and its
+sign counts the swaps e_i e_j = -e_j e_i that sort the generators; blade
+arithmetic therefore stays exact in floating point.  Both products read
+that one list: `gp` on the eight Python floats a Multivector holds, and
+`_gp_rows` on blocks of coefficient rows, summing the terms in the same
+order, so the two agree bit for bit.
 
 The pseudoscalar e123 commutes with everything and squares to -1.
 Multiplying by it (the Hodge dual) swaps vectors with bivectors and scalars
@@ -22,7 +24,7 @@ role of a complex amplitude elsewhere in the package.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,8 +56,10 @@ __all__ = [
 
 BLADE_NAMES = ("1", "e1", "e2", "e3", "e23", "e31", "e12", "e123")
 
-# Generator factors of each basis blade, written in canonical order.
-_BLADE_FACTORS = ((), (1,), (2,), (3,), (2, 3), (3, 1), (1, 2), (1, 2, 3))
+# Generator bitmask of each blade (e1 = 1, e2 = 2, e3 = 4), and the sign of
+# its canonical spelling against ascending generators: e31 = -e1 e3.
+_BLADE_BITS = (0, 1, 2, 4, 6, 5, 3, 7)
+_SPELLING = (1, 1, 1, 1, 1, -1, 1, 1)
 
 _GRADE_INDICES = {0: (0,), 1: (1, 2, 3), 2: (4, 5, 6), 3: (7,)}
 
@@ -68,46 +72,20 @@ _SQUARES_IN_RANGE = 1e150
 _EXP_SERIES_CUTOFF = 1e-8
 
 
-def _reduce_word(factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    """Sort a generator word to ascending order, tracking the sign picked up
-    from anticommutation and cancelling squared generators."""
-    seq = list(factors)
-    sign = 1
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(seq) - 1:
-            if seq[i] == seq[i + 1]:
-                del seq[i:i + 2]
-                changed = True
-            elif seq[i] > seq[i + 1]:
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                sign = -sign
-                changed = True
-            else:
-                i += 1
-    return sign, tuple(seq)
-
-
 def _product_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 64 signed terms of the geometric product, term-major: entry
     8 i + k is blade k's term sign * a[i] b[j], the one whose left factor is
     blade i.  Returns the arrays of i, j and sign."""
-    # canonical[word] = (blade index, sign relating the ascending word to
-    # that blade's canonical spelling), e.g. e1 e3 = -e31.
-    canonical: dict[tuple[int, ...], tuple[int, int]] = {}
-    for idx, factors in enumerate(_BLADE_FACTORS):
-        s, word = _reduce_word(factors)
-        canonical[word] = (idx, s)
     right = np.zeros(64, dtype=int)
     sign = np.zeros(64)
-    for i in range(8):
-        for j in range(8):
-            s, word = _reduce_word(_BLADE_FACTORS[i] + _BLADE_FACTORS[j])
-            k, cs = canonical[word]
+    for i, a in enumerate(_BLADE_BITS):
+        for j, b in enumerate(_BLADE_BITS):
+            # squared generators cancel; each generator of b moves left past
+            # every higher one of a, anticommuting once per swap
+            k = _BLADE_BITS.index(a ^ b)
+            swaps = sum(bin(a >> n & b).count("1") for n in (1, 2))
             right[8 * i + k] = j
-            sign[8 * i + k] = s * cs
+            sign[8 * i + k] = (-1) ** swaps * _SPELLING[i] * _SPELLING[j] * _SPELLING[k]
     return np.repeat(np.arange(8), 8), right, sign
 
 
@@ -178,7 +156,7 @@ class Multivector:
         return list(self._c)
 
     def __getitem__(self, idx: int) -> float:
-        return float(self.coeffs[idx])
+        return self._c[idx]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multivector):
@@ -281,6 +259,11 @@ def _gp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for n in range(1, 8):
         out += terms[..., n, :]
     return out
+
+
+def _finite_rows(*blocks: np.ndarray) -> np.ndarray:
+    """Rows finite in every (N, 8) block: Multivector's check, row by row."""
+    return np.isfinite(np.hstack(blocks)).all(axis=1)
 
 
 def grade(a: Multivector, k: int) -> Multivector:

@@ -31,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixqm
-from .algebra import _gp_rows, commutator, hodge_dual
+from .algebra import _finite_rows, _gp_rows, commutator, hodge_dual
 from .spinor import AlgebraicSpinor, basis_eps, left_mul
 from .twostate import (
-    _BLOCK_ROWS,
     EigenSystem,
     FieldConfig,
     Hamiltonian,
@@ -42,6 +41,7 @@ from .twostate import (
     _evolution_rows,
     _probability_rows,
     _rabi,
+    _row_blocks,
     hamiltonian_from_field,
     rabi_probability,
     spin_vectors,
@@ -97,16 +97,7 @@ def worst_deviation(deviations) -> float:
 def _worst_by_block(devs_of, draws: np.ndarray) -> float:
     """worst_deviation of devs_of(draws), computed over blocks of rows so
     that memory stays flat however many draws there are."""
-    return worst_deviation([
-        worst_deviation(devs_of(draws[start:start + _BLOCK_ROWS]))
-        for start in range(0, len(draws), _BLOCK_ROWS)
-    ])
-
-
-def _finite_rows(*blocks: np.ndarray) -> np.ndarray:
-    """Rows of (N, 8) coefficient blocks that are finite in every block: the
-    check each Multivector of a per-draw computation makes."""
-    return np.isfinite(np.hstack(blocks)).all(axis=1)
+    return worst_deviation([worst_deviation(devs_of(block)) for block in _row_blocks(draws)])
 
 
 def suite_homomorphism(rng: np.random.Generator, count: int) -> SuiteResult:
@@ -253,17 +244,15 @@ def trajectory_deviations(
     # rows p_plus, p_minus, s1, s2, s3 of the oracle, one column per time
     blocks = [np.empty((5, 0))]
     with np.errstate(all="ignore"):
-        for start in range(0, len(t), _BLOCK_ROWS):
-            col_t = matrixqm.evolve_matrix(psi0_col, h_mat, t[start:start + _BLOCK_ROWS],
-                                           cfg.hbar)
+        for block in _row_blocks(t):
+            col_t = matrixqm.evolve_matrix(psi0_col, h_mat, block, cfg.hbar)
             blocks.append([matrixqm.probability_matrix(e, col_t) for e in basis_cols]
                           + [matrixqm.expectation_matrix(s, col_t) for s in s_mats])
     oracle = np.hstack(blocks)
-    u_ref = u_vector_closed_form(cfg, t) if cfg.b_norm > 0.0 else np.array([[0.0], [0.0], [1.0]])
     refs = (
         ("dev_p", ("p_plus", "p_minus"), oracle[:2]),
         ("dev_s", ("s1", "s2", "s3"), oracle[2:]),
-        ("dev_u", ("u1", "u2", "u3"), u_ref),
+        ("dev_u", ("u1", "u2", "u3"), u_vector_closed_form(cfg, t)),
     )
     return {
         dev: np.max(np.abs(np.array([table[c] for c in columns]) - ref), axis=0,

@@ -109,9 +109,6 @@ class AlgebraicSpinor:
             complex(float(cp[0]), float(cp[1])), complex(float(cm[0]), float(cm[1]))
         )
 
-    def allclose(self, other: "AlgebraicSpinor", tol: float = 1e-12) -> bool:
-        return self._mv.allclose(other._mv, tol)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraicSpinor):
             return NotImplemented

@@ -20,7 +20,6 @@ projections and reproduce the usual closed forms.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from .algebra import (
     Rotor,
     _bivector_angle,
     _exp_bivector_rows,
+    _finite_rows,
     _gp_rows,
     exp_bivector,
     gp,
@@ -115,11 +115,6 @@ class Hamiltonian:
     def as_multivector(self) -> Multivector:
         return Multivector((self.h0, *self.h, 0.0, 0.0, 0.0, 0.0))
 
-    def split_scalar(self) -> tuple[float, "Hamiltonian"]:
-        """(h0, vector-only Hamiltonian); the scalar part only ever
-        contributes a center phase exp(-e123 h0 t / hbar) to evolution."""
-        return self.h0, Hamiltonian(0.0, self.h)
-
 
 @dataclass(frozen=True)
 class FieldConfig:
@@ -158,10 +153,6 @@ class FieldConfig:
     def omega_axial(self) -> float:
         """Signed precession frequency q B3 / m for an axial field."""
         return self.q * self.B[2] / self.m
-
-    def alpha(self, t: float) -> float:
-        """Accumulated precession angle q |B| t / m."""
-        return self.q * self.b_norm * float(t) / self.m
 
 
 @dataclass(frozen=True)
@@ -236,12 +227,14 @@ def _coupling_rows(B, q: float, m: float, hbar: float) -> tuple[np.ndarray, np.n
     return h, _gp_rows(E123.coeffs, h)
 
 
-# Error messages shared by the object API and trajectory's row kernel.
+# Error messages shared by the object API, trajectory's row kernel and the
+# closed forms.
 _BAD_TIME = "need finite t and positive finite hbar"
 _PHASE_OVERFLOW = (
     "phase |h| t / hbar overflows at t = {t!r}: the rotor exponential needs "
     "it below about 1.3e154"
 )
+_ANGLE_NOT_FINITE = "precession angle q |B| t / m is not finite at t = {t!r}"
 _PSI0_NOT_NORMALIZED = "initial state must be normalized"
 _STATES_NOT_NORMALIZED = "both states must be normalized"
 
@@ -250,13 +243,12 @@ def evolution_rotor(h: Hamiltonian, t: float, hbar: float = 1.0) -> Rotor:
     """Time evolution rotor U(t) = exp_bivector(-(t/hbar) e123 h).
 
     Requires a pure-vector Hamiltonian.  A nonzero h0 would only add the
-    center phase exp(-e123 h0 t / hbar), which is not a rotor; use
-    Hamiltonian.split_scalar() and apply that phase to the amplitudes
-    separately.
+    center phase exp(-e123 h0 t / hbar), which is not a rotor; evolve under
+    Hamiltonian(0.0, h.h) and apply that phase to the amplitudes separately.
     """
     if h.h0 != 0.0:
         raise ValueError(
-            "evolution_rotor needs h0 = 0; split_scalar() the Hamiltonian and "
+            "evolution_rotor needs h0 = 0; evolve under Hamiltonian(0.0, h.h) and "
             "carry exp(-e123 h0 t / hbar) on the amplitudes instead"
         )
     if not math.isfinite(float(t)) or not math.isfinite(float(hbar)) or hbar <= 0.0:
@@ -312,7 +304,10 @@ def _rabi(B: tuple[float, float, float], q: float, m: float, t: float) -> float:
     if b == 0.0:
         return 0.0
     sin_theta = math.hypot(B[0], B[1]) / b
-    return 0.5 * sin_theta * sin_theta * (1.0 - math.cos(q * b / m * t))
+    alpha = q * b / m * t
+    if not math.isfinite(alpha):
+        raise ValueError(_ANGLE_NOT_FINITE.format(t=t))
+    return 0.5 * sin_theta * sin_theta * (1.0 - math.cos(alpha))
 
 
 def polar_state(theta: float, phi: float = 0.0) -> AlgebraicSpinor:
@@ -326,6 +321,12 @@ def polar_state(theta: float, phi: float = 0.0) -> AlgebraicSpinor:
 # oracle checks in conformance): their temporaries are a few (rows, 64)
 # arrays, so memory stays flat however long the grid or the draw is.
 _BLOCK_ROWS = 512
+
+
+def _row_blocks(rows):
+    """Consecutive slices of at most _BLOCK_ROWS rows, for the row kernels."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        yield rows[start:start + _BLOCK_ROWS]
 
 
 def trajectory(
@@ -349,8 +350,7 @@ def trajectory(
     }
     _, bivector = _coupling_rows(cfg.B, cfg.q, cfg.m, cfg.hbar)
     spins = [op.coeffs for op in spin_vectors(cfg.hbar)]
-    times = iter(t_grid)
-    while (t := np.fromiter(map(float, itertools.islice(times, _BLOCK_ROWS)), float)).size:
+    for t in _row_blocks(np.fromiter(map(float, t_grid), float)):
         with np.errstate(all="ignore"):
             block = _trajectory_block(cfg, psi0, bivector, spins, t)
         for column, values in zip(table.values(), block):
@@ -368,7 +368,7 @@ def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
     products = [_probability_rows(eps, psi) for eps in (eps_plus, eps_minus)]
     products += [_gp_rows(psi_rev, _gp_rows(op, psi)) for op in spins]
     axis = _gp_rows(_gp_rows(rotor, E3.coeffs), rotor * _REVERSION_SIGNS)
-    checks.append((~np.isfinite(np.hstack([*products, axis])).all(axis=1), _NOT_FINITE))
+    checks.append((~_finite_rows(*products, axis), _NOT_FINITE))
     failed = np.array([mask for mask, _ in checks])
     if failed.any():
         row = int(np.argmax(failed.any(axis=0)))
@@ -393,11 +393,11 @@ def _evolution_rows(psi0, bivector, t, hbar):
     psi = _gp_rows(rotor, psi0.mv.coeffs)
     checks = [
         (~np.isfinite(t), _BAD_TIME),
-        (~np.isfinite(exponent).all(axis=1), _NOT_FINITE),
+        (~_finite_rows(exponent), _NOT_FINITE),
         (~np.isfinite(theta), _PHASE_OVERFLOW),
         (rotor_dev > UNIT_TOL, _NOT_UNIT),
         (np.full(t.shape, not psi0.is_normalized()), _PSI0_NOT_NORMALIZED),
-        (~np.isfinite(psi).all(axis=1), _NOT_FINITE),
+        (~_finite_rows(psi), _NOT_FINITE),
         (~_is_normalized_rows(psi), _STATES_NOT_NORMALIZED),
     ]
     return rotor, rotor_dev, psi, checks
@@ -417,19 +417,22 @@ def u_vector_closed_form(cfg: FieldConfig, t):
         u2 = (B2 cos th (1 - cos a) + B1 sin a) / |B|
         u3 = cos^2 th + sin^2 th cos a
 
-    i.e. e3 swept clockwise about the field axis, matching the sandwich
-    route exactly up to roundoff.  t may also be an array of times, which
-    gives arrays u1, u2, u3, each entry equal to the call at that time."""
+    i.e. e3 swept clockwise about the field axis (e3 itself in zero field),
+    matching the sandwich route up to roundoff.  t may also be an array of
+    times, giving arrays u1, u2, u3 with each entry the call at that time;
+    a non-finite alpha raises ValueError naming the first such t."""
     b = cfg.b_norm
-    if b == 0.0:
-        raise ValueError("u(t) needs a nonzero field")
     b1, b2, b3 = cfg.B
-    # cfg.alpha(t), by the same float operations
-    alpha = cfg.q * b * np.asarray(t, dtype=float) / cfg.m
+    t = np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):
+        alpha = cfg.q * b * t / cfg.m
+    bad = t[~np.isfinite(alpha)]
+    if bad.size:
+        raise ValueError(_ANGLE_NOT_FINITE.format(t=float(bad[0])))
     if not sys.float_info.min <= b * b < math.inf:
-        # the squares below would leave the normal range; only the
-        # field's direction enters them
-        b1, b2, b3, b = b1 / b, b2 / b, b3 / b, 1.0
+        # the squares below would leave the normal range; only the field's
+        # direction enters them, e3 for a zero field (where alpha is 0)
+        b1, b2, b3, b = (b1 / b, b2 / b, b3 / b, 1.0) if b else (0.0, 0.0, 1.0, 1.0)
     cos_th = b3 / b
     sin_th2 = (b1 * b1 + b2 * b2) / (b * b)
     # the C library's cos and sin, one angle at a time

@@ -525,6 +525,14 @@ class TestMultivectorType:
             # a fresh array on each access
             assert a.coeffs is not c
 
+    def test_index_reads_one_float(self):
+        for kind in (list, tuple, np.array):
+            m = Multivector(kind([1, -2, 3.5, -0.0, 0.25, -6, 7, 8]))
+            for idx, value in ((3, -0.0), (-1, 8.0), (np.int64(2), 3.5)):
+                assert type(m[idx]) is float and m[idx].hex() == value.hex()
+            with pytest.raises(IndexError):
+                m[8]
+
     def test_json_round_trip(self):
         a = Multivector([1, -2, 3.5, 0, 0.25, -6, 7, 8])
         blob = json.dumps(a.to_json())

@@ -441,6 +441,27 @@ class TestConformance:
 
 
 class TestParsing:
+    @pytest.mark.parametrize("argv, config, code, err", [
+        (["evolve", "--steps=2"], {"q": "abc"}, 1, "q must be a number, got 'abc'"),
+        (["evolve", "--steps=2"], {"q": "inf"}, 1, "q must be finite"),
+        (["evolve"], {"steps": True}, 1, "steps must be an integer"),
+        (["evolve"], {"steps": 2.5}, 1, "steps must be an integer, got 2.5"),
+        (["evolve"], {"steps": "3"}, 1, "steps must be an integer, got '3'"),
+        (["evolve", "--steps=2"], {"format": "xml"}, 1, 'format must be "csv" or "json"'),
+        (["evolve", "--steps=2", "--B=1,nan,0"], {}, 1, "--B must be finite"),
+        (["diag", "--h=0,1,inf,0"], {}, 1, "--h must be finite"),
+        (["evolve"], {"steps": 3.0}, 0, None),
+    ])
+    def test_config_and_flag_casts(self, capsys, tmp_path, argv, config, code, err):
+        path = tmp_path / "c.json"
+        base = {"B": [0, 0, 1], "t_end": 1} if argv[0] == "evolve" else {}
+        path.write_text(json.dumps(base | config))
+        result = run_cli(capsys, argv + ["--config", str(path)])
+        if err is None:
+            assert result[0] == code and result[2] == "" and len(result[1].splitlines()) == 4
+        else:
+            assert result == (code, "", f"gatss {argv[0]}: error: {err}\n")
+
     def test_no_subcommand(self, capsys):
         assert run_cli(capsys, [])[0] == 1
 

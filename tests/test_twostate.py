@@ -77,11 +77,6 @@ class TestHamiltonianType:
         assert h.vector_part().coeffs.tolist() == [0, 3, 0, 4, 0, 0, 0, 0]
         assert h.as_multivector().coeffs.tolist() == [2, 3, 0, 4, 0, 0, 0, 0]
 
-    def test_split_scalar(self):
-        h0, hv = Hamiltonian(1.5, (0.2, -0.3, 0.4)).split_scalar()
-        assert h0 == 1.5
-        assert hv == Hamiltonian(0.0, (0.2, -0.3, 0.4))
-
     def test_rejections(self):
         with pytest.raises(ValueError):
             Hamiltonian(0.0, (1.0, 2.0))
@@ -121,13 +116,11 @@ class TestFieldConfig:
         assert cfg.b_norm == 5.0
         assert cfg.omega == 5.0
         assert cfg.omega_axial == 4.0
-        assert cfg.alpha(2.0) == 10.0
 
     def test_scaling(self):
         cfg = FieldConfig(B=(0.0, 0.0, 6.0), q=-2.0, m=4.0, hbar=0.5)
         assert cfg.omega == -3.0
         assert cfg.omega_axial == -3.0
-        assert cfg.alpha(1.0) == -3.0
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -331,11 +324,6 @@ class TestEvolutionRotor:
         with pytest.raises(ValueError):
             evolution_rotor(Hamiltonian(1.0, (0.0, 0.0, 1.0)), 0.5)
 
-    def test_split_scalar_then_evolve(self):
-        h0, hv = Hamiltonian(1.0, (0.0, 0.0, 1.0)).split_scalar()
-        assert h0 == 1.0
-        evolution_rotor(hv, 0.5)
-
     def test_rejects_bad_time_or_hbar(self):
         h = Hamiltonian(0.0, (0.0, 0.0, 1.0))
         with pytest.raises(ValueError):
@@ -506,6 +494,26 @@ class TestRabi:
         for t in np.linspace(0, 10, 50):
             assert rabi_probability(cfg, t) == 0.0
 
+    @pytest.mark.parametrize("cfg, t, bad", [
+        (FieldConfig(B=(10.0, 0.0, 0.0)), 1e308, 1e308),  # the angle overflows
+        (FieldConfig(B=(1.0, 1.0, 0.0), q=1e300, m=1e-10), 1.0, 1.0),
+        (FieldConfig(B=(0.0, 3.0, 4.0)), math.inf, math.inf),
+        (FieldConfig(B=(0.0, 3.0, 4.0)), math.nan, math.nan),
+        (FieldConfig(B=(0.0, 0.0, 0.0)), [0.5, math.inf, math.nan], math.inf),  # 0 * inf
+        (FieldConfig(B=(10.0, 0.0, 0.0)), [1.0, -1e308, 1e308], -1e308),
+    ])
+    def test_closed_forms_name_a_non_finite_angle(self, cfg, t, bad):
+        message = f"precession angle q |B| t / m is not finite at t = {bad!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                u_vector_closed_form(cfg, t)
+            assert str(exc.value) == message
+            if cfg.b_norm > 0.0 and np.ndim(t) == 0:
+                with pytest.raises(ValueError) as exc:
+                    rabi_probability(cfg, t)
+                assert str(exc.value) == message
+
     def test_matches_rotor_route(self):
         rng = np.random.default_rng(61)
         for _ in range(100):
@@ -580,10 +588,12 @@ def u_vector(cfg, t):
 
 
 class TestUVector:
-    def test_zero_field_rejected(self):
-        cfg = FieldConfig(B=(0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            u_vector_closed_form(cfg, 1.0)
+    def test_zero_field_gives_e3(self):
+        for q in (1.0, -2.0):  # alpha is +0.0 or -0.0
+            cfg = FieldConfig(B=(0.0, 0.0, 0.0), q=q)
+            assert hexes(u_vector_closed_form(cfg, 1.0)) == hexes((0.0, 0.0, 1.0))
+            u = u_vector_closed_form(cfg, np.array([-2.0, 0.0, 3.5]))
+            assert hexes(np.concatenate(u)) == hexes([0.0] * 6 + [1.0] * 3)
 
     def test_initial_axis(self):
         cfg = FieldConfig(B=(1.0, 2.0, 3.0))
