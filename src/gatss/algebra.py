@@ -249,16 +249,25 @@ def _gp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geometric product row by row of coefficient blocks of shape (N, 8);
     either may be a single row of shape (8,), used for every row.
 
-    Each blade sums its eight signed terms in term-major order starting
-    from +0.0, as gp does, so every row equals gp of that row bit for bit,
-    signed zeros included.  Nothing is checked: rows may be inf or NaN.
+    The order contract: each blade is one reduction of its eight terms
+    a[i] b[j] in term-major order, starting from +0.0, as gp sums them; a
+    term's sign may sit on either factor, since a sign flip is exact.  So
+    every row equals gp of that row bit for bit, signed zeros included.
+    Nothing is checked: rows may be inf or NaN.
     """
-    terms = (a[..., _TERM_LEFT] * b[..., _TERM_RIGHT]) * _TERM_SIGN
-    terms = terms.reshape(terms.shape[:-1] + (8, 8))
-    out = 0.0 + terms[..., 0, :]
-    for n in range(1, 8):
-        out += terms[..., n, :]
-    return out
+    # each factor gathered once, into a fresh array the products overwrite;
+    # the signs (read here, so a changed _TERM_SIGN is seen) go on the
+    # smaller one
+    left, right = a[..., _TERM_LEFT], b[..., _TERM_RIGHT]
+    small, terms = (left, right) if left.size <= right.size else (right, left)
+    small *= _TERM_SIGN
+    if terms.shape[-small.ndim:] == small.shape:
+        terms *= small
+    else:
+        terms = terms * small
+    # the term axis is not the contiguous one, so numpy adds the eight
+    # terms in order rather than pairwise
+    return np.add.reduce(terms.reshape(terms.shape[:-1] + (8, 8)), axis=-2, initial=0.0)
 
 
 def _finite_rows(*blocks: np.ndarray) -> np.ndarray:
@@ -397,8 +406,8 @@ def _exp_bivector_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # the C library's cos and sin, as in exp_bivector: numpy's own may
     # differ from them in the last bit on some builds
     angles = np.where(finite, theta, 0.0).tolist()
-    cos = np.array([math.cos(x) for x in angles])
-    sin = np.array([math.sin(x) for x in angles])
+    cos = np.fromiter(map(math.cos, angles), float, len(angles))
+    sin = np.fromiter(map(math.sin, angles), float, len(angles))
     series = theta < _EXP_SERIES_CUTOFF
     theta2 = theta * theta
     out = np.zeros(c.shape)

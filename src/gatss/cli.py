@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -110,6 +111,8 @@ def _numbers(n: int):
 
 
 _FORMATS = ("csv", "json")
+# Rows of csv output formatted per write.
+_CSV_BLOCK_ROWS = 512
 _FLOAT = {"type": float}
 _INT = {"type": int}
 _REQUIRED = object()
@@ -281,10 +284,12 @@ def _cmd_evolve(s: dict[str, Any]) -> int:
 
     if s["format"] == "csv":
         print(",".join(table))
-        # one template per row, formatting each value as _fmt does
-        template = ",".join(["%.17g"] * len(table))
-        for row in zip(*table.values()):
-            print(template % row)
+        # one template per row, formatting each value as _fmt does, and one
+        # write per block of rows
+        template = ",".join(["%.17g"] * len(table)) + "\n"
+        rows = zip(*table.values())
+        while block := "".join(map(template.__mod__, itertools.islice(rows, _CSV_BLOCK_ROWS))):
+            sys.stdout.write(block)
     else:
         print(json.dumps(table, indent=2))
     for check in checks:

@@ -10,11 +10,12 @@ and deviation functions back the checks of `diag` and
 `worst_deviation` and decides with `SuiteResult.passed`, so a NaN
 deviation fails it.
 
-The three randomized suites draw all their values as one block per suite,
-the same stream of numbers that drawing them one at a time gives, and run
-on blocks of coefficient rows (`algebra._gp_rows`, `_exp_bivector_rows`)
-and stacked matrices (the oracle's (N, 2, 2) forms); so does the oracle
-side of `trajectory_deviations`.  Every deviation equals, bit for bit,
+The three randomized suites draw their values a block of rows at a time,
+the same stream of numbers that drawing them one at a time gives, so
+memory stays flat at any count.  They run on blocks of coefficient rows
+(`algebra._gp_rows`, `_exp_bivector_rows`) and stacked matrices (the
+oracle's (N, 2, 2) forms); so does the oracle side of
+`trajectory_deviations`.  Every deviation equals, bit for bit,
 what the per-draw objects give.  Each check those objects make (finite
 coefficients, unit rotors, normalized states, a Hermitian H, the oracle's
 state norm) is a mask: a draw or row that fails one has NaN deviations.
@@ -94,17 +95,21 @@ def worst_deviation(deviations) -> float:
     return float(np.max(np.asarray(deviations, dtype=float), initial=0.0))
 
 
-def _worst_by_block(devs_of, draws: np.ndarray) -> float:
-    """worst_deviation of devs_of(draws), computed over blocks of rows so
-    that memory stays flat however many draws there are."""
-    return worst_deviation([worst_deviation(devs_of(block)) for block in _row_blocks(draws)])
+def _worst_by_block(devs_of, count: int, draw) -> float:
+    """worst_deviation of devs_of over count draws, each block of rows
+    drawn by draw(rows) and checked before the next is drawn, so that
+    memory stays flat however many draws there are."""
+    worst = 0.0
+    for block in _row_blocks(range(count)):
+        worst = worst_deviation([worst, worst_deviation(devs_of(draw(len(block))))])
+    return worst
 
 
 def suite_homomorphism(rng: np.random.Generator, count: int) -> SuiteResult:
     """rep(a b) == rep(a) rep(b), entrywise, over random pairs."""
-    pairs = rng.uniform(-_COEFF_SPAN, _COEFF_SPAN, (count, 2, 8))
-    return SuiteResult("homomorphism", _worst_by_block(_homomorphism_devs, pairs),
-                       HOMOMORPHISM_TOL, count)
+    worst = _worst_by_block(_homomorphism_devs, count,
+                            lambda rows: rng.uniform(-_COEFF_SPAN, _COEFF_SPAN, (rows, 2, 8)))
+    return SuiteResult("homomorphism", worst, HOMOMORPHISM_TOL, count)
 
 
 def _homomorphism_devs(pairs: np.ndarray) -> np.ndarray:
@@ -120,9 +125,9 @@ def _homomorphism_devs(pairs: np.ndarray) -> np.ndarray:
 
 def suite_associativity(rng: np.random.Generator, count: int) -> SuiteResult:
     """(a b) c == a (b c), scaled by the product of coefficient norms."""
-    triples = rng.uniform(-_COEFF_SPAN, _COEFF_SPAN, (count, 3, 8))
-    return SuiteResult("associativity", _worst_by_block(_associativity_devs, triples),
-                       ASSOCIATIVITY_TOL, count)
+    worst = _worst_by_block(_associativity_devs, count,
+                            lambda rows: rng.uniform(-_COEFF_SPAN, _COEFF_SPAN, (rows, 3, 8)))
+    return SuiteResult("associativity", worst, ASSOCIATIVITY_TOL, count)
 
 
 def _associativity_devs(triples: np.ndarray) -> np.ndarray:
@@ -162,9 +167,9 @@ def suite_rabi_triangle(rng: np.random.Generator, count: int) -> SuiteResult:
     """Transition probability out of eps_plus agrees pairwise between the
     closed form, the rotor dynamics and the matrix dynamics, over fields
     from uniform(-5, 5) and times from uniform(0, 10)."""
-    draws = rng.uniform([-5.0, -5.0, -5.0, 0.0], [5.0, 5.0, 5.0, 10.0], (count, 4))
-    return SuiteResult("rabi_triangle", _worst_by_block(_rabi_devs, draws),
-                       RABI_TRIANGLE_TOL, count)
+    worst = _worst_by_block(_rabi_devs, count, lambda rows: rng.uniform(
+        [-5.0, -5.0, -5.0, 0.0], [5.0, 5.0, 5.0, 10.0], (rows, 4)))
+    return SuiteResult("rabi_triangle", worst, RABI_TRIANGLE_TOL, count)
 
 
 def _rabi_devs(draws: np.ndarray) -> np.ndarray:

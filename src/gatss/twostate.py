@@ -293,7 +293,9 @@ def probability(u_n: AlgebraicSpinor, psi: AlgebraicSpinor) -> float:
 def rabi_probability(cfg: FieldConfig, t: float) -> float:
     """Closed-form transition probability out of eps_plus in a static field:
     (1/2) sin^2(theta) (1 - cos(omega t)) with omega = q |B| / m and theta
-    the angle between B and e3.  Zero field gives identically zero."""
+    the angle between B and e3.  Zero field gives identically zero.  The
+    angle is formed as (q / m) |B| t where (q |B| / m) t is not finite,
+    and ValueError is raised if that is not finite either."""
     return _rabi(cfg.B, cfg.q, cfg.m, float(t))
 
 
@@ -306,7 +308,10 @@ def _rabi(B: tuple[float, float, float], q: float, m: float, t: float) -> float:
     sin_theta = math.hypot(B[0], B[1]) / b
     alpha = q * b / m * t
     if not math.isfinite(alpha):
-        raise ValueError(_ANGLE_NOT_FINITE.format(t=t))
+        # q |B| can overflow while the angle itself is finite
+        alpha = q / m * b * t
+        if not math.isfinite(alpha):
+            raise ValueError(_ANGLE_NOT_FINITE.format(t=t))
     return 0.5 * sin_theta * sin_theta * (1.0 - math.cos(alpha))
 
 
@@ -419,13 +424,16 @@ def u_vector_closed_form(cfg: FieldConfig, t):
 
     i.e. e3 swept clockwise about the field axis (e3 itself in zero field),
     matching the sandwich route up to roundoff.  t may also be an array of
-    times, giving arrays u1, u2, u3 with each entry the call at that time;
-    a non-finite alpha raises ValueError naming the first such t."""
+    times, giving arrays u1, u2, u3 with each entry the call at that time.
+    Where q |B| t / m is not finite, alpha is formed as (q / m) |B| t; if
+    that is not finite either, ValueError names the first such t."""
     b = cfg.b_norm
     b1, b2, b3 = cfg.B
     t = np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):
         alpha = cfg.q * b * t / cfg.m
+        # q |B| can overflow while the angle itself is finite
+        alpha = np.where(np.isfinite(alpha), alpha, cfg.q / cfg.m * b * t)
     bad = t[~np.isfinite(alpha)]
     if bad.size:
         raise ValueError(_ANGLE_NOT_FINITE.format(t=float(bad[0])))

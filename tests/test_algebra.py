@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gatss import matrixqm
 from gp_reference import TABLE as REFERENCE_TABLE
-from gp_reference import reference_gp
+from gp_reference import reference_gp, reference_gp_rows
 from gatss.algebra import (
     BLADE_NAMES,
     E1,
@@ -315,6 +315,48 @@ class TestRowKernels:
                 continue
             assert hex_rows(rotors[i]) == hex_rows(expected.mv.coeffs)
             assert dev[i] <= 1e-9
+
+
+def edge_block(rng, shape):
+    """Coefficients at magnitudes from 1e-5 to 1e5, a fifth of them signed
+    zeros, subnormals, infinities, NaN or magnitudes whose products
+    overflow or underflow."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 6, size=shape)
+    special = rng.random(shape) < 0.2
+    x[special] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                             math.inf, -math.inf, math.nan, 1e200, -1e200, 1e-200],
+                            size=int(special.sum()))
+    return x
+
+
+class TestRowProductAtScale:
+    """_gp_rows against the eight-step loop it replaced
+    (tests/gp_reference.py), by float.hex, at the row counts the row
+    kernels run (a conformance block of 75, an evolve call of 100, a full
+    block of 512 and beyond) and on every layout their callers pass."""
+
+    @pytest.mark.parametrize("rows", [75, 100, 512, 1000])
+    def test_row_product_is_the_loop(self, rows):
+        rng = np.random.default_rng(rows)
+        pairs = edge_block(rng, (rows, 2, 8))
+        a, b = pairs[:, 0], pairs[:, 1]  # strided views, as the suites pass
+        stack_a, stack_b = edge_block(rng, (3, rows, 8)), edge_block(rng, (3, rows, 8))
+        cases = [
+            (a, b),
+            (a[0], b),  # a single row on either side stands for every row
+            (a, b[0]),
+            (a[0], b[0]),
+            (np.ascontiguousarray(a), np.ascontiguousarray(b)),
+            (np.asfortranarray(a), np.asfortranarray(b)),
+            (stack_a, stack_b),
+            (stack_a, b),
+            (a[0], stack_b),
+        ]
+        with np.errstate(all="ignore"):
+            for x, y in cases:
+                got, expected = _gp_rows(x, y), reference_gp_rows(x, y)
+                assert got.shape == expected.shape
+                assert hex_rows(got) == hex_rows(expected)
 
 
 # Signed zeros, subnormals, values near the edges of the normal range, and

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatss.cli import main
+from gatss.cli import _CSV_BLOCK_ROWS, main
+from gatss.twostate import FieldConfig, polar_state, trajectory
 
 CSV_HEADER = "t,p_plus,p_minus,s1,s2,s3,u1,u2,u3"
 
@@ -223,6 +224,31 @@ class TestEvolve:
         assert code == 0
         assert "check-rabi: max_deviation = " in err
         assert "check-rabi" not in out
+
+    @pytest.mark.parametrize("flag", ["--check", "--check-rabi"])
+    def test_checks_where_q_b_overflows(self, capsys, flag):
+        # q |B| = 1e310 overflows, though the angle q |B| t / m is at most 10
+        argv = ["evolve", "--B=1e10,0,0", "--q=1e300", "--m=1e300", "--t-end=1e-9",
+                "--steps=3"]
+        plain = run_cli(capsys, argv)
+        code, out, err = run_cli(capsys, argv + [flag])
+        assert (plain[0], code) == (0, 0)
+        assert err.startswith(flag[2:] + ": max_deviation = ")
+        if flag == "--check-rabi":
+            assert out == plain[1]
+
+    def test_csv_rows_written_in_blocks(self, capsys):
+        # three blocks of csv rows, the last one partial
+        steps = 2 * _CSV_BLOCK_ROWS + 76
+        cfg = FieldConfig(B=(0.4, -1.1, 2.2), q=1.5, m=0.7, hbar=0.9)
+        table = trajectory(cfg, polar_state(0.7), np.linspace(-3.0, 40.0, steps))
+        code, out, err = run_cli(capsys, [
+            "evolve", "--B=0.4,-1.1,2.2", "--q=1.5", "--m=0.7", "--hbar=0.9", "--theta0=0.7",
+            "--t-start=-3", "--t-end=40", f"--steps={steps}"])
+        expected = CSV_HEADER + "\n" + "".join(
+            ",".join("%.17g" % value for value in row) + "\n" for row in zip(*table.values()))
+        assert (code, err) == (0, "")
+        assert out == expected
 
     def test_check_rabi_needs_field(self, capsys):
         code, out, err = run_cli(

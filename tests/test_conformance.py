@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,21 @@ class TestBatchedSuitesMatchPerDraw:
         count = _BLOCK_ROWS + 17
         assert [r.worst.hex() for r in run_all(11, count) if r.name != "commutators"] == (
             reference_run_all(11, count))
+
+
+def test_memory_flat_in_count():
+    # each suite draws and checks a block of rows at a time; drawing all
+    # 40,000 draws at once would hold about 8 MB
+    def peak(count):
+        tracemalloc.start()
+        try:
+            run_all(0, count)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_all(0, 1)  # numpy's lazy set-up, outside the measurement
+    assert peak(40_000) <= 1.1 * peak(2_000)
 
 
 def test_homomorphism_sees_every_sign_flip(monkeypatch):

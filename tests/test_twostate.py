@@ -514,6 +514,21 @@ class TestRabi:
                     rabi_probability(cfg, t)
                 assert str(exc.value) == message
 
+    def test_closed_forms_where_q_b_overflows(self):
+        # q |B| = 1e310 overflows, but q / m = 1 and the angle is |B| t <= 10:
+        # the closed forms take q / m first and give the q = m = 1 bits
+        big = FieldConfig(B=(1e10, 0.0, 0.0), q=1e300, m=1e300)
+        unit = FieldConfig(B=(1e10, 0.0, 0.0))
+        t = np.linspace(0.0, 1e-9, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hexes(np.concatenate(u_vector_closed_form(big, t))) == hexes(
+                np.concatenate(u_vector_closed_form(unit, t)))
+            for x in t.tolist():
+                assert hexes(u_vector_closed_form(big, x)) == hexes(u_vector_closed_form(unit, x))
+                assert rabi_probability(big, x).hex() == rabi_probability(unit, x).hex()
+        assert rabi_probability(big, 1e-9) > 0.9
+
     def test_matches_rotor_route(self):
         rng = np.random.default_rng(61)
         for _ in range(100):
