@@ -324,8 +324,10 @@ def polar_state(theta: float, phi: float = 0.0) -> AlgebraicSpinor:
 
 # Rows per block of the row kernels (trajectory here, the suites and the
 # oracle checks in conformance): their temporaries are a few (rows, 64)
-# arrays, so memory stays flat however long the grid or the draw is.
-_BLOCK_ROWS = 512
+# arrays, so memory stays flat however long the grid or the draw is.  At
+# 256 rows each is 128 KB; at 512 (256 KB), `conformance --count 20000`
+# took about five times the minor page faults on Linux with glibc.
+_BLOCK_ROWS = 256
 
 
 def _row_blocks(rows):

@@ -332,8 +332,8 @@ def edge_block(rng, shape):
 class TestRowProductAtScale:
     """_gp_rows against the eight-step loop it replaced
     (tests/gp_reference.py), by float.hex, at the row counts the row
-    kernels run (a conformance block of 75, an evolve call of 100, a full
-    block of 512 and beyond) and on every layout their callers pass."""
+    kernels run (a conformance call of 75 draws, an evolve call of 100
+    rows, full blocks and more) and on every layout their callers pass."""
 
     @pytest.mark.parametrize("rows", [75, 100, 512, 1000])
     def test_row_product_is_the_loop(self, rows):
