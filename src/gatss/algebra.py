@@ -270,6 +270,13 @@ def _gp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms.reshape(terms.shape[:-1] + (8, 8)), axis=-2, initial=0.0)
 
 
+def _map(f, *arrays) -> np.ndarray:
+    """f of Python floats (the C library's math.cos, not numpy's, which may
+    differ in the last bit on some builds) over arrays of one shape."""
+    values = map(f, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
+
+
 def _finite_rows(*blocks: np.ndarray) -> np.ndarray:
     """Rows finite in every (N, 8) block: Multivector's check, row by row."""
     return np.isfinite(np.hstack(blocks)).all(axis=1)
@@ -403,11 +410,8 @@ def _exp_bivector_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     b = c[:, 4:7]
     theta = np.sqrt(b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2])
     finite = theta < math.inf
-    # the C library's cos and sin, as in exp_bivector: numpy's own may
-    # differ from them in the last bit on some builds
-    angles = np.where(finite, theta, 0.0).tolist()
-    cos = np.fromiter(map(math.cos, angles), float, len(angles))
-    sin = np.fromiter(map(math.sin, angles), float, len(angles))
+    angles = np.where(finite, theta, 0.0)
+    cos, sin = _map(math.cos, angles), _map(math.sin, angles)
     series = theta < _EXP_SERIES_CUTOFF
     theta2 = theta * theta
     out = np.zeros(c.shape)

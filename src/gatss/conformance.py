@@ -41,10 +41,9 @@ from .twostate import (
     _coupling_rows,
     _evolution_rows,
     _probability_rows,
-    _rabi,
+    _rabi_rows,
     _row_blocks,
     hamiltonian_from_field,
-    rabi_probability,
     spin_vectors,
     u_vector_closed_form,
 )
@@ -179,7 +178,7 @@ def _rabi_devs(draws: np.ndarray) -> np.ndarray:
     a check of the rotor route or of the oracle has NaN in its gaps."""
     eps_plus, eps_minus = basis_eps()
     t = draws[:, 3]
-    p_closed = np.array([_rabi(row[:3], 1.0, 1.0, row[3]) for row in draws.tolist()])
+    p_closed = _rabi_rows(draws[:, :3], 1.0, 1.0, t)
     with np.errstate(all="ignore"):
         # hamiltonian_from_field, evolution_rotor, evolve, then probability
         h, bivector = _coupling_rows(draws[:, :3], 1.0, 1.0, 1.0)
@@ -269,7 +268,5 @@ def trajectory_deviations(
 def rabi_deviation(cfg: FieldConfig, table: dict[str, list[float]]) -> float:
     """Largest gap between the p_minus column of a trajectory out of
     eps_plus and the closed Rabi formula."""
-    return worst_deviation([
-        abs(p_minus - rabi_probability(cfg, t))
-        for t, p_minus in zip(table["t"], table["p_minus"])
-    ])
+    p_closed = _rabi_rows(cfg.B, cfg.q, cfg.m, table["t"])
+    return worst_deviation(np.abs(np.array(table["p_minus"]) - p_closed))

@@ -140,12 +140,20 @@ def eigen_hermitian(h: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.nda
     come from the characteristic polynomial via trace and determinant, and
     each eigenvector's phase is fixed so its first nonzero component is
     real and positive.
+
+    H is first multiplied by a power of two that brings its largest real
+    or imaginary part into [1/2, 1) (by at most 2^1021 for a subnormal H),
+    which is exact, so that the squares below neither overflow nor
+    underflow; the values are scaled back.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {h.shape}")
     if not is_hermitian(h):
         raise ValueError("matrix is not Hermitian")
+    _, k = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in h.ravel().tolist()))
+    scale = math.ldexp(1.0, -max(k, -1021))
+    h = h * scale
     half_tr = (h[0, 0] + h[1, 1]).real / 2.0
     det = (h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]).real
     disc = half_tr * half_tr - det
@@ -172,7 +180,7 @@ def eigen_hermitian(h: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.nda
         v_minus = np.array([0.0 + 0.0j, 1.0])
     elif d == 0.0:
         v_minus = np.array([-v_plus[1].conjugate(), v_plus[0].conjugate()])
-    return values, (v_plus, v_minus)
+    return values / scale, (v_plus, v_minus)
 
 
 # what a row that fails comes back as: NaN in both parts

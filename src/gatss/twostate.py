@@ -41,6 +41,7 @@ from .algebra import (
     _exp_bivector_rows,
     _finite_rows,
     _gp_rows,
+    _map,
     exp_bivector,
     gp,
     hodge_dual,
@@ -70,20 +71,18 @@ __all__ = [
 
 
 def _norm3(x: float, y: float, z: float) -> float:
-    """sqrt(x^2 + y^2 + z^2) over the whole finite range.
+    """sqrt(x^2 + y^2 + z^2) over the whole finite range, squaring with
+    x * x (Python's x ** 2 is C pow, not correctly rounded on every libm).
 
     In-range values take the plain sum of squares, so their bits do not
     depend on the rescaling; only a sum that overflows, or that falls below
     the normal range while a component is nonzero, is recomputed on the
     components divided by the largest magnitude (Blue, ACM TOMS 4, 1978).
     """
-    try:
-        s = x ** 2 + y ** 2 + z ** 2
-    except OverflowError:  # a Python float square out of range
-        s = math.inf
+    s = x * x + y * y + z * z
     if s == math.inf or (s < sys.float_info.min and (x or y or z)):
         big = max(abs(x), abs(y), abs(z))
-        return big * math.sqrt((x / big) ** 2 + (y / big) ** 2 + (z / big) ** 2)
+        return big * _norm3(x / big, y / big, z / big)  # a sum in [1, 3]
     return math.sqrt(s)
 
 
@@ -146,13 +145,13 @@ class FieldConfig:
 
     @property
     def omega(self) -> float:
-        """Transition angular frequency q |B| / m."""
-        return self.q * self.b_norm / self.m
+        """Transition angular frequency q |B| / m, the angle at t = 1."""
+        return float(_angle(self.q, self.b_norm, self.m, 1.0))
 
     @property
     def omega_axial(self) -> float:
         """Signed precession frequency q B3 / m for an axial field."""
-        return self.q * self.B[2] / self.m
+        return float(_angle(self.q, self.B[2], self.m, 1.0))
 
 
 @dataclass(frozen=True)
@@ -293,26 +292,38 @@ def probability(u_n: AlgebraicSpinor, psi: AlgebraicSpinor) -> float:
 def rabi_probability(cfg: FieldConfig, t: float) -> float:
     """Closed-form transition probability out of eps_plus in a static field:
     (1/2) sin^2(theta) (1 - cos(omega t)) with omega = q |B| / m and theta
-    the angle between B and e3.  Zero field gives identically zero.  The
-    angle is formed as (q / m) |B| t where (q |B| / m) t is not finite,
-    and ValueError is raised if that is not finite either."""
-    return _rabi(cfg.B, cfg.q, cfg.m, float(t))
+    the angle between B and e3, by `_rabi_rows`."""
+    return float(_rabi_rows(cfg.B, cfg.q, cfg.m, float(t)))
 
 
-def _rabi(B: tuple[float, float, float], q: float, m: float, t: float) -> float:
-    """rabi_probability on plain floats, for fields that are not a
-    FieldConfig."""
-    b = _norm3(*B)
-    if b == 0.0:
-        return 0.0
-    sin_theta = math.hypot(B[0], B[1]) / b
-    alpha = q * b / m * t
-    if not math.isfinite(alpha):
-        # q |B| can overflow while the angle itself is finite
-        alpha = q / m * b * t
-        if not math.isfinite(alpha):
-            raise ValueError(_ANGLE_NOT_FINITE.format(t=t))
-    return 0.5 * sin_theta * sin_theta * (1.0 - math.cos(alpha))
+def _rabi_rows(B, q: float, m: float, t) -> np.ndarray:
+    """rabi_probability for the rows and times _precession_rows takes; a
+    zero field gives 0 at any t, even where its angle would be 0 * inf."""
+    B = np.asarray(B, dtype=float)
+    b, cos_a, _ = _precession_rows(B, q, m, np.where(B.any(axis=-1), t, 0.0))
+    sin_theta = _map(math.hypot, B[..., 0], B[..., 1]) / np.where(b == 0.0, 1.0, b)
+    return 0.5 * sin_theta * sin_theta * (1.0 - cos_a)
+
+
+def _angle(q: float, b, m: float, t):
+    """The angle q |B| t / m for magnitudes b, as (q / m) |B| t where that
+    is not finite: q |B| can overflow while the angle itself does not."""
+    with np.errstate(all="ignore"):
+        alpha = q * b * t / m
+        return np.where(np.isfinite(alpha), alpha, q / m * b * t)
+
+
+def _precession_rows(B, q: float, m: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed forms' kernel: |B| of fields B, shape (3,) or (N, 3), and
+    the C library's cos and sin of the `_angle` at times t broadcast against
+    |B|; ValueError names the first t where the angle is not finite."""
+    t = np.asarray(t, dtype=float)
+    b = _map(_norm3, *np.asarray(B, dtype=float).T)
+    alpha = _angle(q, b, m, t)
+    bad = np.broadcast_to(t, alpha.shape)[~np.isfinite(alpha)]
+    if bad.size:
+        raise ValueError(_ANGLE_NOT_FINITE.format(t=float(bad[0])))
+    return b, _map(math.cos, alpha), _map(math.sin, alpha)
 
 
 def polar_state(theta: float, phi: float = 0.0) -> AlgebraicSpinor:
@@ -427,32 +438,20 @@ def u_vector_closed_form(cfg: FieldConfig, t):
     i.e. e3 swept clockwise about the field axis (e3 itself in zero field),
     matching the sandwich route up to roundoff.  t may also be an array of
     times, giving arrays u1, u2, u3 with each entry the call at that time.
-    Where q |B| t / m is not finite, alpha is formed as (q / m) |B| t; if
-    that is not finite either, ValueError names the first such t."""
-    b = cfg.b_norm
-    b1, b2, b3 = cfg.B
-    t = np.asarray(t, dtype=float)
-    with np.errstate(all="ignore"):
-        alpha = cfg.q * b * t / cfg.m
-        # q |B| can overflow while the angle itself is finite
-        alpha = np.where(np.isfinite(alpha), alpha, cfg.q / cfg.m * b * t)
-    bad = t[~np.isfinite(alpha)]
-    if bad.size:
-        raise ValueError(_ANGLE_NOT_FINITE.format(t=float(bad[0])))
+    The angle, and the ValueError naming the first t where it is not
+    finite, are _precession_rows'."""
+    b, ca, sa = _precession_rows(cfg.B, cfg.q, cfg.m, t)
+    b, (b1, b2, b3) = float(b), cfg.B
     if not sys.float_info.min <= b * b < math.inf:
         # the squares below would leave the normal range; only the field's
         # direction enters them, e3 for a zero field (where alpha is 0)
         b1, b2, b3, b = (b1 / b, b2 / b, b3 / b, 1.0) if b else (0.0, 0.0, 1.0, 1.0)
     cos_th = b3 / b
     sin_th2 = (b1 * b1 + b2 * b2) / (b * b)
-    # the C library's cos and sin, one angle at a time
-    angles = alpha.ravel().tolist()
-    ca = np.array([math.cos(x) for x in angles]).reshape(alpha.shape)
-    sa = np.array([math.sin(x) for x in angles]).reshape(alpha.shape)
     u1 = (b1 * cos_th * (1.0 - ca) - b2 * sa) / b
     u2 = (b2 * cos_th * (1.0 - ca) + b1 * sa) / b
     u3 = cos_th * cos_th + sin_th2 * ca
-    if alpha.ndim:
+    if ca.ndim:
         return u1, u2, u3
     return float(u1), float(u2), float(u3)
 

@@ -3,7 +3,13 @@ at a time, its halving count found by a while loop, its checks raising.
 
 The stacked forms in `gatss.matrixqm` must equal these row by row, bit for
 bit, and give NaN where these raise; the tests compare the two.
+
+Also the closed Rabi formula one draw at a time, in plain Python floats,
+for the closed forms' row kernel in `gatss.twostate`.
 """
+
+import math
+import sys
 
 import numpy as np
 
@@ -59,6 +65,33 @@ def reference_probability(u, psi):
     if not (reference_is_normalized(u) and reference_is_normalized(psi)):
         raise ValueError("states must be normalized")
     return float(abs(np.vdot(u, psi)) ** 2)
+
+
+def reference_norm3(x, y, z):
+    """sqrt(x^2 + y^2 + z^2), squaring with x * x; a sum out of the normal
+    range is recomputed on the components divided by the largest one."""
+    s = x * x + y * y + z * z
+    if s == math.inf or (s < sys.float_info.min and (x or y or z)):
+        big = max(abs(x), abs(y), abs(z))
+        x, y, z = x / big, y / big, z / big
+        return big * math.sqrt(x * x + y * y + z * z)
+    return math.sqrt(s)
+
+
+def reference_rabi_probability(B, q, m, t):
+    """(1/2) sin^2(theta) (1 - cos alpha) out of eps_plus, one field at a
+    time: 0 in a zero field at any t; otherwise alpha = q |B| t / m, or
+    (q / m) |B| t where that is not finite, and ValueError where neither is."""
+    b = reference_norm3(*B)
+    if b == 0.0:
+        return 0.0
+    sin_theta = math.hypot(B[0], B[1]) / b
+    alpha = q * b * t / m
+    if not math.isfinite(alpha):
+        alpha = q / m * b * t
+        if not math.isfinite(alpha):
+            raise ValueError(f"precession angle q |B| t / m is not finite at t = {t!r}")
+    return 0.5 * sin_theta * sin_theta * (1.0 - math.cos(alpha))
 
 
 def hexes(x):

@@ -64,12 +64,24 @@ class TestDiag:
         ("0,1e-200,0,1e-200", "1.414213562373095e-200"),
     ])
     def test_norm_over_the_whole_range(self, capsys, h, e_plus):
-        # the oracle's discriminant is not scaled yet, so its residuals
-        # may still fail the check (exit 2), but the norm no longer raises
+        # the absolute residual_eigen_relation still fails the check at
+        # 1e200 (exit 2), but the norm no longer raises
         code, out, err = run_cli(capsys, ["diag", f"--h={h}"])
         assert code in (0, 2) and err == ""
         assert out.splitlines()[0] == f"e_plus = {e_plus}"
         assert "degenerate = false" in out
+
+    @pytest.mark.parametrize("h, code", [("0,1e-200,0,1e-200", 0), ("0,1e200,1e200,0", 2)])
+    def test_oracle_scales_h(self, capsys, h, code):
+        # the oracle's eigensolver scales H by a power of two, so its
+        # residuals are at roundoff; the second input still exits 2 on the
+        # absolute residual_eigen_relation, about 8.5e183
+        got, out, err = run_cli(capsys, ["diag", f"--h={h}"])
+        lines = dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+        assert (got, err) == (code, "")
+        e_plus = float(lines["e_plus"])
+        assert float(lines["residual_oracle_eigenvalues"]) <= 1e-15 * e_plus
+        assert float(lines["residual_oracle_overlap"]) <= 1e-15
 
     def test_missing_h(self, capsys):
         code, out, err = run_cli(capsys, ["diag"])

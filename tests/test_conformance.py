@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gatss import algebra
+from gatss import algebra, conformance, twostate
 from gatss.algebra import Multivector, gp, norm
 from gatss.conformance import (
     SuiteResult,
@@ -39,7 +40,13 @@ from gatss.twostate import (
     trajectory,
     u_vector_closed_form,
 )
-from per_row_oracle import hexes, reference_evolve, reference_expectation, reference_probability
+from per_row_oracle import (
+    hexes,
+    reference_evolve,
+    reference_expectation,
+    reference_probability,
+    reference_rabi_probability,
+)
 
 EPS_PLUS, EPS_MINUS = basis_eps()
 TILTED = FieldConfig(B=(0.4, -1.1, 2.2), q=1.5, m=0.7, hbar=0.9)
@@ -190,7 +197,7 @@ def reference_associativity(a, b, c):
 def reference_rabi(b, t):
     cfg = FieldConfig(B=tuple(b))
     h = hamiltonian_from_field(cfg)
-    p_closed = rabi_probability(cfg, t)
+    p_closed = reference_rabi_probability(cfg.B, cfg.q, cfg.m, float(t))
     p_rotor = nan_on_error(
         lambda: probability(EPS_MINUS, evolve(EPS_PLUS, evolution_rotor(h, t, cfg.hbar))), ())
     p_matrix = nan_on_error(lambda: reference_probability(
@@ -347,6 +354,87 @@ class TestRabiDraws:
         # closed form, rotor route and matrix route all give probability 0
         gaps = _rabi_devs(np.array(self.BLOCK))
         assert gaps[[1, 3]].tolist() == [[0.0, 0.0, 0.0]] * 2
+
+
+# the closed form alone, beyond the suite's range: zero fields (one with a
+# -0.0), subnormal and 1e300 components, couplings where q |B| overflows,
+# and times at which the angle is not finite
+closed_component = st.one_of(
+    st.floats(-5.0, 5.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]),
+    signed(st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e)),
+)
+closed_fields = st.one_of(
+    st.sampled_from([(0.0, 0.0, 0.0), (0.0, -0.0, 0.0)]),
+    st.tuples(closed_component, closed_component, closed_component),
+)
+couplings = st.sampled_from([
+    (1.0, 1.0), (2.5, 0.3), (-1.5, 0.7), (1e300, 1e300), (-1e300, 1e300), (1e300, 1e-10),
+])
+closed_times = st.one_of(
+    st.floats(-10.0, 10.0), st.floats(),
+    st.sampled_from([0.0, -0.0, 1e-9, 1e308, math.inf, -math.inf, math.nan]),
+)
+
+
+def outcome(compute):
+    """A closed form's float as float.hex, or the message it raised."""
+    try:
+        return float(compute()).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestClosedRabiMatchesPerDraw:
+    """rabi_probability, the closed-form column of the Rabi suite and
+    rabi_deviation against the per-draw formula of per_row_oracle, by
+    float.hex, their raised messages included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(closed_fields, couplings, closed_times)
+    @example((0.0, 0.0, 0.0), (1.0, 1.0), math.inf)
+    @example((0.0, -0.0, 0.0), (1e300, 1e300), math.nan)
+    @example((1e10, 0.0, 0.0), (1e300, 1e300), 1e-9)  # q |B| overflows
+    @example((10.0, 0.0, 0.0), (1.0, 1.0), 1e308)  # the angle overflows
+    @example((5e-324, 1e300, -2.5e-310), (2.5, 0.3), 0.7)
+    def test_rabi_probability(self, b, qm, t):
+        cfg = FieldConfig(B=b, q=qm[0], m=qm[1])
+        assert outcome(lambda: rabi_probability(cfg, t)) == outcome(
+            lambda: reference_rabi_probability(b, *qm, t))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(closed_fields, closed_times), min_size=1, max_size=6))
+    @example([((0.0, 0.0, 0.0), math.inf), ((1.0, 2.0, 3.0), 0.5)])
+    @example([((1.0, 2.0, 3.0), 0.5), ((10.0, 0.0, 0.0), 1e308), ((1.0, 0.0, 0.0), math.nan)])
+    def test_suite_closed_column(self, draws):
+        closed = []
+
+        def spy(*args):
+            closed.append(twostate._rabi_rows(*args))
+            return closed[-1]
+
+        with mock.patch.object(conformance, "_rabi_rows", spy):
+            try:
+                _rabi_devs(np.array([[*b, t] for b, t in draws]))
+                got = [x.hex() for x in closed[0].tolist()]
+            except ValueError as exc:
+                got = str(exc)
+        try:
+            expected = [reference_rabi_probability(b, 1.0, 1.0, t).hex() for b, t in draws]
+        except ValueError as exc:
+            expected = str(exc)
+        assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(closed_fields, couplings,
+           st.lists(st.tuples(closed_times, st.floats(0.0, 1.0)), max_size=6))
+    @example((0.0, 0.0, 0.0), (1.0, 1.0), [(math.inf, 0.25), (1.0, 0.0)])
+    @example((1e10, 0.0, 0.0), (1e300, 1e300), [(1e-9, 0.5)])
+    def test_rabi_deviation(self, b, qm, rows):
+        cfg = FieldConfig(B=b, q=qm[0], m=qm[1])
+        table = {"t": [t for t, _ in rows], "p_minus": [p for _, p in rows]}
+        assert outcome(lambda: rabi_deviation(cfg, table)) == outcome(lambda: worst_deviation(
+            [abs(p - reference_rabi_probability(b, *qm, t)) for t, p in rows]))
 
 
 check_fields = st.one_of(

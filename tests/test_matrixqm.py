@@ -187,6 +187,31 @@ class TestEigenHermitian:
         assert np.array_equal(v_plus, np.array([1.0 + 0j, 0.0]))
         assert np.array_equal(v_minus, np.array([0.0 + 0j, 1.0]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(-5.0, -1e-3), st.floats(1e-3, 5.0)),
+                    min_size=4, max_size=4),
+           st.integers(-900, 900))
+    def test_scaling_by_a_power_of_two_is_exact(self, c, j):
+        # H is scaled to its largest part inside, so H and 2**j H give the
+        # same vectors and values 2**j apart, bit for bit
+        h = rep(Multivector([*c, 0.0, 0.0, 0.0, 0.0]))
+        values, vecs = eigen_hermitian(h)
+        scaled_values, scaled_vecs = eigen_hermitian(h * 2.0 ** j)
+        assert hexes(scaled_values) == hexes(values * 2.0 ** j)
+        assert hexes(scaled_vecs) == hexes(vecs)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 5e-324], ids=["tiny", "huge", "subnormal"])
+    def test_far_from_unit_magnitude(self, scale):
+        # unscaled, half_tr**2 - det underflows to 0 (a false degeneracy)
+        # or overflows to inf; 2**-0.5 (sigma1 + sigma3) has eigenvalues +/-1
+        c = 2.0 ** -0.5
+        h = scale * np.array([[c, c], [c, -c]], dtype=complex)
+        values, (v_plus, v_minus) = eigen_hermitian(h)
+        assert np.allclose(values / scale, [1.0, -1.0], rtol=1e-15, atol=0.0)
+        assert abs(v_plus[0] - math.cos(math.pi / 8)) <= 1e-15
+        assert abs(v_plus[1] - math.sin(math.pi / 8)) <= 1e-15
+        assert abs(np.vdot(v_plus, v_minus)) <= 1e-15
+
     def test_rejections(self):
         with pytest.raises(ValueError):
             eigen_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
