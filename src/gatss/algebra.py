@@ -24,6 +24,7 @@ role of a complex amplitude elsewhere in the package.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -301,6 +302,22 @@ def hodge_dual(a: Multivector) -> Multivector:
     return gp(E123, a)
 
 
+def _norm3(x: float, y: float, z: float) -> float:
+    """sqrt(x^2 + y^2 + z^2) over the whole finite range, squaring with
+    x * x (Python's x ** 2 is C pow, not correctly rounded on every libm).
+
+    In-range values take the plain sum of squares, so their bits do not
+    depend on the rescaling; only a sum that overflows, or that falls below
+    the normal range while a component is nonzero, is recomputed on the
+    components divided by the largest magnitude (Blue, ACM TOMS 4, 1978).
+    """
+    s = x * x + y * y + z * z
+    if s == math.inf or (s < sys.float_info.min and (x or y or z)):
+        big = max(abs(x), abs(y), abs(z))
+        return big * _norm3(x / big, y / big, z / big)  # a sum in [1, 3]
+    return math.sqrt(s)
+
+
 def norm(a: Multivector) -> float:
     """Euclidean norm of the coefficient vector; inf once the sum of squares
     overflows."""
@@ -369,27 +386,20 @@ class Rotor:
         return f"Rotor({list(self._mv._c)})"
 
 
-def _bivector_angle(b: Multivector) -> float:
-    """|B| of the bivector part, as exp_bivector takes it; inf once the
-    sum of squares overflows."""
-    c4, c5, c6 = b._c[4:7]
-    return math.sqrt(c4 * c4 + c5 * c5 + c6 * c6)
-
-
 def exp_bivector(b: Multivector) -> Rotor:
-    """Exponential of a bivector: cos|B| + (B/|B|) sin|B|.
+    """Exponential of a bivector: cos|B| + (B/|B|) sin|B|, with |B| by _norm3.
 
     Below |B| = 1e-8 the truncated series 1 + B + B^2/2 + B^3/6 is used to
     avoid the 0/0 in the normalized direction; B^2 = -|B|^2 keeps it cheap.
-    Raises ValueError when |B|^2 overflows, from about |B| = 1.3e154.
+    Raises ValueError only when |B| itself overflows, from about 1.8e308.
     """
     c0, c1, c2, c3, c4, c5, c6, c7 = b._c
     if c0 != 0.0 or c1 != 0.0 or c2 != 0.0 or c3 != 0.0 or c7 != 0.0:
         raise ValueError("exp_bivector requires a pure bivector argument")
-    theta = _bivector_angle(b)
+    theta = _norm3(c4, c5, c6)
     if theta == math.inf:
         raise ValueError(
-            "bivector magnitude |B| overflows: exp_bivector needs it below about 1.3e154"
+            "bivector magnitude |B| overflows: exp_bivector needs it below about 1.8e308"
         )
     if theta < _EXP_SERIES_CUTOFF:
         w, s = 1.0 - theta * theta / 2.0, 1.0 - theta * theta / 6.0
@@ -401,14 +411,17 @@ def exp_bivector(b: Multivector) -> Rotor:
 def _exp_bivector_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """exp_bivector row by row of a block of bivectors of shape (N, 8).
 
-    Returns the rotor rows, their angles theta (_bivector_angle of each
-    row, by the same float operations) and their deviations
-    |R reverse(R) - 1|, each row equal to exp_bivector's bit for bit.
-    Nothing raises: a row whose theta is inf comes back NaN, and the
-    caller tests theta and the deviation.  Run under np.errstate.
+    Returns the rotor rows, their angles theta (_norm3's plain sum, and
+    _norm3 itself where that sum overflows; one that underflows is below the
+    series cutoff either way) and their deviations |R reverse(R) - 1|, each
+    rotor equal to exp_bivector's bit for bit.  Nothing raises: a row whose
+    theta is not finite comes back NaN, and the caller tests theta and the
+    deviation.  Run under np.errstate.
     """
     b = c[:, 4:7]
     theta = np.sqrt(b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2])
+    over = theta == math.inf
+    theta[over] = _map(_norm3, *b[over].T)
     finite = theta < math.inf
     angles = np.where(finite, theta, 0.0)
     cos, sin = _map(math.cos, angles), _map(math.sin, angles)

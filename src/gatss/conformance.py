@@ -18,7 +18,8 @@ oracle's (N, 2, 2) forms); so does the oracle side of
 `trajectory_deviations`.  Every deviation equals, bit for bit,
 what the per-draw objects give.  Each check those objects make (finite
 coefficients, unit rotors, normalized states, a Hermitian H, the oracle's
-state norm) is a mask: a draw or row that fails one has NaN deviations.
+state norm) is a mask: a draw or row that fails one has NaN deviations;
+a draw whose closed-form angle is not finite raises for its whole block.
 
 The homomorphism suite doubles as a tamper check: flipping any one of the
 64 signs in the product's term list (`algebra._TERM_SIGN`) makes it fail,
@@ -175,7 +176,9 @@ def _rabi_devs(draws: np.ndarray) -> np.ndarray:
     """The pairwise gaps |closed - rotor|, |rotor - matrix| and
     |closed - matrix| of the transition probability at each row
     (b1, b2, b3, t) with q = m = hbar = 1, shape (N, 3).  A row that fails
-    a check of the rotor route or of the oracle has NaN in its gaps."""
+    a check of the rotor route or of the oracle has NaN in its gaps; a row
+    whose closed-form angle |B| t is not finite raises ValueError for the
+    whole block, as _rabi_rows does (the suite's draws reach neither)."""
     eps_plus, eps_minus = basis_eps()
     t = draws[:, 3]
     p_closed = _rabi_rows(draws[:, :3], 1.0, 1.0, t)

@@ -37,11 +37,11 @@ from .algebra import (
     UNIT_TOL,
     Multivector,
     Rotor,
-    _bivector_angle,
     _exp_bivector_rows,
     _finite_rows,
     _gp_rows,
     _map,
+    _norm3,
     exp_bivector,
     gp,
     hodge_dual,
@@ -68,22 +68,6 @@ __all__ = [
     "u_vector_closed_form",
     "spin_vectors",
 ]
-
-
-def _norm3(x: float, y: float, z: float) -> float:
-    """sqrt(x^2 + y^2 + z^2) over the whole finite range, squaring with
-    x * x (Python's x ** 2 is C pow, not correctly rounded on every libm).
-
-    In-range values take the plain sum of squares, so their bits do not
-    depend on the rescaling; only a sum that overflows, or that falls below
-    the normal range while a component is nonzero, is recomputed on the
-    components divided by the largest magnitude (Blue, ACM TOMS 4, 1978).
-    """
-    s = x * x + y * y + z * z
-    if s == math.inf or (s < sys.float_info.min and (x or y or z)):
-        big = max(abs(x), abs(y), abs(z))
-        return big * _norm3(x / big, y / big, z / big)  # a sum in [1, 3]
-    return math.sqrt(s)
 
 
 @dataclass(frozen=True)
@@ -231,7 +215,7 @@ def _coupling_rows(B, q: float, m: float, hbar: float) -> tuple[np.ndarray, np.n
 _BAD_TIME = "need finite t and positive finite hbar"
 _PHASE_OVERFLOW = (
     "phase |h| t / hbar overflows at t = {t!r}: the rotor exponential needs "
-    "it below about 1.3e154"
+    "it below about 1.8e308"
 )
 _ANGLE_NOT_FINITE = "precession angle q |B| t / m is not finite at t = {t!r}"
 _PSI0_NOT_NORMALIZED = "initial state must be normalized"
@@ -254,7 +238,7 @@ def evolution_rotor(h: Hamiltonian, t: float, hbar: float = 1.0) -> Rotor:
         raise ValueError(_BAD_TIME)
     # an exponent out of range is inf or NaN, which Multivector rejects
     exponent = hodge_dual(h.vector_part()) * (-float(t) / float(hbar))
-    if _bivector_angle(exponent) == math.inf:
+    if _norm3(*exponent._c[4:7]) == math.inf:
         raise ValueError(_PHASE_OVERFLOW.format(t=float(t)))
     return exp_bivector(exponent)
 
@@ -297,10 +281,9 @@ def rabi_probability(cfg: FieldConfig, t: float) -> float:
 
 
 def _rabi_rows(B, q: float, m: float, t) -> np.ndarray:
-    """rabi_probability for the rows and times _precession_rows takes; a
-    zero field gives 0 at any t, even where its angle would be 0 * inf."""
+    """rabi_probability for the rows and times _precession_rows takes."""
     B = np.asarray(B, dtype=float)
-    b, cos_a, _ = _precession_rows(B, q, m, np.where(B.any(axis=-1), t, 0.0))
+    b, cos_a, _ = _precession_rows(B, q, m, t)
     sin_theta = _map(math.hypot, B[..., 0], B[..., 1]) / np.where(b == 0.0, 1.0, b)
     return 0.5 * sin_theta * sin_theta * (1.0 - cos_a)
 
@@ -316,10 +299,11 @@ def _angle(q: float, b, m: float, t):
 def _precession_rows(B, q: float, m: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed forms' kernel: |B| of fields B, shape (3,) or (N, 3), and
     the C library's cos and sin of the `_angle` at times t broadcast against
-    |B|; ValueError names the first t where the angle is not finite."""
+    |B| (0 for a zero field at any t, even where that is 0 * inf);
+    ValueError names the first t where the angle is not finite."""
     t = np.asarray(t, dtype=float)
     b = _map(_norm3, *np.asarray(B, dtype=float).T)
-    alpha = _angle(q, b, m, t)
+    alpha = np.where(b == 0.0, 0.0, _angle(q, b, m, t))
     bad = np.broadcast_to(t, alpha.shape)[~np.isfinite(alpha)]
     if bad.size:
         raise ValueError(_ANGLE_NOT_FINITE.format(t=float(bad[0])))
@@ -435,7 +419,7 @@ def u_vector_closed_form(cfg: FieldConfig, t):
         u2 = (B2 cos th (1 - cos a) + B1 sin a) / |B|
         u3 = cos^2 th + sin^2 th cos a
 
-    i.e. e3 swept clockwise about the field axis (e3 itself in zero field),
+    i.e. e3 swept clockwise about the field axis (e3 in a zero field, at any t),
     matching the sandwich route up to roundoff.  t may also be an array of
     times, giving arrays u1, u2, u3 with each entry the call at that time.
     The angle, and the ValueError naming the first t where it is not

@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatss import matrixqm
@@ -20,6 +21,7 @@ from gatss.algebra import (
     E31,
     E123,
     ONE,
+    UNIT_TOL,
     ZERO,
     Multivector,
     Rotor,
@@ -28,6 +30,7 @@ from gatss.algebra import (
     _TERM_SIGN,
     _exp_bivector_rows,
     _gp_rows,
+    _norm3,
     commutator,
     exp_bivector,
     gp,
@@ -250,12 +253,15 @@ class TestExpBivector:
 
 
     def test_overflowing_magnitude(self):
-        # |B|^2 overflows although every coefficient is finite
-        with pytest.raises(ValueError, match=r"bivector magnitude \|B\| overflows"):
-            exp_bivector(E12 * 1e155)
-        # and so does a rotation by an angle past twice that bound
-        with pytest.raises(ValueError, match=r"bivector magnitude \|B\| overflows"):
-            rotor_axis_angle(E3, 1e300)
+        # only |B| itself overflows, though every coefficient is finite
+        with pytest.raises(ValueError, match=r"bivector magnitude \|B\| overflows: "
+                           r"exp_bivector needs it below about 1\.8e308"):
+            exp_bivector(Multivector([0, 0, 0, 0, 1.5e308, 0, -1.5e308, 0]))
+        # |B|^2 overflowing is no limit, and a rotation by any finite angle
+        # has |B| = |alpha| / 2
+        for r in (exp_bivector(E12 * 1e155), exp_bivector(E31 * 1.7e308),
+                  rotor_axis_angle(E3, 1e300), rotor_axis_angle(E1, -sys.float_info.max)):
+            assert norm(gp(r.mv, reverse(r.mv)) - ONE) <= 1e-15
 
 
 # Coefficients with exact and signed zeros, where the product's zero signs
@@ -264,6 +270,17 @@ row_coeff = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0]),
     st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False, width=64),
 )
+
+# Bivector components over the whole finite range: magnitudes log-uniform
+# in [1e-300, 1e308] with signs, signed zeros and subnormals.
+full_range_coeff = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-sys.float_info.min, sys.float_info.min),
+    st.tuples(st.floats(-300.0, 308.0), st.sampled_from([1.0, -1.0])).map(
+        lambda m: m[1] * 10.0 ** m[0]
+    ),
+)
+
 
 def row_block(n):
     return st.lists(st.lists(row_coeff, min_size=8, max_size=8), min_size=n, max_size=n).map(
@@ -300,21 +317,27 @@ class TestRowKernels:
         expected = [gp(Multivector(x), Multivector(y)).coeffs for x, y in zip(a, b)]
         assert hex_rows(_gp_rows(a, b)) == hex_rows(expected)
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(row_coeff, row_coeff, row_coeff), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.one_of(row_coeff, full_range_coeff)] * 3), min_size=1, max_size=6))
+    @example([(1.5e308, 0.0, -1.5e308), (1e155, 1e155, 1e155), (1e-200, -1e-200, 5e-324)])
+    @example([(1e308, 1e308, 1e308), (sys.float_info.max, 0.0, -0.0), (0.0, -0.0, 0.0)])
     def test_row_exponential_is_exp_bivector_bit_for_bit(self, bivectors):
+        # over the whole finite range: only a row whose |B| overflows raises
         c = np.zeros((len(bivectors), 8))
         c[:, 4:7] = bivectors
         with np.errstate(all="ignore"):
             rotors, theta, dev = _exp_bivector_rows(c)
         for i, row in enumerate(c):
-            try:
-                expected = exp_bivector(Multivector(row))
-            except ValueError:
+            length = _norm3(*row[4:7].tolist())
+            if length == math.inf:
+                with pytest.raises(ValueError, match=r"bivector magnitude \|B\| overflows"):
+                    exp_bivector(Multivector(row))
                 assert theta[i] == math.inf and np.isnan(rotors[i]).all()
                 continue
-            assert hex_rows(rotors[i]) == hex_rows(expected.mv.coeffs)
-            assert dev[i] <= 1e-9
+            # theta is _norm3's, except where its plain sum underflows
+            assert theta[i] == length or max(theta[i], length) < 1e-8
+            assert hex_rows(rotors[i]) == hex_rows(exp_bivector(Multivector(row)).mv.coeffs)
+            assert dev[i] <= UNIT_TOL
 
 
 def edge_block(rng, shape):

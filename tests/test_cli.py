@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatss.cli import _CSV_BLOCK_ROWS, main
-from gatss.twostate import FieldConfig, polar_state, trajectory
+from gatss.algebra import _norm3
+from gatss.twostate import FieldConfig, hamiltonian_from_field, polar_state, trajectory
 
 CSV_HEADER = "t,p_plus,p_minus,s1,s2,s3,u1,u2,u3"
 
@@ -318,13 +319,14 @@ class TestEvolve:
     @pytest.mark.parametrize(
         "argv, t",
         [
-            (["evolve", "--B=1,0,0", "--t-end=1e300", "--steps=3"], "5e+299"),
-            # the squares of the exponent overflow although |h| t / hbar
-            # (about 9e167) is a finite double
+            # two components of the exponent reach 1.5e308 at t = 3, each a
+            # finite double, but its length |h| t / hbar (about 2.1e308) is not
+            (["evolve", "--B=1e308,1e308,0", "--t-end=3", "--steps=3"], "3.0"),
+            # the field alone takes the length past the largest double, and
+            # the run stops before the check
             (
-                ["evolve", "--B=1.08e91,-3.04e149,-6.03e105", "--hbar=6.13e9",
-                 "--theta0=0.7", "--t-end=1.88e12", "--steps=3", "--check"],
-                "940000000000.0",
+                ["evolve", "--B=1.5e308,1.5e308,1.5e308", "--t-end=1.5", "--steps=2", "--check"],
+                "1.5",
             ),
         ],
         ids=["t_end", "large_field"],
@@ -334,17 +336,31 @@ class TestEvolve:
         assert (code, out) == (1, "")
         assert err == (
             f"gatss evolve: error: phase |h| t / hbar overflows at t = {t}: "
-            "the rotor exponential needs it below about 1.3e154\n"
+            "the rotor exponential needs it below about 1.8e308\n"
         )
 
     def test_tilt_overflow_exit_1(self, capsys):
-        # the tilt's rotor exponential overflows before any row is evolved
-        code, out, err = run_cli(capsys, ["evolve", "--B=0,0,1", "--theta0=1e300", "--t-end=1", "--steps=3"])
-        assert (code, out) == (1, "")
-        assert err == (
-            "gatss evolve: error: bivector magnitude |B| overflows: "
-            "exp_bivector needs it below about 1.3e154\n"
-        )
+        # the tilt's rotor has |B| = |theta0| / 2, so every finite theta0
+        # evolves; only one that overflows as it is read exits 1
+        code, out, err = run_cli(capsys, ["evolve", "--B=0,0,1", "--theta0=1e309", "--t-end=1", "--steps=3"])
+        assert (code, out, err) == (1, "", "gatss evolve: error: theta0 must be finite\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--B=0,0,1", "--theta0=1e300", "--t-end=1", "--steps=3"],
+            ["evolve", "--B=0,0,1", "--theta0=-1.7976931348623157e308", "--t-end=1", "--steps=3"],
+            ["evolve", "--B=1e200,0,0", "--t-end=1", "--steps=3"],
+        ],
+        ids=["theta0", "largest_theta0", "field"],
+    )
+    def test_squares_of_the_exponent_overflow(self, capsys, argv):
+        # |B|^2 of the tilt's or the evolution's rotor overflows, |B| does not
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(abs(p_plus + p_minus - 1.0) <= 1e-15 for _, p_plus, p_minus, *_ in rows)
 
     def test_rejects_hamiltonian_in_config(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
@@ -582,6 +598,12 @@ def magnitudes(lo, hi):
 signed_field = st.tuples(magnitudes(1e-8, 1e150), st.booleans()).map(
     lambda m: -m[0] if m[1] else m[0]
 )
+# tilts over the whole finite range, with signed zeros and subnormals
+signed_tilt = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-sys.float_info.min, sys.float_info.min),
+    st.tuples(magnitudes(1e-300, 1e308), st.booleans()).map(lambda m: -m[0] if m[1] else m[0]),
+)
 
 
 class TestCheckProperty:
@@ -590,12 +612,14 @@ class TestCheckProperty:
         st.tuples(signed_field, signed_field, signed_field),
         magnitudes(1e-6, 1e10),
         magnitudes(1e-8, 1e30),
+        signed_tilt,
     )
-    def test_check_never_raises(self, b, hbar, t_end):
-        # exit 1 remains where |h| t / hbar leaves the algebra's domain,
-        # with the message of test_phase_overflow_exit_1
+    def test_check_never_raises(self, b, hbar, t_end, theta0):
+        # exit 1 is left only where |h| t / hbar overflows a double, with
+        # the message of test_phase_overflow_exit_1
         argv = ["evolve", "--B=" + ",".join(map(repr, b)), f"--hbar={hbar!r}",
-                "--theta0=0.7", f"--t-end={t_end!r}", "--steps=3", "--check"]
+                f"--theta0={theta0!r}", f"--t-end={t_end!r}", "--steps=3", "--check"]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
-        assert code in (0, 1, 2)
+        h = hamiltonian_from_field(FieldConfig(B=b, hbar=hbar)).h
+        assert code in ((0, 2) if _norm3(*h) * (t_end / hbar) < 1e308 else (0, 1, 2))

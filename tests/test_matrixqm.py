@@ -187,6 +187,16 @@ class TestEigenHermitian:
         assert np.array_equal(v_plus, np.array([1.0 + 0j, 0.0]))
         assert np.array_equal(v_minus, np.array([0.0 + 0j, 1.0]))
 
+    def test_discriminant_rounding_to_zero(self):
+        # half_tr**2 - det rounds to 0 although the off-diagonal is nonzero,
+        # so both eigenvalues are the same double and eigvec gives the same
+        # vector twice; the minus vector is then its orthogonal complement
+        values, (v_plus, v_minus) = eigen_hermitian(np.array([[1.0, 1e-9], [1e-9, 1.0]]))
+        assert values.tolist() == [1.0, 1.0]
+        assert np.max(np.abs(v_plus - [1.0, 0.0])) <= 1e-15
+        assert np.max(np.abs(v_minus - [0.0, 1.0])) <= 1e-15
+        assert np.vdot(v_plus, v_minus) == 0.0
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.just(0.0), st.floats(-5.0, -1e-3), st.floats(1e-3, 5.0)),
                     min_size=4, max_size=4),

@@ -17,6 +17,7 @@ from gatss.algebra import (
     ONE,
     Multivector,
     Rotor,
+    _norm3,
     commutator,
     gp,
     hodge_dual,
@@ -38,7 +39,6 @@ from gatss.twostate import (
     expectation,
     hamiltonian_from_field,
     polar_angles,
-    _norm3,
     polar_state,
     probability,
     rabi_probability,
@@ -517,7 +517,7 @@ class TestRabi:
         (FieldConfig(B=(1.0, 1.0, 0.0), q=1e300, m=1e-10), 1.0, 1.0),
         (FieldConfig(B=(0.0, 3.0, 4.0)), math.inf, math.inf),
         (FieldConfig(B=(0.0, 3.0, 4.0)), math.nan, math.nan),
-        (FieldConfig(B=(0.0, 0.0, 0.0)), [0.5, math.inf, math.nan], math.inf),  # 0 * inf
+        (FieldConfig(B=(0.0, 3.0, 4.0)), [0.5, math.inf, math.nan], math.inf),
         (FieldConfig(B=(10.0, 0.0, 0.0)), [1.0, -1e308, 1e308], -1e308),
     ])
     def test_closed_forms_name_a_non_finite_angle(self, cfg, t, bad):
@@ -622,11 +622,15 @@ def u_vector(cfg, t):
 
 class TestUVector:
     def test_zero_field_gives_e3(self):
-        for q in (1.0, -2.0):  # alpha is +0.0 or -0.0
+        # at any t, even where q |B| t / m would be 0 * inf, as
+        # rabi_probability gives 0 there
+        for q in (1.0, -2.0):
             cfg = FieldConfig(B=(0.0, 0.0, 0.0), q=q)
-            assert hexes(u_vector_closed_form(cfg, 1.0)) == hexes((0.0, 0.0, 1.0))
-            u = u_vector_closed_form(cfg, np.array([-2.0, 0.0, 3.5]))
-            assert hexes(np.concatenate(u)) == hexes([0.0] * 6 + [1.0] * 3)
+            for t in (1.0, math.inf, math.nan):
+                assert hexes(u_vector_closed_form(cfg, t)) == hexes((0.0, 0.0, 1.0))
+                assert rabi_probability(cfg, t) == 0.0
+            u = u_vector_closed_form(cfg, np.array([-2.0, 0.0, 3.5, math.inf, math.nan]))
+            assert hexes(np.concatenate(u)) == hexes([0.0] * 10 + [1.0] * 5)
 
     def test_initial_axis(self):
         cfg = FieldConfig(B=(1.0, 2.0, 3.0))
@@ -792,9 +796,12 @@ class TestTrajectoryMatchesObjectPath:
         )
 
     def test_error_in_a_later_block(self):
-        cfg = FieldConfig(B=(1.0, 0.0, 0.0))
-        grid = [1.0] * (_BLOCK_ROWS + 2) + [1e300, math.inf]
-        with pytest.raises(ValueError, match=r"phase \|h\| t / hbar overflows at t = 1e\+300"):
+        # at t = 1.5 each exponent component is a finite 1.125e308, their
+        # length is not
+        cfg = FieldConfig(B=(1.5e308, 1.5e308, 1.5e308))
+        grid = [1.0] * (_BLOCK_ROWS + 2) + [1.5, math.inf]
+        with pytest.raises(ValueError, match=r"phase \|h\| t / hbar overflows at t = 1\.5: "
+                           r"the rotor exponential needs it below about 1\.8e308"):
             trajectory(cfg, EPS_PLUS, grid)
 
     def test_any_iterable(self):
