@@ -18,8 +18,9 @@ oracle's (N, 2, 2) forms); so does the oracle side of
 `trajectory_deviations`.  Every deviation equals, bit for bit,
 what the per-draw objects give.  Each check those objects make (finite
 coefficients, unit rotors, normalized states, a Hermitian H, the oracle's
-state norm) is a mask: a draw or row that fails one has NaN deviations;
-a draw whose closed-form angle is not finite raises for its whole block.
+state norm) is a mask: a draw or row that fails one has NaN deviations,
+and so does one whose closed-form angle is not finite (from a phase of
+about 9e307), while the other rows keep their values.
 
 The homomorphism suite doubles as a tamper check: flipping any one of the
 64 signs in the product's term list (`algebra._TERM_SIGN`) makes it fail,
@@ -41,6 +42,7 @@ from .twostate import (
     Hamiltonian,
     _coupling_rows,
     _evolution_rows,
+    _precession_angles,
     _probability_rows,
     _rabi_rows,
     _row_blocks,
@@ -176,9 +178,9 @@ def _rabi_devs(draws: np.ndarray) -> np.ndarray:
     """The pairwise gaps |closed - rotor|, |rotor - matrix| and
     |closed - matrix| of the transition probability at each row
     (b1, b2, b3, t) with q = m = hbar = 1, shape (N, 3).  A row that fails
-    a check of the rotor route or of the oracle has NaN in its gaps; a row
-    whose closed-form angle |B| t is not finite raises ValueError for the
-    whole block, as _rabi_rows does (the suite's draws reach neither)."""
+    a check of the rotor route or of the oracle, or whose closed-form angle
+    |B| t is not finite, has NaN in its gaps (the suite's draws reach
+    neither)."""
     eps_plus, eps_minus = basis_eps()
     t = draws[:, 3]
     p_closed = _rabi_rows(draws[:, :3], 1.0, 1.0, t)
@@ -241,7 +243,8 @@ def trajectory_deviations(
     matrix dynamics, run on blocks of rows; dev_u compares the axis with its
     closed form (e3 in zero field).  Where the oracle breaks down (its state
     is non-finite or off unit norm, or an expectation keeps an imaginary
-    residue), dev_p and dev_s are NaN, which fails every check.
+    residue), dev_p and dev_s are NaN, and dev_u where the closed form's
+    angle is not finite; NaN fails every check.
     """
     h_mat = matrixqm.rep(hamiltonian_from_field(cfg).as_multivector())
     psi0_col = matrixqm.spinor_rep(psi0)
@@ -256,10 +259,13 @@ def trajectory_deviations(
             blocks.append([matrixqm.probability_matrix(e, col_t) for e in basis_cols]
                           + [matrixqm.expectation_matrix(s, col_t) for s in s_mats])
     oracle = np.hstack(blocks)
+    axis = np.full((3, t.size), np.nan)
+    finite = ~np.isnan(_precession_angles(cfg.b_norm, cfg.q, cfg.m, t))
+    axis[:, finite] = u_vector_closed_form(cfg, t[finite])
     refs = (
         ("dev_p", ("p_plus", "p_minus"), oracle[:2]),
         ("dev_s", ("s1", "s2", "s3"), oracle[2:]),
-        ("dev_u", ("u1", "u2", "u3"), u_vector_closed_form(cfg, t)),
+        ("dev_u", ("u1", "u2", "u3"), axis),
     )
     return {
         dev: np.max(np.abs(np.array([table[c] for c in columns]) - ref), axis=0,

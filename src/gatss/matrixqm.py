@@ -2,15 +2,16 @@
 
 This module is the package's independent cross-check: states are column
 vectors, observables are Hermitian matrices built from the Pauli basis, and
-evolution exponentiates -i H t / hbar numerically.  None of it calls the
-multivector arithmetic in `algebra`; the only shared surface is reading
-coefficients off value objects at the translation boundary (rep/unrep and
-spinor_rep), so agreement between the two formulations is meaningful
-evidence rather than circular bookkeeping.
+evolution exponentiates -i H t / hbar.  None of it calls the multivector
+arithmetic in `algebra`; the only shared surface is reading coefficients
+off value objects at the translation boundary (rep/unrep and spinor_rep),
+so agreement between the two formulations is meaningful evidence rather
+than circular bookkeeping.
 
-mat_exp is a truncated Taylor series under scaling-and-squaring, on purpose:
-the rotor exponential elsewhere is closed-form trigonometry, and keeping the
-matrix side on a different algorithm lets each validate the other.
+Both exponentials are closed forms that share no code: mat_exp takes the
+complex sqrt, cosh, sinh and exp of rep matrix entries, the algebra's rotor
+the real cos and sin of the half angle `_norm3` measures on bivector
+coefficients.
 
 mat_exp, evolve_matrix, expectation_matrix and probability_matrix also take
 stacks, (N, 2, 2) matrices and (N, 2) states, and run them in one pass,
@@ -102,18 +103,7 @@ def unrep(m: np.ndarray) -> Multivector:
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     z = [np.trace(_SIGMA[k] @ m) / 2.0 for k in range(4)]
-    return Multivector(
-        [
-            z[0].real,
-            z[1].real,
-            z[2].real,
-            z[3].real,
-            z[1].imag,
-            z[2].imag,
-            z[3].imag,
-            z[0].imag,
-        ]
-    )
+    return Multivector([*(w.real for w in z), *(w.imag for w in z[1:]), z[0].imag])
 
 
 def spinor_rep(psi: AlgebraicSpinor) -> np.ndarray:
@@ -137,9 +127,10 @@ def eigen_hermitian(h: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.nda
     """Closed-form eigensystem of a Hermitian 2x2 matrix.
 
     Returns (values, (v_plus, v_minus)) with values descending.  The roots
-    come from the characteristic polynomial via trace and determinant, and
-    each eigenvector's phase is fixed so its first nonzero component is
-    real and positive.
+    are half the trace plus and minus the square root of
+    ((h00 - h11) / 2)^2 + h01 h10, formed from the entries so that it does
+    not cancel as trace minus determinant would, and each eigenvector's
+    phase is fixed so its first nonzero component is real and positive.
 
     H is first multiplied by a power of two that brings its largest real
     or imaginary part into [1/2, 1) (by at most 2^1021 for a subnormal H),
@@ -155,8 +146,8 @@ def eigen_hermitian(h: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.nda
     scale = math.ldexp(1.0, -max(k, -1021))
     h = h * scale
     half_tr = (h[0, 0] + h[1, 1]).real / 2.0
-    det = (h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]).real
-    disc = half_tr * half_tr - det
+    half_gap = (h[0, 0] - h[1, 1]).real / 2.0
+    disc = half_gap * half_gap + (h[0, 1] * h[1, 0]).real
     d = math.sqrt(disc) if disc > 0.0 else 0.0
     values = np.array([half_tr + d, half_tr - d])
 
@@ -175,11 +166,9 @@ def eigen_hermitian(h: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.nda
     v_plus = eigvec(values[0])
     v_minus = eigvec(values[1])
     if v_plus is None or v_minus is None:
-        # fully degenerate: any orthonormal pair serves, pick the canonical one
+        # degenerate (every d == 0 lands here): pick the canonical pair
         v_plus = np.array([1.0 + 0.0j, 0.0])
         v_minus = np.array([0.0 + 0.0j, 1.0])
-    elif d == 0.0:
-        v_minus = np.array([-v_plus[1].conjugate(), v_plus[0].conjugate()])
     return values / scale, (v_plus, v_minus)
 
 
@@ -217,43 +206,37 @@ def _settle(value: np.ndarray, checks, single: bool):
     return np.where(ok, value, _NAN if np.iscomplexobj(value) else np.nan)
 
 
-# mat_exp scales a matrix down by 2^s; from this 1-norm on, 2^s overflows.
-_MAX_EXP_NORM = 2.0 ** 1022
-# Terms of mat_exp's Taylor core, more than double precision needs below 0.5.
-_TAYLOR_ORDER = 18
-
-
 def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring over a Taylor core.
+    """Matrix exponential of a 2x2 complex matrix in closed form,
 
-    The argument is halved until its 1-norm drops below 0.5, the series is
-    summed to _TAYLOR_ORDER terms, and the result squared back up.
+        exp(A) = e^mu (cosh(delta) I + sinh(delta) / delta (A - mu I)),
+        mu = (a00 + a11) / 2,  delta^2 = ((a00 - a11) / 2)^2 + a01 a10,
 
-    A stack of matrices, shape (N, 2, 2), is exponentiated in one pass:
-    each row keeps its own squaring count and is squared only while it
-    still needs it, so every row equals mat_exp of that matrix alone, bit
-    for bit.
-    A matrix that is not finite, or whose 1-norm is 2^1022 or more (too
-    large to halve), comes back NaN.
+    with delta^2 formed from the entries, so that it does not cancel as
+    trace minus determinant would, and sinh(delta) / delta = 1 at delta = 0.
+
+    A stack of matrices, shape (N, 2, 2), is exponentiated in one pass,
+    each row equal to mat_exp of that matrix alone, bit for bit.  A row
+    whose input or result is not finite comes back NaN in all four entries.
     """
     a = _stacked(a, (2, 2), "a 2x2 matrix")
     rows = a.reshape(-1, 2, 2)
-    nrm = np.max(np.sum(np.abs(rows), axis=1), axis=1)
-    ok = nrm < _MAX_EXP_NORM
-    # the least s with nrm / 2^s < 0.5: frexp's exponent e has
-    # 2^(e-1) <= nrm < 2^e
-    squarings = np.where(ok & (nrm >= 0.5), np.frexp(nrm)[1] + 1, 0)
-    scale = np.ldexp(1.0, squarings).astype(complex)[:, None, None]
-    a_scaled = np.where(ok[:, None, None], rows, 0.0) / scale
-    out = np.repeat(_SIGMA[0][None], len(rows), axis=0)
-    term = out.copy()
-    for k in range(1, _TAYLOR_ORDER + 1):
-        term = term @ a_scaled / k
-        out = out + term
-    for n in range(int(squarings.max(initial=0))):
-        again = squarings > n
-        out[again] = out[again] @ out[again]
-    out[~ok] = _NAN
+    a00, a01, a10, a11 = rows.reshape(-1, 4).T
+    with np.errstate(all="ignore"):
+        half_gap = (a00 - a11) / 2.0
+        # delta^2 in real arithmetic, exactly real for A = -i H t: numpy's
+        # complex product may fuse a multiply-add and leave a residue
+        delta2 = (half_gap.real * half_gap.real - half_gap.imag * half_gap.imag
+                  + (a01.real * a10.real - a01.imag * a10.imag)).astype(complex)
+        delta2.imag = (2.0 * half_gap.real * half_gap.imag
+                       + (a01.real * a10.imag + a01.imag * a10.real))
+        delta = np.sqrt(delta2)
+        scale = np.exp((a00 + a11) / 2.0)
+        cosh = scale * np.cosh(delta)
+        sinhc = scale * np.where(delta == 0.0, 1.0, np.sinh(delta) / delta)
+        out = np.stack([cosh + sinhc * half_gap, sinhc * a01,
+                        sinhc * a10, cosh - sinhc * half_gap], axis=1).reshape(-1, 2, 2)
+    out[~(np.isfinite(rows) & np.isfinite(out)).all(axis=(1, 2))] = _NAN
     return out.reshape(a.shape)
 
 
@@ -274,10 +257,8 @@ def evolve_matrix(
     h = _stacked(h, (2, 2), "a 2x2 matrix")
     t = np.asarray(t, dtype=float)
     single = psi.ndim == 1 and h.ndim == 2 and t.ndim == 0
-    # -i t / hbar as Python complex arithmetic, one time at a time
-    phase = np.array([-1j * x / float(hbar) for x in t.ravel().tolist()])
     with np.errstate(all="ignore"):
-        u = mat_exp(h * phase.reshape(t.shape + (1, 1)))
+        u = mat_exp(h * np.reshape(-1j * (t / hbar), t.shape + (1, 1)))
         out = np.matmul(u, psi[..., None])[..., 0]
     return _settle(out, [
         (_is_normalized(psi), ValueError("state must be normalized")),

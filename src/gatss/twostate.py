@@ -276,12 +276,12 @@ def probability(u_n: AlgebraicSpinor, psi: AlgebraicSpinor) -> float:
 def rabi_probability(cfg: FieldConfig, t: float) -> float:
     """Closed-form transition probability out of eps_plus in a static field:
     (1/2) sin^2(theta) (1 - cos(omega t)) with omega = q |B| / m and theta
-    the angle between B and e3, by `_rabi_rows`."""
-    return float(_rabi_rows(cfg.B, cfg.q, cfg.m, float(t)))
+    the angle between B and e3, by `_rabi_rows`, checked by `_finite_angle`."""
+    return float(_finite_angle(_rabi_rows(cfg.B, cfg.q, cfg.m, float(t)), float(t)))
 
 
 def _rabi_rows(B, q: float, m: float, t) -> np.ndarray:
-    """rabi_probability for the rows and times _precession_rows takes."""
+    """rabi_probability for the rows and times _precession_rows takes, unchecked."""
     B = np.asarray(B, dtype=float)
     b, cos_a, _ = _precession_rows(B, q, m, t)
     sin_theta = _map(math.hypot, B[..., 0], B[..., 1]) / np.where(b == 0.0, 1.0, b)
@@ -296,18 +296,31 @@ def _angle(q: float, b, m: float, t):
         return np.where(np.isfinite(alpha), alpha, q / m * b * t)
 
 
+def _precession_angles(b, q: float, m: float, t) -> np.ndarray:
+    """The closed forms' `_angle` for magnitudes b at times t: 0 in a zero
+    field at any t (even 0 * inf), NaN where not finite, which as twice the
+    rotor's phase it is first, from a phase of about 9e307."""
+    alpha = np.where(b == 0.0, 0.0, _angle(q, b, m, t))
+    return np.where(np.isfinite(alpha), alpha, np.nan)
+
+
 def _precession_rows(B, q: float, m: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed forms' kernel: |B| of fields B, shape (3,) or (N, 3), and
-    the C library's cos and sin of the `_angle` at times t broadcast against
-    |B| (0 for a zero field at any t, even where that is 0 * inf);
-    ValueError names the first t where the angle is not finite."""
+    the C library's cos and sin of the `_precession_angles` at times t
+    broadcast against |B|, NaN where the angle is."""
     t = np.asarray(t, dtype=float)
     b = _map(_norm3, *np.asarray(B, dtype=float).T)
-    alpha = np.where(b == 0.0, 0.0, _angle(q, b, m, t))
-    bad = np.broadcast_to(t, alpha.shape)[~np.isfinite(alpha)]
+    alpha = _precession_angles(b, q, m, t)
+    return b, _map(math.cos, alpha), _map(math.sin, alpha)
+
+
+def _finite_angle(values: np.ndarray, t) -> np.ndarray:
+    """values of a closed form at times t, NaN exactly where its angle is
+    not finite, or ValueError naming the first such t."""
+    bad = np.broadcast_to(t, values.shape)[np.isnan(values)]
     if bad.size:
         raise ValueError(_ANGLE_NOT_FINITE.format(t=float(bad[0])))
-    return b, _map(math.cos, alpha), _map(math.sin, alpha)
+    return values
 
 
 def polar_state(theta: float, phi: float = 0.0) -> AlgebraicSpinor:
@@ -422,9 +435,9 @@ def u_vector_closed_form(cfg: FieldConfig, t):
     i.e. e3 swept clockwise about the field axis (e3 in a zero field, at any t),
     matching the sandwich route up to roundoff.  t may also be an array of
     times, giving arrays u1, u2, u3 with each entry the call at that time.
-    The angle, and the ValueError naming the first t where it is not
-    finite, are _precession_rows'."""
+    The angle is _precession_rows', checked by `_finite_angle`."""
     b, ca, sa = _precession_rows(cfg.B, cfg.q, cfg.m, t)
+    _finite_angle(ca, t)
     b, (b1, b2, b3) = float(b), cfg.B
     if not sys.float_info.min <= b * b < math.inf:
         # the squares below would leave the normal range; only the field's

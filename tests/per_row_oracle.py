@@ -1,8 +1,9 @@
-"""The matrix oracle as it ran before it took stacks: one matrix or state
-at a time, its halving count found by a while loop, its checks raising.
+"""The matrix oracle one matrix or state at a time, its checks raising.
 
 The stacked forms in `gatss.matrixqm` must equal these row by row, bit for
 bit, and give NaN where these raise; the tests compare the two.
+`taylor_mat_exp`, a Taylor series under scaling and squaring, is the
+exponential's independent accuracy reference.
 
 Also the closed Rabi formula one draw at a time, in plain Python floats,
 for the closed forms' row kernel in `gatss.twostate`.
@@ -16,7 +17,33 @@ import numpy as np
 from gatss.matrixqm import HERMITIAN_TOL, STATE_NORM_TOL, pauli
 
 
-def reference_mat_exp(a, order=18):
+def reference_mat_exp(a):
+    """exp(A) = e^mu (cosh(delta) I + sinh(delta) / delta (A - mu I)) for
+    one 2x2 matrix, NaN in all four entries where A or the result is not
+    finite.  Each entry is a one-element array, so every operation runs
+    the same numpy loop that a stack's rows run through."""
+    a = np.asarray(a, dtype=complex)
+    nan = np.full((2, 2), complex(np.nan, np.nan))
+    if not np.isfinite(a).all():
+        return nan
+    a00, a01, a10, a11 = a.reshape(4, 1)
+    with np.errstate(all="ignore"):
+        g = (a00 - a11) / 2.0
+        delta2 = np.array(g.real * g.real - g.imag * g.imag
+                          + (a01.real * a10.real - a01.imag * a10.imag), dtype=complex)
+        delta2.imag = 2.0 * g.real * g.imag + (a01.real * a10.imag + a01.imag * a10.real)
+        delta = np.sqrt(delta2)
+        scale = np.exp((a00 + a11) / 2.0)
+        cosh = scale * np.cosh(delta)
+        sinhc = scale if delta[0] == 0.0 else scale * (np.sinh(delta) / delta)
+        out = np.array([[cosh + sinhc * g, sinhc * a01],
+                        [sinhc * a10, cosh - sinhc * g]])[:, :, 0]
+    return out if np.isfinite(out).all() else nan
+
+
+def taylor_mat_exp(a, order=18):
+    """exp(A) by a Taylor series of the given order under scaling and
+    squaring: A is halved until its 1-norm drops below 0.5."""
     a = np.asarray(a, dtype=complex)
     nrm = float(np.max(np.sum(np.abs(a), axis=0)))
     squarings = 0

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatss.cli import _CSV_BLOCK_ROWS, main
+from gatss import twostate
 from gatss.algebra import _norm3
 from gatss.twostate import FieldConfig, hamiltonian_from_field, polar_state, trajectory
 
@@ -185,34 +186,64 @@ class TestEvolve:
         assert code == 2
 
     def test_check_nan_deviation_exit_2(self, capsys):
-        # the oracle's matrix exponential breaks down at |h| t / hbar ~ 1e30
-        argv = ["evolve", "--B=1,0,1", "--t-end=1e30", "--steps=2", "--check"]
+        # the oracle's delta^2 overflows from |h| t / hbar ~ 1.3e154, where
+        # the rotor route still holds
+        argv = ["evolve", "--B=1e200,0,0", "--t-end=1", "--steps=2", "--check"]
         code, out, err = run_cli(capsys, argv)
         assert code == 2
-        assert out.splitlines()[-1].endswith(",nan,nan,1.1102230246251565e-16")
+        assert out.splitlines()[-1].endswith(",nan,nan,0")
         assert err.endswith("check: max_deviation = nan\n")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, nans",
         [
-            ["--B=1e150,0,0", "--t-end=2", "--steps=4"],
-            ["--B=1,0,1", "--t-start=1e9", "--t-end=1e9", "--steps=1"],
+            (["--B=1e160,0,0", "--t-end=2", "--steps=4"], ["nan", "nan"]),
+            (["--B=1e308,0,0", "--t-end=1.9", "--steps=2"], ["nan", "nan", "nan"]),
         ],
-        ids=["overflow", "lost_unitarity"],
+        ids=["overflow", "closed_form_angle"],
     )
-    def test_check_oracle_breakdown_exit_2(self, capsys, argv):
-        # the oracle's state overflows to NaN, or drifts off unit norm after
-        # about 30 squarings; either way its rows cannot be trusted
+    def test_check_oracle_breakdown_exit_2(self, capsys, argv, nans):
+        # the oracle's state overflows to NaN; past a phase of about 9e307
+        # the closed form's angle (twice the phase) is not finite either, so
+        # dev_u is NaN too; either way those rows cannot be checked
         code, out, err = run_cli(capsys, ["evolve", *argv, "--check"])
         assert code == 2
-        assert out.splitlines()[-1].split(",")[9:11] == ["nan", "nan"]
+        assert out.splitlines()[1].split(",")[9:] == ["0", "0", "0"]
+        assert out.splitlines()[-1].split(",")[9:9 + len(nans)] == nans
         assert err == "check: max_deviation = nan\n"
 
-    @pytest.mark.parametrize("hbar", ["1e6", "1e10"])
+    def test_check_rabi_past_the_closed_form_exit_2(self, capsys):
+        argv = ["evolve", "--B=1e308,0,0", "--t-end=1.9", "--steps=2"]
+        plain = run_cli(capsys, argv)
+        code, out, err = run_cli(capsys, argv + ["--check-rabi"])
+        assert (plain[0], code) == (0, 2)
+        assert out == plain[1]
+        assert err == "check-rabi: max_deviation = nan\n"
+
+    @pytest.mark.parametrize("grid", [["--t-end=1e7"], ["--t-start=1e9", "--t-end=1e9"]],
+                             ids=["1e7", "1e9"])
+    def test_check_at_large_phase(self, capsys, grid):
+        # the oracle's closed-form exponential stays unitary at large
+        # |h| t / hbar, where scaling and squaring lost it (NaN from 1e7)
+        code, out, err = run_cli(capsys, ["evolve", "--B=1,2,3", *grid, "--steps=2", "--check"])
+        assert code == 0
+        dev_p, dev_s, _ = map(float, out.splitlines()[-1].split(",")[9:])
+        assert max(dev_p, dev_s) <= 1e-15
+
+    def test_check_large_hbar(self, capsys):
+        # spin expectations of order hbar = 1e6 keep an imaginary residue
+        # and a deviation of about 6e-11, relative 6e-17, within tol
+        argv = ["evolve", "--B=1,2,3", "--hbar=1e6", "--theta0=0.7",
+                "--t-end=10", "--steps=3", "--check"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0
+        assert float(err[len("check: max_deviation = "):]) <= 1e-10
+
+    @pytest.mark.parametrize("hbar", ["1e10"])
     def test_check_large_hbar_exit_2(self, capsys, hbar):
         # spin expectations of order hbar carry an imaginary residue far
-        # above 1e-13 (5.7e-12 and 5.2e-8 here), which the oracle accepts
-        # relative to the operator; the check then fails on a finite worst
+        # above 1e-13 (5.2e-8 here), which the oracle accepts relative to
+        # the operator; the check then fails on a finite worst (4.8e-7)
         argv = ["evolve", "--B=1,2,3", f"--hbar={hbar}", "--theta0=0.7",
                 "--t-end=10", "--steps=3", "--check"]
         code, out, err = run_cli(capsys, argv)
@@ -494,6 +525,24 @@ class TestConformance:
         assert "overall: PASS (seed=9)" in out
 
 
+def test_rotor_at_the_full_angle_fails_both_checks(capsys, monkeypatch):
+    # the tamper check: the rotor exponential given the full angle instead
+    # of the half angle, exp(-2 (t / hbar) e123 h); the matrix oracle does
+    # not share it, so the Rabi triangle and evolve --check both fail
+    conformance_argv = ["conformance", "--seed", "3", "--count", "50"]
+    evolve_argv = ["evolve", "--B=1,2,3", "--t-end=10", "--steps=11", "--check"]
+    assert run_cli(capsys, conformance_argv)[0] == 0
+    assert run_cli(capsys, evolve_argv)[0] == 0
+    half_angle = twostate._exp_bivector_rows
+    monkeypatch.setattr(twostate, "_exp_bivector_rows", lambda c: half_angle(2.0 * c))
+    code, out, _ = run_cli(capsys, conformance_argv)
+    assert code == 2
+    assert any(line.startswith("rabi_triangle") and "FAIL" in line for line in out.splitlines())
+    code, _, err = run_cli(capsys, evolve_argv)
+    assert code == 2
+    assert float(err[len("check: max_deviation = "):]) > 0.1
+
+
 class TestParsing:
     @pytest.mark.parametrize("argv, config, code, err", [
         (["evolve", "--steps=2"], {"q": "abc"}, 1, "q must be a number, got 'abc'"),
@@ -572,7 +621,7 @@ class TestSubprocess:
         [
             (["diag", "--h=1e160,0,0,0"], 0, ""),
             (
-                ["evolve", "--B=1e150,0,0", "--t-end=2", "--steps=4", "--check"],
+                ["evolve", "--B=1e160,0,0", "--t-end=2", "--steps=4", "--check"],
                 2,
                 "check: max_deviation = nan\n",
             ),

@@ -36,6 +36,7 @@ from per_row_oracle import (
     reference_expectation,
     reference_mat_exp,
     reference_probability,
+    taylor_mat_exp,
 )
 
 EPS_PLUS, EPS_MINUS = basis_eps()
@@ -188,14 +189,23 @@ class TestEigenHermitian:
         assert np.array_equal(v_minus, np.array([0.0 + 0j, 1.0]))
 
     def test_discriminant_rounding_to_zero(self):
-        # half_tr**2 - det rounds to 0 although the off-diagonal is nonzero,
-        # so both eigenvalues are the same double and eigvec gives the same
-        # vector twice; the minus vector is then its orthogonal complement
+        # trace^2 / 4 - det rounds to 0 here; ((h00 - h11) / 2)^2 + h01 h10
+        # keeps the splitting.  lam - h00 still cancels in the vectors, to
+        # about 3e-8 entrywise, which the overlap sees only squared
         values, (v_plus, v_minus) = eigen_hermitian(np.array([[1.0, 1e-9], [1e-9, 1.0]]))
+        assert values.tolist() == [1.0 + 1e-9, 1.0 - 1e-9]
+        for v, sign in ((v_plus, 1.0), (v_minus, -1.0)):
+            true = np.array([1.0, sign]) / math.sqrt(2.0)
+            assert np.max(np.abs(v - true)) <= 1e-7
+            assert abs(1.0 - abs(np.vdot(v, true))) <= 1e-15
+        assert abs(np.vdot(v_plus, v_minus)) <= 1e-7
+
+    def test_splitting_that_underflows_gives_the_canonical_pair(self):
+        # (1e-200)^2 underflows, and so do both candidate vectors' norms
+        values, (v_plus, v_minus) = eigen_hermitian(np.array([[1.0, 1e-200], [1e-200, 1.0]]))
         assert values.tolist() == [1.0, 1.0]
-        assert np.max(np.abs(v_plus - [1.0, 0.0])) <= 1e-15
-        assert np.max(np.abs(v_minus - [0.0, 1.0])) <= 1e-15
-        assert np.vdot(v_plus, v_minus) == 0.0
+        assert np.array_equal(v_plus, np.array([1.0 + 0j, 0.0]))
+        assert np.array_equal(v_minus, np.array([0.0 + 0j, 1.0]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.just(0.0), st.floats(-5.0, -1e-3), st.floats(1e-3, 5.0)),
@@ -266,6 +276,27 @@ class TestMatExp:
     def test_shape_check(self):
         with pytest.raises(ValueError):
             mat_exp(np.zeros((3, 3)))
+
+    def test_agrees_with_taylor_series(self):
+        # the closed form against the independent Taylor reference, on
+        # -i H t and on general complex matrices of 1-norm up to 50
+        rng = np.random.default_rng(39)
+        for _ in range(200):
+            h = random_hermitian(rng)
+            raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            for a in (-1j * h, raw):
+                a = a * (rng.uniform(0.0, 50.0) / np.max(np.sum(np.abs(a), axis=0)))
+                expected = taylor_mat_exp(a)
+                gap = np.max(np.abs(mat_exp(a) - expected)) / max(1.0, np.max(np.abs(expected)))
+                assert gap <= 1e-13
+
+    @pytest.mark.parametrize("phase", [1e5, 1e10, 1e100, 1e150])
+    def test_unitary_at_large_phase(self, phase):
+        # delta^2 is exactly real for -i H t, so cosh and sinh of
+        # delta = i |h| t are cos and sin: no drift off the unit circle
+        h = np.array(pauli(1)) * 0.6 - np.array(pauli(2)) * 0.48 + np.array(pauli(3)) * 0.64
+        u = mat_exp(-1j * h * phase)
+        assert np.max(np.abs(u @ u.conj().T - I2)) <= 1e-15
 
 
 class TestEvolveMatrix:
@@ -347,9 +378,6 @@ def row_outcome(reference, *args, shape=()):
             value = np.asarray(reference(*args))
         except (ValueError, ArithmeticError, OverflowError):
             value = np.full(shape, complex(np.nan, np.nan) if shape else np.nan)
-        if reference is reference_mat_exp and not np.isfinite(args[0]).all():
-            # the per-row loop raised, or spread NaN over only some entries
-            value = np.full(shape, complex(np.nan, np.nan))
     return hexes(value)
 
 
@@ -364,8 +392,8 @@ def signed(magnitude):
 
 
 # zeros of both signs, plain values, and magnitudes over the whole finite
-# range, so that one stack mixes rows needing no squaring with rows
-# needing hundreds, and rows too large to scale
+# range, so that one stack mixes rows with delta = 0, plain rows, and rows
+# whose delta^2 or result overflows
 component = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.floats(-2.0, 2.0),
@@ -403,24 +431,27 @@ class TestStackedOracle:
         with np.errstate(all="ignore"):
             assert [hexes(mat_exp(a)) for a in stack] == expected
 
-    def test_mat_exp_squaring_counts_in_one_stack(self):
-        # 1-norms 0, 0.3, 0.5 (the first to halve), 1e10 (35 halvings),
-        # 1e300 (998), non-finite rows and one too large to halve
+    def test_mat_exp_edge_rows_in_one_stack(self):
+        # delta = 0 (zero and nilpotent rows), delta^2 = 1e-40, |h| t of
+        # 1e150 (finite) and 1e155 (delta^2 overflows), a result that
+        # overflows, and non-finite rows
         stack = np.array([
             np.zeros((2, 2)),
-            0.3j * np.array(pauli(1)),
-            [[0.25, 0.0], [0.25j, 0.0]],
-            -1e10j * np.array(pauli(2)),
-            1e300j * np.array(pauli(3)),
+            [[0.0, 1.0], [0.0, 0.0]],
+            1e-20j * np.array(pauli(1)),
+            -1e150j * np.array(pauli(2)),
+            1e155j * np.array(pauli(3)),
+            [[800.0, 0.0], [0.0, 0.0]],
             [[np.nan, 0.0], [0.0, 0.0]],
             [[0.0, np.inf], [0.0, 0.0]],
-            [[2.0 ** 1022, 0.0], [0.0, 0.0]],
         ])
         expected = [row_outcome(reference_mat_exp, a, shape=(2, 2)) for a in stack]
         assert stacked_outcome(mat_exp, stack) == expected
         # the single form is a stack of one
         assert [hexes(mat_exp(a)) for a in stack] == expected
-        assert all(np.isnan(mat_exp(a)).all() for a in stack[5:])
+        assert np.array_equal(mat_exp(stack[1]), [[1.0, 1.0], [0.0, 1.0]])
+        assert np.isfinite(mat_exp(stack[:4])).all()
+        assert all(np.isnan(mat_exp(a)).all() for a in stack[4:])
 
     @settings(max_examples=200, deadline=None)
     @given(
