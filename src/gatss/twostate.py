@@ -298,8 +298,8 @@ def _angle(q: float, b, m: float, t):
 
 def _precession_angles(b, q: float, m: float, t) -> np.ndarray:
     """The closed forms' `_angle` for magnitudes b at times t: 0 in a zero
-    field at any t (even 0 * inf), NaN where not finite, which as twice the
-    rotor's phase it is first, from a phase of about 9e307."""
+    field at any t (even 0 * inf), NaN where not finite (being twice the
+    rotor's phase, it is so from a phase of about 9e307)."""
     alpha = np.where(b == 0.0, 0.0, _angle(q, b, m, t))
     return np.where(np.isfinite(alpha), alpha, np.nan)
 

@@ -35,7 +35,8 @@ def reference_mat_exp(a):
         delta = np.sqrt(delta2)
         scale = np.exp((a00 + a11) / 2.0)
         cosh = scale * np.cosh(delta)
-        sinhc = scale if delta[0] == 0.0 else scale * (np.sinh(delta) / delta)
+        ratio = np.ones(1, dtype=complex) if delta[0] == 0.0 else np.sinh(delta) / delta
+        sinhc = scale * ratio
         out = np.array([[cosh + sinhc * g, sinhc * a01],
                         [sinhc * a10, cosh - sinhc * g]])[:, :, 0]
     return out if np.isfinite(out).all() else nan
