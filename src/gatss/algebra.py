@@ -343,6 +343,14 @@ def vector(x: float, y: float, z: float) -> Multivector:
     return Multivector((0.0, float(x), float(y), float(z), 0.0, 0.0, 0.0, 0.0))
 
 
+def _unit_defect(w, a, b, c, sqrt=math.sqrt):
+    """R reverse(R) - 1 and its magnitude for an even R = w + a e23 + b e31 + c e12,
+    on floats or on rows (pass np.sqrt).  R reverse(R) is exactly the scalar
+    w^2 + a^2 + b^2 + c^2; the rounding residue gp leaves in e31 and e12 is dropped."""
+    x = 0.0 + w * w + a * a + b * b + c * c - 1.0
+    return x, sqrt(x * x)
+
+
 class Rotor:
     """Even-graded multivector with unit norm; rotates via sandwich().
 
@@ -356,9 +364,10 @@ class Rotor:
         c = mv._c
         if c[1] != 0.0 or c[2] != 0.0 or c[3] != 0.0 or c[7] != 0.0:
             raise ValueError("rotor must be even-graded (scalar + bivector only)")
-        dev = norm(gp(mv, reverse(mv)) - ONE)
+        excess, dev = _unit_defect(c[0], c[4], c[5], c[6])
         if dev > UNIT_TOL:
-            raise ValueError(_NOT_UNIT.format(dev=dev))
+            # gp(R, reverse(R)) overflowed where this sum does: no cross term exceeds half of it
+            raise ValueError(_NOT_UNIT.format(dev=dev) if excess < math.inf else _NOT_FINITE)
         self._mv = mv
 
     @classmethod
@@ -431,9 +440,7 @@ def _exp_bivector_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     out[:, 0] = np.where(series, 1.0 - theta2 / 2.0, cos)
     out[:, 4:7] = b * np.where(series, 1.0 - theta2 / 6.0, sin / theta)[:, None]
     out[~finite] = np.nan
-    off = _gp_rows(out, out * _REVERSION_SIGNS)
-    off[:, 0] -= 1.0
-    return out, theta, np.sqrt(np.sum(off * off, axis=1))
+    return out, theta, _unit_defect(*out[:, [0, 4, 5, 6]].T, np.sqrt)[1]
 
 
 def rotor_axis_angle(n_hat: Multivector, alpha: float) -> Rotor:

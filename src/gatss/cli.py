@@ -254,12 +254,11 @@ def _cmd_diag(s: dict[str, Any]) -> int:
     if s["format"] == "json":
         print(json.dumps(report, indent=2))
     else:
-        for key, value in report.items():
-            if isinstance(value, dict):
-                amplitudes = ", ".join(f"{k} = {_text(v)}" for k, v in value.items())
-                print(f"{key}: {amplitudes}")
-            else:
-                print(f"{key} = {_text(value)}")
+        print("\n".join(
+            f"{key}: " + ", ".join(f"{k} = {_text(v)}" for k, v in value.items())
+            if isinstance(value, dict) else f"{key} = {_text(value)}"
+            for key, value in report.items()
+        ))
     return 0 if check.passed else 2
 
 

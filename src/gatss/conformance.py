@@ -215,15 +215,14 @@ def eigensystem_residuals(h: Hamiltonian, es: EigenSystem) -> dict[str, float]:
     overlaps against the matrix eigensolver."""
     h_mv = h.as_multivector()
 
-    def relation_residual(psi: AlgebraicSpinor, e: float) -> np.ndarray:
-        return np.abs(left_mul(h_mv, psi).mv.coeffs - e * psi.mv.coeffs)
+    def relation_residual(psi: AlgebraicSpinor, e: float) -> list[float]:
+        return [abs(x - e * y) for x, y in zip(left_mul(h_mv, psi).mv._c, psi.mv._c)]
 
     values, vectors = matrixqm.eigen_hermitian(matrixqm.rep(h_mv))
     return {
-        "residual_eigen_relation": worst_deviation([
-            relation_residual(es.psi_plus, es.e_plus),
-            relation_residual(es.psi_minus, es.e_minus),
-        ]),
+        "residual_eigen_relation": worst_deviation(
+            relation_residual(es.psi_plus, es.e_plus) + relation_residual(es.psi_minus, es.e_minus)
+        ),
         "residual_oracle_eigenvalues": worst_deviation([
             abs(es.e_plus - values[0]), abs(es.e_minus - values[1])
         ]),

@@ -154,8 +154,8 @@ def eigen_hermitian(h: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.nda
     def eigvec(lam: float) -> np.ndarray:
         a = np.array([h[0, 1], lam - h[0, 0]])
         b = np.array([lam - h[1, 1], h[1, 0]])
-        v = a if np.linalg.norm(a) >= np.linalg.norm(b) else b
-        n = np.linalg.norm(v)
+        n_a, n_b = np.linalg.norm(a), np.linalg.norm(b)
+        v, n = (a, n_a) if n_a >= n_b else (b, n_b)
         if n == 0.0:
             return None
         v = v / n

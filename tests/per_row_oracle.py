@@ -6,7 +6,8 @@ bit, and give NaN where these raise; the tests compare the two.
 exponential's independent accuracy reference.
 
 Also the closed Rabi formula one draw at a time, in plain Python floats,
-for the closed forms' row kernel in `gatss.twostate`.
+for the closed forms' row kernel in `gatss.twostate`, and the rotor unit
+check by the full product, for `algebra`'s closed form of it.
 """
 
 import math
@@ -14,6 +15,7 @@ import sys
 
 import numpy as np
 
+from gatss.algebra import ONE, Multivector, gp, norm, reverse
 from gatss.matrixqm import HERMITIAN_TOL, STATE_NORM_TOL, pauli
 
 
@@ -120,6 +122,15 @@ def reference_rabi_probability(B, q, m, t):
         if not math.isfinite(alpha):
             raise ValueError(f"precession angle q |B| t / m is not finite at t = {t!r}")
     return 0.5 * sin_theta * sin_theta * (1.0 - math.cos(alpha))
+
+
+def reference_rotor_deviation(coeffs):
+    """|R reverse(R) - 1| of an even R through the full 64-term product, less
+    ONE, under the Euclidean norm; ValueError (not finite) where the product
+    overflows.  Its e31 and e12 blades keep a rounding residue, since their
+    terms -wb, -ac, +bw, +ca do not cancel in the order they are added."""
+    mv = Multivector(coeffs)
+    return norm(gp(mv, reverse(mv)) - ONE)
 
 
 def hexes(x):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gatss import matrixqm
 from gp_reference import TABLE as REFERENCE_TABLE
 from gp_reference import reference_gp, reference_gp_rows
+from per_row_oracle import reference_rotor_deviation
 from gatss.algebra import (
     BLADE_NAMES,
     E1,
@@ -27,10 +28,13 @@ from gatss.algebra import (
     Rotor,
     _TERM_LEFT,
     _TERM_RIGHT,
+    _NOT_FINITE,
+    _NOT_UNIT,
     _TERM_SIGN,
     _exp_bivector_rows,
     _gp_rows,
     _norm3,
+    _unit_defect,
     commutator,
     exp_bivector,
     gp,
@@ -337,6 +341,8 @@ class TestRowKernels:
             # theta is _norm3's, except where its plain sum underflows
             assert theta[i] == length or max(theta[i], length) < 1e-8
             assert hex_rows(rotors[i]) == hex_rows(exp_bivector(Multivector(row)).mv.coeffs)
+            # the deviation Rotor measures on that row, by the same expression
+            assert dev[i].hex() == _unit_defect(*rotors[i, [0, 4, 5, 6]].tolist())[1].hex()
             assert dev[i] <= UNIT_TOL
 
 
@@ -459,7 +465,48 @@ class TestNoFloatingPointWarnings:
                 Rotor(Multivector([1e150, 0, 0, 0, 0, 0, 0, 0]))
 
 
+@st.composite
+def even_coeffs(draw):
+    """(w, a, b, c) of an even R = w + a e23 + b e31 + c e12: magnitudes
+    log-uniform in [1e-300, 1e300] with signs and signed zeros, or a
+    direction scaled to between 1e-17 and 1e-3 off unit norm."""
+    if draw(st.booleans()):
+        wide = st.one_of(st.sampled_from([0.0, -0.0]), st.tuples(
+            st.floats(-300.0, 300.0), st.sampled_from([1.0, -1.0])).map(lambda m: m[1] * 10.0 ** m[0]))
+        return draw(st.lists(wide, min_size=4, max_size=4))
+    v = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(any))
+    off = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-17.0, -3.0))
+    return [x / math.hypot(*v) * (1.0 + off) for x in v]
+
+
 class TestRotorType:
+    @settings(max_examples=400, deadline=None)
+    @given(even_coeffs())
+    @example([1e150, 0.0, 0.0, 0.0])  # finite excess, its square inf
+    @example([1e154, 1e154, -0.0, 0.0])  # the sum of squares overflows
+    @example([0.6, 1e-10, -0.8, 1e-10])  # residue in e31 and e12, within tolerance
+    @example([1.0 + 2e-9, 0.0, -0.0, 0.0])
+    @example([1.0 + 5e-10, 0.0, 0.0, 0.0])
+    def test_closed_form_unit_check_matches_full_product(self, wabc):
+        # the closed form drops the full product's rounding residue, which
+        # can decide nothing unless the deviation sits on the tolerance
+        row = [wabc[0], 0.0, 0.0, 0.0, *wabc[1:], 0.0]
+        try:
+            old = reference_rotor_deviation(row)
+        except ValueError as exc:
+            assert str(exc) == _NOT_FINITE
+            with pytest.raises(ValueError, match=f"^{_NOT_FINITE}$"):
+                Rotor(Multivector(row))
+            return
+        try:
+            Rotor(Multivector(row))
+            outcome = None
+        except ValueError as exc:
+            outcome = str(exc)
+        assert outcome != _NOT_FINITE
+        if abs(old - UNIT_TOL) > 1e-12 * UNIT_TOL:
+            assert outcome == (_NOT_UNIT.format(dev=old) if old > UNIT_TOL else None)
+
     def test_rejects_odd_grades(self):
         with pytest.raises(ValueError):
             Rotor(E1)
