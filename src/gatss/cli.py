@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from typing import Any, Sequence
 
@@ -36,6 +37,11 @@ __all__ = ["main"]
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; remap that to 1 so exit
     code 2 stays reserved for tolerance failures."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value may start as a negative number does: --h -0.5,1,2,3
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

@@ -565,6 +565,22 @@ class TestParsing:
         else:
             assert result == (code, "", f"gatss {argv[0]}: error: {err}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["diag", "--h", "-0.5,1,2,3"],
+        ["diag", "--h", "-.5,1,2,3", "--format", "json"],
+        ["evolve", "--B", "-1,0,1", "--t-end", "1", "--steps", "3"],
+    ])
+    def test_negative_first_value_after_a_space(self, capsys, argv):
+        # the same run as with --flag=value
+        result = run_cli(capsys, argv)
+        assert result[0] == 0
+        assert result == run_cli(capsys, [argv[0], f"{argv[1]}={argv[2]}", *argv[3:]])
+
+    def test_option_as_value_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["diag", "--h", "-x"])
+        assert (code, out) == (1, "")
+        assert err.endswith("gatss diag: error: argument --h: expected one argument\n")
+
     def test_no_subcommand(self, capsys):
         assert run_cli(capsys, [])[0] == 1
 
