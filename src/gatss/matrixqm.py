@@ -151,9 +151,10 @@ def eigen_hermitian(h: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.nda
     d = math.sqrt(disc) if disc > 0.0 else 0.0
     values = np.array([half_tr + d, half_tr - d])
 
-    def eigvec(lam: float) -> np.ndarray:
-        a = np.array([h[0, 1], lam - h[0, 0]])
-        b = np.array([lam - h[1, 1], h[1, 0]])
+    def eigvec(sd: float) -> np.ndarray:
+        # lam - h00 and lam - h11 from the root's offset sd: the rounded lam cancels
+        a = np.array([h[0, 1], sd - half_gap])
+        b = np.array([sd + half_gap, h[1, 0]])
         n_a, n_b = np.linalg.norm(a), np.linalg.norm(b)
         v, n = (a, n_a) if n_a >= n_b else (b, n_b)
         if n == 0.0:
@@ -163,8 +164,8 @@ def eigen_hermitian(h: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.nda
         phase = v[k] / abs(v[k])
         return v * phase.conjugate()
 
-    v_plus = eigvec(values[0])
-    v_minus = eigvec(values[1])
+    v_plus = eigvec(d)
+    v_minus = eigvec(-d)
     if v_plus is None or v_minus is None:
         # degenerate (every d == 0 lands here): pick the canonical pair
         v_plus = np.array([1.0 + 0.0j, 0.0])

@@ -190,15 +190,16 @@ class TestEigenHermitian:
 
     def test_discriminant_rounding_to_zero(self):
         # trace^2 / 4 - det rounds to 0 here; ((h00 - h11) / 2)^2 + h01 h10
-        # keeps the splitting.  lam - h00 still cancels in the vectors, to
-        # about 3e-8 entrywise, which the overlap sees only squared
+        # keeps the splitting.  The vectors take lam - h00 as the root's
+        # offset less half the gap: from the rounded lam it cancelled, to
+        # about 3e-8 entrywise
         values, (v_plus, v_minus) = eigen_hermitian(np.array([[1.0, 1e-9], [1e-9, 1.0]]))
         assert values.tolist() == [1.0 + 1e-9, 1.0 - 1e-9]
         for v, sign in ((v_plus, 1.0), (v_minus, -1.0)):
             true = np.array([1.0, sign]) / math.sqrt(2.0)
-            assert np.max(np.abs(v - true)) <= 1e-7
+            assert np.max(np.abs(v - true)) <= 1e-15
             assert abs(1.0 - abs(np.vdot(v, true))) <= 1e-15
-        assert abs(np.vdot(v_plus, v_minus)) <= 1e-7
+        assert abs(np.vdot(v_plus, v_minus)) <= 1e-15
 
     def test_splitting_that_underflows_gives_the_canonical_pair(self):
         # (1e-200)^2 underflows, and so do both candidate vectors' norms
