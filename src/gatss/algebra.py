@@ -344,9 +344,8 @@ def vector(x: float, y: float, z: float) -> Multivector:
 
 
 def _unit_defect(w, a, b, c, sqrt=math.sqrt):
-    """R reverse(R) - 1 and its magnitude for an even R = w + a e23 + b e31 + c e12,
-    on floats or on rows (pass np.sqrt).  R reverse(R) is exactly the scalar
-    w^2 + a^2 + b^2 + c^2; the rounding residue gp leaves in e31 and e12 is dropped."""
+    """R reverse(R) - 1 and its magnitude for an even R = w + a e23 + b e31 + c e12, on
+    floats or on rows (pass np.sqrt): exactly the scalar w^2 + a^2 + b^2 + c^2 - 1."""
     x = 0.0 + w * w + a * a + b * b + c * c - 1.0
     return x, sqrt(x * x)
 

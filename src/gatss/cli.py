@@ -40,8 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a value may start as a negative number does: --h -0.5,1,2,3
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-\.?\d")  # a value: --h -0.5,1,2,3
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
