@@ -480,7 +480,7 @@ def even_coeffs(draw):
 
 
 class TestRotorType:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(even_coeffs())
     @example([1e150, 0.0, 0.0, 0.0])  # finite excess, its square inf
     @example([1e154, 1e154, -0.0, 0.0])  # the sum of squares overflows
