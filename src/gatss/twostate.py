@@ -206,8 +206,9 @@ def _coupling_rows(B, q: float, m: float, hbar: float) -> tuple[np.ndarray, np.n
     and their evolution bivectors e123 h, hodge_dual of each."""
     B = np.asarray(B, dtype=float)
     h = np.zeros(B.shape[:-1] + (8,))
-    h[..., 1:4] = (-q * hbar / (2.0 * m)) * B
-    return h, _gp_rows(E123.coeffs, h)
+    with np.errstate(all="ignore"):
+        h[..., 1:4] = (-q * hbar / (2.0 * m)) * B
+        return h, _gp_rows(E123.coeffs, h)
 
 
 # Error messages shared by the object API, trajectory's row kernel and the

@@ -349,19 +349,22 @@ class TestEvolutionRotor:
         with pytest.raises(ValueError):
             evolution_rotor(h, 1.0, hbar=0.0)
 
-    @pytest.mark.parametrize("b, t, hbar", [
-        ((1.0, 0.0, 0.0), 1e10, 1e-300),  # -t / hbar is -inf and 0 * -inf NaN
-        ((1e150, 0.0, 0.0), 1e200, 1.0),  # the product overflows
+    @pytest.mark.parametrize("b, t, hbar, q", [
+        ((1.0, 0.0, 0.0), 1e10, 1e-300, 1.0),  # -t / hbar is -inf and 0 * -inf NaN
+        ((1e150, 0.0, 0.0), 1e200, 1.0, 1.0),  # the product overflows
+        ((1.0, 0.0, 0.0), 1.0, 1e300, 1e300),  # q hbar is inf and 0 * inf NaN
+        ((1e300, 1e300, 0.0), 1.0, 1.0, 1e10),  # the coupling overflows
     ])
-    def test_exponent_out_of_range_raises_without_warning(self, b, t, hbar):
-        # the same row fails trajectory with the same message
-        h = hamiltonian_from_field(FieldConfig(B=b))
+    def test_exponent_out_of_range_raises_without_warning(self, b, t, hbar, q):
+        # the same row fails trajectory with the same message; a coupling
+        # out of range already fails hamiltonian_from_field
+        cfg = FieldConfig(B=b, q=q, hbar=hbar)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^(multivector|Hamiltonian) coefficients must be finite$"):
+                evolution_rotor(hamiltonian_from_field(cfg), t, hbar)
             with pytest.raises(ValueError, match="^multivector coefficients must be finite$"):
-                evolution_rotor(h, t, hbar)
-            with pytest.raises(ValueError, match="^multivector coefficients must be finite$"):
-                trajectory(FieldConfig(B=b, hbar=hbar), EPS_PLUS, [t])
+                trajectory(cfg, EPS_PLUS, [t])
 
     def test_unitarity(self):
         rng = np.random.default_rng(29)
