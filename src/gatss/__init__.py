@@ -57,6 +57,7 @@ from .twostate import (
     probability,
     rabi_probability,
     spin_vectors,
+    time_grid,
     trajectory,
     u_vector_closed_form,
 )

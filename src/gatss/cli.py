@@ -28,6 +28,7 @@ from .twostate import (
     eigensystem,
     polar_angles,
     polar_state,
+    time_grid,
     trajectory,
 )
 
@@ -276,7 +277,7 @@ def _cmd_evolve(s: dict[str, Any]) -> int:
         if psi0 != basis_eps()[0]:
             raise ValueError("check-rabi assumes the initial state eps_plus")
 
-    table = trajectory(cfg, psi0, np.linspace(s["t_start"], s["t_end"], s["steps"]))
+    table = trajectory(cfg, psi0, time_grid(s["t_start"], s["t_end"], s["steps"]))
     worsts = {}
     if s["check"]:
         devs = conformance.trajectory_deviations(cfg, psi0, table)

@@ -64,6 +64,7 @@ __all__ = [
     "probability",
     "rabi_probability",
     "polar_state",
+    "time_grid",
     "trajectory",
     "u_vector_closed_form",
     "spin_vectors",
@@ -343,6 +344,14 @@ def _row_blocks(rows):
     """Consecutive slices of at most _BLOCK_ROWS rows, for the row kernels."""
     for start in range(0, len(rows), _BLOCK_ROWS):
         yield rows[start:start + _BLOCK_ROWS]
+
+
+def time_grid(t_start: float, t_end: float, steps: int) -> np.ndarray:
+    """np.linspace(t_start, t_end, steps), exact also where t_end - t_start overflows."""
+    with np.errstate(over="ignore"):  # a last step past the top, which linspace sets to t_end
+        if math.isfinite(float(t_end) - float(t_start)):
+            return np.linspace(t_start, t_end, steps)
+        return 2.0 * np.linspace(t_start / 2.0, t_end / 2.0, steps)
 
 
 def trajectory(

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from gatss.cli import _CSV_BLOCK_ROWS, main
 from gatss import twostate
 from gatss.algebra import _norm3
-from gatss.twostate import FieldConfig, hamiltonian_from_field, polar_state, trajectory
+from gatss.twostate import (
+    FieldConfig,
+    hamiltonian_from_field,
+    polar_state,
+    time_grid,
+    trajectory,
+)
 
 CSV_HEADER = "t,p_plus,p_minus,s1,s2,s3,u1,u2,u3"
 
@@ -127,6 +133,17 @@ class TestEvolve:
         _, out1, _ = run_cli(capsys, self.BASE)
         _, out2, _ = run_cli(capsys, self.BASE)
         assert out1 == out2
+
+    @pytest.mark.parametrize("steps", [2, 5])
+    def test_span_that_overflows(self, capsys, steps):
+        # t-end - t-start overflows a double, but every time is finite and
+        # so is the phase, about 7.5e7
+        code, out, err = run_cli(capsys, ["evolve", "--B=1e-300,0,0", "--t-start=-1.5e308",
+                                          "--t-end=1.5e308", f"--steps={steps}"])
+        assert (code, err) == (0, "")
+        t = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert t == time_grid(-1.5e308, 1.5e308, steps).tolist()
+        assert (t[0], t[-1]) == (-1.5e308, 1.5e308)
 
     def test_numbers_round_trip_17g(self, capsys):
         code, out, err = run_cli(capsys, self.BASE)

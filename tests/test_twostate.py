@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gatss import matrixqm
@@ -45,6 +45,7 @@ from gatss.twostate import (
     spin_vectors,
     _BLOCK_ROWS,
     _coupling_rows,
+    time_grid,
     trajectory,
     u_vector_closed_form,
 )
@@ -698,6 +699,33 @@ class TestTrajectory:
                 assert abs(table[f"u{k + 1}"][i] - u[k]) <= 1e-12
                 # out of eps_plus the spin follows the axis: s = (hbar/2) u
                 assert abs(table[f"s{k + 1}"][i] - 0.5 * self.CFG.hbar * u[k]) <= 1e-12
+
+
+# grid endpoints log-uniform over the finite range, half of them near the
+# top, where the span t_end - t_start can overflow
+grid_end = st.tuples(
+    st.one_of(st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e),
+              st.floats(1e307, sys.float_info.max)),
+    st.sampled_from([1.0, -1.0]),
+).map(lambda m: m[0] * m[1])
+
+
+class TestTimeGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_end, grid_end, st.integers(1, 6))
+    @example(-1.5e308, 1.5e308, 5)
+    @example(-1.5e308, 1.5e308, 2)
+    @example(sys.float_info.max, -sys.float_info.max, 3)
+    def test_linspace_or_exact_where_the_span_overflows(self, t_start, t_end, steps):
+        grid = time_grid(t_start, t_end, steps)
+        if math.isfinite(t_end - t_start):
+            with np.errstate(over="ignore"):  # a span near the top
+                assert hexes(grid) == hexes(np.linspace(t_start, t_end, steps))
+            return
+        t = grid.tolist()
+        assert len(t) == steps and all(map(math.isfinite, t))
+        assert t == sorted(t, reverse=t_end < t_start)
+        assert t[0] == t_start and (steps == 1 or t[-1] == t_end)
 
 
 def reference_table(cfg, psi0, t_grid):
