@@ -169,9 +169,13 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
     eigenspinor uses the rotor at polar angle theta + pi, which lands on
     the antipodal axis.  A vanishing vector part degenerates to
     (eps_plus, eps_minus) with the identity rotor and sets the flag.
+    Raises ValueError where h0 + |h| or h0 - |h| overflows.
     """
     eps_plus, eps_minus = basis_eps()
     r_norm = h.r_norm
+    e_plus, e_minus = h.h0 + r_norm, h.h0 - r_norm
+    if math.isinf(e_plus) or math.isinf(e_minus):
+        raise ValueError("eigenvalues h0 +/- |h| overflow")
     if r_norm == 0.0:
         return EigenSystem(
             e_plus=h.h0,
@@ -186,8 +190,8 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
     r = azimuth * rotor_axis_angle(E2, theta)
     r_minus = azimuth * rotor_axis_angle(E2, theta + math.pi)
     return EigenSystem(
-        e_plus=h.h0 + r_norm,
-        e_minus=h.h0 - r_norm,
+        e_plus=e_plus,
+        e_minus=e_minus,
         rotor=r,
         psi_plus=left_mul(r.mv, eps_plus),
         psi_minus=left_mul(r_minus.mv, eps_plus),

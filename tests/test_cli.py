@@ -91,6 +91,14 @@ class TestDiag:
         assert float(lines["residual_oracle_eigenvalues"]) <= 1e-15 * e_plus
         assert float(lines["residual_oracle_overlap"]) <= 1e-15
 
+    @pytest.mark.parametrize("h", ["1e308,0,0,-1e308", "1e308,1e308,0,0"])
+    def test_eigenvalue_overflow_exit_1(self, capsys, h):
+        # an input error, as in evolve's phase overflow; the oracle's H,
+        # whose entries lie between the eigenvalues, never overflows
+        code, out, err = run_cli(capsys, ["diag", f"--h={h}"])
+        assert (code, out) == (1, "")
+        assert err == "gatss diag: error: eigenvalues h0 +/- |h| overflow\n"
+
     def test_missing_h(self, capsys):
         code, out, err = run_cli(capsys, ["diag"])
         assert code == 1

@@ -231,6 +231,15 @@ class TestDiagonalize:
         assert sandwich(r.reverse(), h.as_multivector()) == axial_form(h)
 
 
+# signed magnitudes log-uniform in [1e-300, 1e308], half of them near the
+# top, where sums and spans can overflow
+wide_float = st.tuples(
+    st.one_of(st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e),
+              st.floats(1e307, sys.float_info.max)),
+    st.sampled_from([1.0, -1.0]),
+).map(lambda m: m[0] * m[1])
+
+
 class TestEigensystem:
     def test_example_eigenvalues(self):
         es = eigensystem(H_EXAMPLE)
@@ -290,6 +299,19 @@ class TestEigensystem:
         assert es.e_plus == es.e_minus == 4.0
         assert es.psi_plus == EPS_PLUS and es.psi_minus == EPS_MINUS
         assert es.rotor.mv == ONE
+
+    @settings(max_examples=300, deadline=None)
+    @given(*[st.one_of(wide_float, st.just(0.0))] * 4)
+    @example(1e308, 1e308, 0.0, 0.0)
+    @example(1e308, 0.0, 0.0, -1e308)
+    def test_raises_exactly_where_an_eigenvalue_overflows(self, h0, h1, h2, h3):
+        r = _norm3(h1, h2, h3)
+        if math.isfinite(h0 + r) and math.isfinite(h0 - r):
+            es = eigensystem(Hamiltonian(h0, (h1, h2, h3)))
+            assert (es.e_plus, es.e_minus) == ((h0, h0) if r == 0.0 else (h0 + r, h0 - r))
+        else:
+            with pytest.raises(ValueError, match=r"^eigenvalues h0 \+/- \|h\| overflow$"):
+                eigensystem(Hamiltonian(h0, (h1, h2, h3)))
 
     def test_builds_the_azimuth_rotor_once(self, monkeypatch):
         calls = []
@@ -701,18 +723,9 @@ class TestTrajectory:
                 assert abs(table[f"s{k + 1}"][i] - 0.5 * self.CFG.hbar * u[k]) <= 1e-12
 
 
-# grid endpoints log-uniform over the finite range, half of them near the
-# top, where the span t_end - t_start can overflow
-grid_end = st.tuples(
-    st.one_of(st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e),
-              st.floats(1e307, sys.float_info.max)),
-    st.sampled_from([1.0, -1.0]),
-).map(lambda m: m[0] * m[1])
-
-
 class TestTimeGrid:
     @settings(max_examples=300, deadline=None)
-    @given(grid_end, grid_end, st.integers(1, 6))
+    @given(wide_float, wide_float, st.integers(1, 6))
     @example(-1.5e308, 1.5e308, 5)
     @example(-1.5e308, 1.5e308, 2)
     @example(sys.float_info.max, -sys.float_info.max, 3)
