@@ -68,8 +68,6 @@ _GRADE_INDICES = {0: (0,), 1: (1, 2, 3), 2: (4, 5, 6), 3: (7,)}
 _REVERSION_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 
 UNIT_TOL = 1e-9
-# Below this magnitude no sum of eight squares overflows.
-_SQUARES_IN_RANGE = 1e150
 _EXP_SERIES_CUTOFF = 1e-8
 
 
@@ -322,8 +320,6 @@ def norm(a: Multivector) -> float:
     """Euclidean norm of the coefficient vector; inf once the sum of squares
     overflows."""
     c = np.array(a._c)
-    if max(map(abs, a._c)) < _SQUARES_IN_RANGE:
-        return math.sqrt(float(np.dot(c, c)))
     with np.errstate(over="ignore"):
         return math.sqrt(float(np.dot(c, c)))
 
@@ -452,8 +448,9 @@ def rotor_axis_angle(n_hat: Multivector, alpha: float) -> Rotor:
     c = n_hat._c
     if any(c[i] != 0.0 for i in (0, 4, 5, 6, 7)):
         raise ValueError("axis must be a pure grade-1 multivector")
-    if abs(norm(n_hat) - 1.0) > UNIT_TOL:
-        raise ValueError(f"axis must be unit length, |n| = {norm(n_hat):.12g}")
+    length = _norm3(c[1], c[2], c[3])
+    if abs(length - 1.0) > UNIT_TOL:
+        raise ValueError(f"axis must be unit length, |n| = {length:.12g}")
     return exp_bivector(hodge_dual(n_hat) * (-0.5 * float(alpha)))
 
 

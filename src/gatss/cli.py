@@ -18,8 +18,6 @@ import re
 import sys
 from typing import Any, Sequence
 
-import numpy as np
-
 from . import conformance
 from .spinor import AlgebraicSpinor, basis_eps
 from .twostate import (
@@ -343,10 +341,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # errors (remapped to 1 above)
         return int(exc.code or 0)
     try:
-        # numpy's floating point warnings name the installed source file;
-        # the NaN or inf they signal fails a check or raises ValueError
-        with np.errstate(all="ignore"):
-            code = _COMMANDS[args.command][1](_settings(args))
+        code = _COMMANDS[args.command][1](_settings(args))
         sys.stdout.flush()
         return code
     except ValueError as exc:
