@@ -4,14 +4,16 @@ import json
 import math
 import subprocess
 import sys
+import types
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatss.cli import _CSV_BLOCK_ROWS, main
-from gatss import twostate
+from gatss import cli, twostate
 from gatss.algebra import _norm3
 from gatss.twostate import (
     FieldConfig,
@@ -713,3 +715,60 @@ class TestCheckProperty:
             code = main(argv)
         h = hamiltonian_from_field(FieldConfig(B=b, hbar=hbar)).h
         assert code in ((0, 2) if _norm3(*h) * (t_end / hbar) < 1e308 else (0, 1, 2))
+
+
+# any finite double: signed zeros, subnormals, hypothesis' own choice, and
+# magnitudes log-uniform from 1e-320, half of them near the largest double
+finite_double = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.tuples(st.one_of(magnitudes(1e-320, 1e308), st.floats(1e300, sys.float_info.max)),
+              st.booleans()).map(lambda m: -m[0] if m[1] else m[0]),
+)
+
+
+def strict_exit_code(argv):
+    """main(argv) with every warning an error, its output discarded."""
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+class TestNoWarningReachesTheCli:
+    """cli.main sets no floating-point state of its own: each library
+    function it reaches owns its own, so no numpy warning escapes it."""
+
+    def test_cli_imports_no_numpy(self):
+        modules = [v.__name__ for v in vars(cli).values() if isinstance(v, types.ModuleType)]
+        assert "numpy" not in {name.split(".")[0] for name in modules}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(finite_double, min_size=4, max_size=4), st.sampled_from(["csv", "json"]))
+    @example([1e308, 1e308, 0.0, 0.0], "csv")  # an eigenvalue overflows
+    @example([1e308, 0.0, 0.0, -1e308], "json")
+    def test_diag(self, h, fmt):
+        assert strict_exit_code(["diag", "--h=" + ",".join(map(repr, h)), f"--format={fmt}"]) in (0, 1, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(finite_double, min_size=3, max_size=3),
+        st.lists(finite_double, min_size=5, max_size=5),
+        st.one_of(st.none(), finite_double),
+        st.integers(1, 4),
+        st.lists(st.sampled_from(["--check", "--check-rabi", "--format=json"]), unique=True),
+    )
+    # a last step past the top, a span that overflows, an oracle that does
+    @example([1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0, sys.float_info.max], None, 4, [])
+    @example([1e-300, 0.0, 0.0], [1.0, 1.0, 1.0, -1.5e308, 1.5e308], None, 5,
+             ["--check", "--check-rabi", "--format=json"])
+    @example([1e160, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0, 2.0], None, 4, ["--check"])
+    def test_evolve(self, b, values, theta0, steps, flags):
+        q, m, hbar, t_start, t_end = values
+        t_start, t_end = sorted((t_start, t_end))
+        argv = ["evolve", "--B=" + ",".join(map(repr, b)), f"--q={q!r}", f"--m={abs(m)!r}",
+                f"--hbar={abs(hbar)!r}", f"--t-start={t_start!r}", f"--t-end={t_end!r}",
+                f"--steps={steps}", *flags]
+        if theta0 is not None:
+            argv.append(f"--theta0={theta0!r}")
+        assert strict_exit_code(argv) in (0, 1, 2)
