@@ -748,7 +748,8 @@ class TestNoWarningReachesTheCli:
     @example([1e308, 1e308, 0.0, 0.0], "csv")  # an eigenvalue overflows
     @example([1e308, 0.0, 0.0, -1e308], "json")
     def test_diag(self, h, fmt):
-        assert strict_exit_code(["diag", "--h=" + ",".join(map(repr, h)), f"--format={fmt}"]) in (0, 1, 2)
+        argv = ["diag", "--h=" + ",".join(map(repr, h)), f"--format={fmt}"]
+        assert strict_exit_code(argv) in (0, 1, 2)
 
     @settings(max_examples=100, deadline=None)
     @given(

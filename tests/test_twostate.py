@@ -400,7 +400,8 @@ class TestEvolutionRotor:
         cfg = FieldConfig(B=b, q=q, hbar=hbar)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^(multivector|Hamiltonian) coefficients must be finite$"):
+            with pytest.raises(ValueError,
+                               match="^(multivector|Hamiltonian) coefficients must be finite$"):
                 evolution_rotor(hamiltonian_from_field(cfg), t, hbar)
             with pytest.raises(ValueError, match="^multivector coefficients must be finite$"):
                 trajectory(cfg, EPS_PLUS, [t])
