@@ -290,8 +290,9 @@ def _rabi_rows(B, q: float, m: float, t) -> np.ndarray:
     """rabi_probability for the rows and times _precession_rows takes, unchecked."""
     B = np.asarray(B, dtype=float)
     b, cos_a, _ = _precession_rows(B, q, m, t)
-    sin_theta = _map(math.hypot, B[..., 0], B[..., 1]) / np.where(b == 0.0, 1.0, b)
-    return 0.5 * sin_theta * sin_theta * (1.0 - cos_a)
+    with np.errstate(all="ignore"):  # inf / inf where |B| overflows
+        sin_theta = _map(math.hypot, B[..., 0], B[..., 1]) / np.where(b == 0.0, 1.0, b)
+        return 0.5 * sin_theta * sin_theta * (1.0 - cos_a)
 
 
 def _angle(q: float, b, m: float, t):

@@ -759,11 +759,13 @@ class TestNoWarningReachesTheCli:
         st.integers(1, 4),
         st.lists(st.sampled_from(["--check", "--check-rabi", "--format=json"]), unique=True),
     )
-    # a last step past the top, a span that overflows, an oracle that does
+    # a last step past the top, a span that overflows, an oracle that does,
+    # a |B| that does under the Rabi formula
     @example([1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0, sys.float_info.max], None, 4, [])
     @example([1e-300, 0.0, 0.0], [1.0, 1.0, 1.0, -1.5e308, 1.5e308], None, 5,
              ["--check", "--check-rabi", "--format=json"])
     @example([1e160, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0, 2.0], None, 4, ["--check"])
+    @example([1.3e308, 1.3e308, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0], None, 1, ["--check-rabi"])
     def test_evolve(self, b, values, theta0, steps, flags):
         q, m, hbar, t_start, t_end = values
         t_start, t_end = sorted((t_start, t_end))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -113,6 +114,14 @@ class TestOracleChecks:
         assert rabi_deviation(TILTED, table) <= 1e-12
         table["p_minus"][7] -= 1e-6
         assert abs(rabi_deviation(TILTED, table) - 1e-6) <= 1e-9
+
+    def test_rabi_deviation_where_the_field_length_overflows(self):
+        # |B| is inf from finite components, so sin(theta) is inf / inf
+        cfg = FieldConfig(B=(1.3e308, 1.3e308, 0.0))
+        table = trajectory(cfg, EPS_PLUS, [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(rabi_deviation(cfg, table))
 
     @pytest.mark.parametrize(
         "h",
