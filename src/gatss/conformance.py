@@ -252,11 +252,10 @@ def trajectory_deviations(
     t = np.array(table["t"], dtype=float)
     # rows p_plus, p_minus, s1, s2, s3 of the oracle, one column per time
     blocks = [np.empty((5, 0))]
-    with np.errstate(all="ignore"):
-        for block in _row_blocks(t):
-            col_t = matrixqm.evolve_matrix(psi0_col, h_mat, block, cfg.hbar)
-            blocks.append([matrixqm.probability_matrix(e, col_t) for e in basis_cols]
-                          + [matrixqm.expectation_matrix(s, col_t) for s in s_mats])
+    for block in _row_blocks(t):
+        col_t = matrixqm.evolve_matrix(psi0_col, h_mat, block, cfg.hbar)
+        blocks.append([matrixqm.probability_matrix(e, col_t) for e in basis_cols]
+                      + [matrixqm.expectation_matrix(s, col_t) for s in s_mats])
     oracle = np.hstack(blocks)
     axis = np.full((3, t.size), np.nan)
     finite = ~np.isnan(_precession_angles(cfg.b_norm, cfg.q, cfg.m, t))
