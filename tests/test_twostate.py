@@ -388,21 +388,26 @@ class TestEvolutionRotor:
         with pytest.raises(ValueError):
             evolution_rotor(h, 1.0, hbar=0.0)
 
-    @pytest.mark.parametrize("b, t, hbar, q", [
-        ((1.0, 0.0, 0.0), 1e10, 1e-300, 1.0),  # -t / hbar is -inf and 0 * -inf NaN
-        ((1e150, 0.0, 0.0), 1e200, 1.0, 1.0),  # the product overflows
-        ((1.0, 0.0, 0.0), 1.0, 1e300, 1e300),  # q hbar is inf and 0 * inf NaN
-        ((1e300, 1e300, 0.0), 1.0, 1.0, 1e10),  # the coupling overflows
+    @pytest.mark.parametrize("b, t, hbar, q, message", [
+        ((1.0, 0.0, 0.0), 1e10, 1e-300, 1.0, "multivector"),  # -t / hbar is -inf and 0 * -inf NaN
+        ((1e150, 0.0, 0.0), 1e200, 1.0, 1.0, "multivector"),  # the product overflows
+        ((1.0, 0.0, 0.0), 1.0, 1e300, 1e300, "Hamiltonian"),  # q hbar is inf and 0 * inf NaN
+        ((1e300, 1e300, 0.0), 1.0, 1.0, 1e10, "Hamiltonian"),  # the coupling overflows
     ])
-    def test_exponent_out_of_range_raises_without_warning(self, b, t, hbar, q):
-        # the same row fails trajectory with the same message; a coupling
-        # out of range already fails hamiltonian_from_field
+    def test_exponent_out_of_range_raises_without_warning(self, b, t, hbar, q, message):
+        # evolution_rotor raises the multivector message on the exponent,
+        # hamiltonian_from_field the Hamiltonian one on a coupling out of
+        # range; the same row fails trajectory with the multivector message
         cfg = FieldConfig(B=b, q=q, hbar=hbar)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError,
-                               match="^(multivector|Hamiltonian) coefficients must be finite$"):
-                evolution_rotor(hamiltonian_from_field(cfg), t, hbar)
+            if message == "Hamiltonian":
+                with pytest.raises(ValueError, match="^Hamiltonian coefficients must be finite$"):
+                    hamiltonian_from_field(cfg)
+            else:
+                h = hamiltonian_from_field(FieldConfig(B=b, q=q))
+                with pytest.raises(ValueError, match="^multivector coefficients must be finite$"):
+                    evolution_rotor(h, t, hbar)
             with pytest.raises(ValueError, match="^multivector coefficients must be finite$"):
                 trajectory(cfg, EPS_PLUS, [t])
 
