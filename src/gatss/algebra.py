@@ -13,7 +13,8 @@ sign counts the swaps e_i e_j = -e_j e_i that sort the generators; blade
 arithmetic therefore stays exact in floating point.  Both products read
 that one list: `gp` on the eight Python floats a Multivector holds, and
 `_gp_rows` on blocks of coefficient rows, summing the terms in the same
-order, so the two agree bit for bit.
+order, so the two agree bit for bit.  The row kernels run on numpy, which
+is imported on their first use (`_LazyNumpy`), not with the module.
 
 The pseudoscalar e123 commutes with everything and squares to -1.
 Multiplying by it (the Hodge dual) swaps vectors with bivectors and scalars
@@ -26,8 +27,6 @@ from __future__ import annotations
 import math
 import sys
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "BLADE_NAMES",
@@ -64,19 +63,37 @@ _SPELLING = (1, 1, 1, 1, 1, -1, 1, 1)
 
 _GRADE_INDICES = {0: (0,), 1: (1, 2, 3), 2: (4, 5, 6), 3: (7,)}
 
-# Reversion negates grades 2 and 3.
-_REVERSION_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
-
 UNIT_TOL = 1e-9
 _EXP_SERIES_CUTOFF = 1e-8
 
 
-def _product_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _LazyNumpy:
+    """Stands for numpy as a module's global `np` until its first attribute
+    access, which imports numpy and binds it in its place.  So numpy loads
+    only on the first use of a row kernel or of the stacked oracle: the
+    object path and `gatss diag` never load it."""
+
+    __slots__ = ("_namespace",)
+
+    def __init__(self, namespace: dict):
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy(globals())
+
+
+def _product_terms() -> tuple[list[int], list[int], list[float]]:
     """The 64 signed terms of the geometric product, term-major: entry
     8 i + k is blade k's term sign * a[i] b[j], the one whose left factor is
-    blade i.  Returns the arrays of i, j and sign."""
-    right = np.zeros(64, dtype=int)
-    sign = np.zeros(64)
+    blade i.  Returns the lists of i, j and sign."""
+    right = [0] * 64
+    sign = [0.0] * 64
     for i, a in enumerate(_BLADE_BITS):
         for j, b in enumerate(_BLADE_BITS):
             # squared generators cancel; each generator of b moves left past
@@ -84,11 +101,34 @@ def _product_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             k = _BLADE_BITS.index(a ^ b)
             swaps = sum(bin(a >> n & b).count("1") for n in (1, 2))
             right[8 * i + k] = j
-            sign[8 * i + k] = (-1) ** swaps * _SPELLING[i] * _SPELLING[j] * _SPELLING[k]
-    return np.repeat(np.arange(8), 8), right, sign
+            sign[8 * i + k] = float((-1) ** swaps * _SPELLING[i] * _SPELLING[j] * _SPELLING[k])
+    return [i for i in range(8) for _ in range(8)], right, sign
 
 
-_TERM_LEFT, _TERM_RIGHT, _TERM_SIGN = _product_terms()
+_TERMS = _product_terms()
+
+# The arrays of the row kernels: the term list's (`_TERM_LEFT`,
+# `_TERM_RIGHT`, `_TERM_SIGN`) and reversion's signs, which negate grades 2
+# and 3.  They are made on the first row call, or on the first read from
+# outside (the module __getattr__, PEP 562), not on import.  Each row call
+# reads them afresh, so a test that swaps in another `_TERM_SIGN` is seen.
+_ROW_ARRAYS = ("_TERM_LEFT", "_TERM_RIGHT", "_TERM_SIGN", "_REVERSION_SIGNS")
+
+
+def _row_arrays() -> dict:
+    """The module namespace, with the row kernels' arrays made in it on the
+    first call."""
+    namespace = globals()
+    if "_TERM_SIGN" not in namespace:
+        reversion = (1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0)
+        namespace.update(zip(_ROW_ARRAYS, map(np.array, (*_TERMS, reversion))))
+    return namespace
+
+
+def __getattr__(name: str):
+    if name in _ROW_ARRAYS:
+        return _row_arrays()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _float_product():
@@ -96,12 +136,13 @@ def _float_product():
     term list: blade k is 0.0 + t_0 + t_1 + ... + t_7 over its terms in
     term-major order, added left to right as `_gp_rows` adds them (a term
     of sign -1 is subtracted, which rounds as adding its negation)."""
+    left, right, sign = _TERMS
     blades = []
     for k in range(8):
         expr = "0.0"
         for e in range(k, 64, 8):
-            op = "+" if _TERM_SIGN[e] > 0.0 else "-"
-            expr += f" {op} a{_TERM_LEFT[e]} * b{_TERM_RIGHT[e]}"
+            op = "+" if sign[e] > 0.0 else "-"
+            expr += f" {op} a{left[e]} * b{right[e]}"
         blades.append(expr)
     a = ", ".join(f"a{i}" for i in range(8))
     b = ", ".join(f"b{i}" for i in range(8))
@@ -127,7 +168,8 @@ class Multivector:
 
     def __init__(self, coeffs: Sequence[float] | np.ndarray):
         # every result of the algebra is a tuple of eight floats; anything
-        # else is read by numpy, which also gives the shape error
+        # else is read by numpy (imported here on first use), which also
+        # gives the shape error
         if type(coeffs) is tuple and len(coeffs) == 8 and set(map(type, coeffs)) == {float}:
             c = coeffs
         else:
@@ -146,7 +188,7 @@ class Multivector:
     @property
     def coeffs(self) -> np.ndarray:
         """Read-only float64 coefficient array in blade order, built on each
-        access."""
+        access (the first imports numpy)."""
         c = np.array(self._c)
         c.setflags(write=False)
         return c
@@ -228,15 +270,15 @@ class Multivector:
         return " ".join(parts) if parts else "0"
 
 
-ZERO = Multivector([0, 0, 0, 0, 0, 0, 0, 0])
-ONE = Multivector([1, 0, 0, 0, 0, 0, 0, 0])
-E1 = Multivector([0, 1, 0, 0, 0, 0, 0, 0])
-E2 = Multivector([0, 0, 1, 0, 0, 0, 0, 0])
-E3 = Multivector([0, 0, 0, 1, 0, 0, 0, 0])
-E23 = Multivector([0, 0, 0, 0, 1, 0, 0, 0])
-E31 = Multivector([0, 0, 0, 0, 0, 1, 0, 0])
-E12 = Multivector([0, 0, 0, 0, 0, 0, 1, 0])
-E123 = Multivector([0, 0, 0, 0, 0, 0, 0, 1])
+ZERO = Multivector((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+ONE = Multivector((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+E1 = Multivector((0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+E2 = Multivector((0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+E3 = Multivector((0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
+E23 = Multivector((0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
+E31 = Multivector((0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0))
+E12 = Multivector((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0))
+E123 = Multivector((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
 
 
 def gp(a: Multivector, b: Multivector) -> Multivector:
@@ -255,11 +297,11 @@ def _gp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Nothing is checked: rows may be inf or NaN.
     """
     # each factor gathered once, into a fresh array the products overwrite;
-    # the signs (read here, so a changed _TERM_SIGN is seen) go on the
-    # smaller one
-    left, right = a[..., _TERM_LEFT], b[..., _TERM_RIGHT]
+    # the signs go on the smaller one
+    arrays = _row_arrays()
+    left, right = a[..., arrays["_TERM_LEFT"]], b[..., arrays["_TERM_RIGHT"]]
     small, terms = (left, right) if left.size <= right.size else (right, left)
-    small *= _TERM_SIGN
+    small *= arrays["_TERM_SIGN"]
     if terms.shape[-small.ndim:] == small.shape:
         terms *= small
     else:
@@ -267,6 +309,12 @@ def _gp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # the term axis is not the contiguous one, so numpy adds the eight
     # terms in order rather than pairwise
     return np.add.reduce(terms.reshape(terms.shape[:-1] + (8, 8)), axis=-2, initial=0.0)
+
+
+def _reverse_rows(c: np.ndarray) -> np.ndarray:
+    """reverse of each coefficient row of a block of shape (N, 8), or of
+    one row of shape (8,)."""
+    return c * _row_arrays()["_REVERSION_SIGNS"]
 
 
 def _map(f, *arrays) -> np.ndarray:

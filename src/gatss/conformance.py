@@ -29,13 +29,12 @@ as `test_homomorphism_sees_every_sign_flip` in tests/test_conformance.py pins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import matrixqm
-from .algebra import _finite_rows, _gp_rows, commutator, hodge_dual
-from .spinor import AlgebraicSpinor, basis_eps, left_mul
+from .algebra import _finite_rows, _gp_rows, _LazyNumpy, commutator, hodge_dual
+from .spinor import AlgebraicSpinor, basis_eps, left_mul, to_amplitudes
 from .twostate import (
     EigenSystem,
     FieldConfig,
@@ -50,6 +49,8 @@ from .twostate import (
     spin_vectors,
     u_vector_closed_form,
 )
+
+np = _LazyNumpy(globals())
 
 __all__ = [
     "SuiteResult",
@@ -90,11 +91,22 @@ class SuiteResult:
 
 
 def worst_deviation(deviations) -> float:
-    """Largest entry of an array-like of deviations, 0.0 when it is empty.
+    """Largest entry of deviations, 0.0 when there are none: an array, or a
+    sequence of numbers, arrays or sequences of them.
 
-    Unlike the builtin max, a NaN anywhere makes the result NaN.
+    Unlike the builtin max, a NaN anywhere makes the result NaN.  Arrays
+    are reduced by numpy, sequences in Python, so that `diag`'s checks
+    need no numpy.
     """
-    return float(np.max(np.asarray(deviations, dtype=float), initial=0.0))
+    if hasattr(deviations, "max"):
+        return float(deviations.max(initial=0.0))
+    worst = 0.0
+    for x in deviations:
+        x = float(x) if isinstance(x, (int, float)) else worst_deviation(x)
+        if x != x:
+            return math.nan
+        worst = max(worst, x)
+    return worst
 
 
 def _worst_by_block(devs_of, count: int, draw) -> float:
@@ -218,7 +230,13 @@ def eigensystem_residuals(h: Hamiltonian, es: EigenSystem) -> dict[str, float]:
     def relation_residual(psi: AlgebraicSpinor, e: float) -> list[float]:
         return [abs(x - e * y) for x, y in zip(left_mul(h_mv, psi).mv._c, psi.mv._c)]
 
-    values, vectors = matrixqm.eigen_hermitian(matrixqm.rep(h_mv))
+    def overlap_residual(v: tuple[complex, complex], psi: AlgebraicSpinor) -> float:
+        # 1 - |<v, psi>|, the oracle's vector against the state's amplitudes
+        p_plus, p_minus = to_amplitudes(psi)
+        return abs(1.0 - abs(v[0].conjugate() * p_plus + v[1].conjugate() * p_minus))
+
+    # the oracle on one matrix: matrixqm's Python-complex core, no numpy
+    values, vectors = matrixqm._eigen_entries(*matrixqm._rep_entries(h_mv._c))
     return {
         "residual_eigen_relation": worst_deviation(
             relation_residual(es.psi_plus, es.e_plus) + relation_residual(es.psi_minus, es.e_minus)
@@ -227,8 +245,7 @@ def eigensystem_residuals(h: Hamiltonian, es: EigenSystem) -> dict[str, float]:
             abs(es.e_plus - values[0]), abs(es.e_minus - values[1])
         ]),
         "residual_oracle_overlap": worst_deviation([
-            abs(1.0 - abs(np.vdot(vectors[0], matrixqm.spinor_rep(es.psi_plus)))),
-            abs(1.0 - abs(np.vdot(vectors[1], matrixqm.spinor_rep(es.psi_minus)))),
+            overlap_residual(vectors[0], es.psi_plus), overlap_residual(vectors[1], es.psi_minus),
         ]),
     }
 

@@ -19,17 +19,23 @@ each row equal bit for bit to the same call on that row alone.  A single
 input that fails a check (a state off unit norm, H not Hermitian) raises;
 in a stack, the rows that fail come back NaN.  The single form is the
 stacked code run on one row.
+
+The eigensystem of one matrix, and rep of one multivector, run on Python
+complex numbers and `math` (`_eigen_entries`, `_rep_entries`), so that
+`diag`'s cross-check loads no numpy; eigen_hermitian and rep wrap them in
+arrays.  numpy itself is imported on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
-import numpy as np
-
-from .algebra import Multivector
+from .algebra import Multivector, _LazyNumpy
 from .spinor import AlgebraicSpinor, to_amplitudes
+
+np = _LazyNumpy(globals())
 
 __all__ = [
     "pauli",
@@ -49,27 +55,33 @@ __all__ = [
 HERMITIAN_TOL = 1e-12
 STATE_NORM_TOL = 1e-9
 
-_SIGMA = (
-    np.array([[1.0 + 0.0j, 0.0], [0.0, 1.0]]),
-    np.array([[0.0 + 0.0j, 1.0], [1.0, 0.0]]),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    np.array([[1.0 + 0.0j, 0.0], [0.0, -1.0]]),
-)
-for _s in _SIGMA:
-    _s.setflags(write=False)
+
+@functools.cache
+def _sigma() -> tuple[np.ndarray, ...]:
+    """sigma_0 through sigma_3 as read-only 2x2 arrays, made on first use."""
+    sigma = (
+        np.array([[1.0 + 0.0j, 0.0], [0.0, 1.0]]),
+        np.array([[0.0 + 0.0j, 1.0], [1.0, 0.0]]),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+        np.array([[1.0 + 0.0j, 0.0], [0.0, -1.0]]),
+    )
+    for s in sigma:
+        s.setflags(write=False)
+    return sigma
 
 
 def pauli(k: int) -> np.ndarray:
     """sigma_0 (identity) through sigma_3, as read-only 2x2 arrays."""
     if k not in (0, 1, 2, 3):
         raise ValueError(f"pauli index must be 0..3, got {k!r}")
-    return _SIGMA[k]
+    return _sigma()[k]
 
 
+@functools.cache
 def _blade_images() -> np.ndarray:
     """Matrix image of each basis blade; composite blades are built as
     products of their vector factors rather than entered by hand."""
-    s0, s1, s2, s3 = _SIGMA
+    s0, s1, s2, s3 = _sigma()
     images = np.stack(
         [
             s0,
@@ -86,15 +98,22 @@ def _blade_images() -> np.ndarray:
     return images
 
 
-_IMAGES = _blade_images()
+def _rep_entries(c: Sequence[float]) -> tuple[complex, complex, complex, complex]:
+    """The entries h00, h01, h10, h11 of rep for eight coefficients, as
+    Python complex numbers: each part is the sum of the two blades whose
+    images reach it (the images of `_blade_images`)."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
+    return (complex(c0 + c3, c6 + c7), complex(c1 + c5, c4 - c2),
+            complex(c1 - c5, c2 + c4), complex(c0 - c3, c7 - c6))
 
 
 def rep(a: Multivector | np.ndarray) -> np.ndarray:
     """Linear extension of the blade map to a 2x2 complex matrix; an algebra
     isomorphism, so rep(a b) = rep(a) rep(b).  Also maps coefficient rows,
     shape (N, 8), to a stack of matrices, shape (N, 2, 2)."""
-    c = a.coeffs if isinstance(a, Multivector) else np.asarray(a, dtype=float)
-    return np.tensordot(c, _IMAGES, axes=1)
+    if isinstance(a, Multivector):
+        return np.reshape(_rep_entries(a._c), (2, 2))
+    return np.tensordot(np.asarray(a, dtype=float), _blade_images(), axes=1)
 
 
 def unrep(m: np.ndarray) -> Multivector:
@@ -102,7 +121,7 @@ def unrep(m: np.ndarray) -> Multivector:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    z = [np.trace(_SIGMA[k] @ m) / 2.0 for k in range(4)]
+    z = [np.trace(s @ m) / 2.0 for s in _sigma()]
     return Multivector([*(w.real for w in z), *(w.imag for w in z[1:]), z[0].imag])
 
 
@@ -126,8 +145,24 @@ def is_hermitian(m: np.ndarray):
 def eigen_hermitian(h: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Closed-form eigensystem of a Hermitian 2x2 matrix.
 
-    Returns (values, (v_plus, v_minus)) with values descending.  The roots
-    are half the trace plus and minus the square root of
+    Returns (values, (v_plus, v_minus)) with values descending, computed by
+    `_eigen_entries` on Python complex numbers.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {h.shape}")
+    if not is_hermitian(h):
+        raise ValueError("matrix is not Hermitian")
+    values, vectors = _eigen_entries(*h.ravel().tolist())
+    return np.array(values), (np.array(vectors[0]), np.array(vectors[1]))
+
+
+def _eigen_entries(h00: complex, h01: complex, h10: complex, h11: complex):
+    """eigen_hermitian of the matrix with these entries, taken to be
+    Hermitian and finite, on Python complex numbers and `math`: the values
+    and each eigenvector as tuples.
+
+    The roots are half the trace plus and minus the square root of
     ((h00 - h11) / 2)^2 + h01 h10, formed from the entries so that it does
     not cancel as trace minus determinant would, and each eigenvector's
     phase is fixed so its first nonzero component is real and positive.
@@ -135,46 +170,42 @@ def eigen_hermitian(h: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.nda
     H is first multiplied by a power of two that brings its largest real
     or imaginary part into [1/2, 1) (by at most 2^1021 for a subnormal H),
     which is exact, so that the squares below neither overflow nor
-    underflow; the values are scaled back.
+    underflow, and no abs or division below can raise; the values are
+    scaled back.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {h.shape}")
-    if not is_hermitian(h):
-        raise ValueError("matrix is not Hermitian")
-    _, k = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in h.ravel().tolist()))
+    entries = (h00, h01, h10, h11)
+    _, k = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in entries))
     scale = math.ldexp(1.0, -max(k, -1021))
-    h = h * scale
-    half_tr = (h[0, 0] + h[1, 1]).real / 2.0
-    half_gap = (h[0, 0] - h[1, 1]).real / 2.0
-    disc = half_gap * half_gap + (h[0, 1] * h[1, 0]).real
+    h00, h01, h10, h11 = (complex(z.real * scale, z.imag * scale) for z in entries)
+    half_tr = (h00.real + h11.real) / 2.0
+    half_gap = (h00.real - h11.real) / 2.0
+    disc = half_gap * half_gap + (h01 * h10).real
     d = math.sqrt(disc) if disc > 0.0 else 0.0
-    values = np.array([half_tr + d, half_tr - d])
 
-    def eigvec(sd: float) -> np.ndarray:
+    def eigvec(sd: float):
         # lam - h00 and lam - h11 from the root's offset sd: the rounded lam cancels
-        a = np.array([h[0, 1], sd - half_gap])
-        b = np.array([sd + half_gap, h[1, 0]])
-        n_a, n_b = np.linalg.norm(a), np.linalg.norm(b)
+        a = (h01, complex(sd - half_gap))
+        b = (complex(sd + half_gap), h10)
+        n_a, n_b = (math.sqrt((x.real * x.real + y.real * y.real) + (x.imag * x.imag + y.imag * y.imag))
+                    for x, y in (a, b))
         v, n = (a, n_a) if n_a >= n_b else (b, n_b)
         if n == 0.0:
             return None
-        v = v / n
-        k = 0 if abs(v[0]) > 1e-15 else 1
-        phase = v[k] / abs(v[k])
-        return v * phase.conjugate()
+        v = tuple(z / n for z in v)
+        first = v[0] if abs(v[0]) > 1e-15 else v[1]
+        phase = (first / abs(first)).conjugate()
+        return tuple(z * phase for z in v)
 
     v_plus = eigvec(d)
     v_minus = eigvec(-d)
     if v_plus is None or v_minus is None:
         # degenerate (every d == 0 lands here): pick the canonical pair
-        v_plus = np.array([1.0 + 0.0j, 0.0])
-        v_minus = np.array([0.0 + 0.0j, 1.0])
-    return values / scale, (v_plus, v_minus)
+        v_plus, v_minus = (1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j)
+    return ((half_tr + d) / scale, (half_tr - d) / scale), (v_plus, v_minus)
 
 
 # what a row that fails comes back as: NaN in both parts
-_NAN = complex(np.nan, np.nan)
+_NAN = complex(math.nan, math.nan)
 
 
 def _stacked(x, core: tuple[int, ...], what: str) -> np.ndarray:

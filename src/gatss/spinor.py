@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
+from .algebra import E1, Multivector, _gp_rows, _reverse_rows, gp, reverse
 
-from .algebra import _REVERSION_SIGNS, E1, Multivector, _gp_rows, gp, reverse
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AlgebraicSpinor",
@@ -173,7 +174,7 @@ def _near_unit(re, ps):
 def _is_normalized_rows(psi: np.ndarray) -> np.ndarray:
     """AlgebraicSpinor.is_normalized row by row of a block of spinor
     coefficient rows of shape (N, 8): a boolean per row."""
-    p = _gp_rows(psi * _REVERSION_SIGNS, psi)
+    p = _gp_rows(_reverse_rows(psi), psi)
     return _near_unit(2.0 * p[:, 0], 2.0 * p[:, 7])
 
 

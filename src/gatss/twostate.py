@@ -25,12 +25,9 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .algebra import (
     _NOT_FINITE,
     _NOT_UNIT,
-    _REVERSION_SIGNS,
     E2,
     E3,
     E123,
@@ -40,8 +37,10 @@ from .algebra import (
     _exp_bivector_rows,
     _finite_rows,
     _gp_rows,
+    _LazyNumpy,
     _map,
     _norm3,
+    _reverse_rows,
     exp_bivector,
     gp,
     hodge_dual,
@@ -50,6 +49,8 @@ from .algebra import (
     vector,
 )
 from .spinor import AlgebraicSpinor, _is_normalized_rows, basis_eps, left_mul
+
+np = _LazyNumpy(globals())
 
 __all__ = [
     "Hamiltonian",
@@ -394,10 +395,10 @@ def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
     eps_plus, eps_minus = (eps.mv.coeffs for eps in basis_eps())
     rotor, rotor_dev, psi, checks = _evolution_rows(psi0, bivector, t, cfg.hbar)
     # the products of probability, expectation and sandwich
-    psi_rev = psi * _REVERSION_SIGNS
+    psi_rev = _reverse_rows(psi)
     products = [_probability_rows(eps, psi) for eps in (eps_plus, eps_minus)]
     products += [_gp_rows(psi_rev, _gp_rows(op, psi)) for op in spins]
-    axis = _gp_rows(_gp_rows(rotor, E3.coeffs), rotor * _REVERSION_SIGNS)
+    axis = _gp_rows(_gp_rows(rotor, E3.coeffs), _reverse_rows(rotor))
     checks.append((~_finite_rows(*products, axis), _NOT_FINITE))
     failed = np.array([mask for mask, _ in checks])
     if failed.any():
@@ -436,7 +437,7 @@ def _evolution_rows(psi0, bivector, t, hbar):
 def _probability_rows(u_n: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """The product of probability(u_n, psi) row by row, unchecked: twice
     its scalar part is the probability."""
-    return _gp_rows(_gp_rows(_gp_rows(u_n * _REVERSION_SIGNS, psi), psi * _REVERSION_SIGNS), u_n)
+    return _gp_rows(_gp_rows(_gp_rows(_reverse_rows(u_n), psi), _reverse_rows(psi)), u_n)
 
 
 def u_vector_closed_form(cfg: FieldConfig, t):
