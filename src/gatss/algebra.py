@@ -107,27 +107,22 @@ def _product_terms() -> tuple[list[int], list[int], list[float]]:
 
 _TERMS = _product_terms()
 
-# The arrays of the row kernels: the term list's (`_TERM_LEFT`,
-# `_TERM_RIGHT`, `_TERM_SIGN`) and reversion's signs, which negate grades 2
-# and 3.  They are made on the first row call, or on the first read from
-# outside (the module __getattr__, PEP 562), not on import.  Each row call
-# reads them afresh, so a test that swaps in another `_TERM_SIGN` is seen.
-_ROW_ARRAYS = ("_TERM_LEFT", "_TERM_RIGHT", "_TERM_SIGN", "_REVERSION_SIGNS")
 
-
-def _row_arrays() -> dict:
-    """The module namespace, with the row kernels' arrays made in it on the
-    first call."""
-    namespace = globals()
-    if "_TERM_SIGN" not in namespace:
-        reversion = (1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0)
-        namespace.update(zip(_ROW_ARRAYS, map(np.array, (*_TERMS, reversion))))
-    return namespace
+def _make_row_arrays() -> None:
+    """Make the arrays of the row kernels once: the term list's, and
+    reversion's signs, which negate grades 2 and 3.  The kernels that read
+    them call this first, and so does the module __getattr__ (PEP 562) for
+    reads from outside, so that importing the algebra loads no numpy."""
+    global _TERM_LEFT, _TERM_RIGHT, _TERM_SIGN, _REVERSION_SIGNS
+    if "_TERM_SIGN" not in globals():
+        _TERM_LEFT, _TERM_RIGHT, _TERM_SIGN = map(np.array, _TERMS)
+        _REVERSION_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 
 
 def __getattr__(name: str):
-    if name in _ROW_ARRAYS:
-        return _row_arrays()[name]
+    if name in ("_TERM_LEFT", "_TERM_RIGHT", "_TERM_SIGN", "_REVERSION_SIGNS"):
+        _make_row_arrays()
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -297,11 +292,12 @@ def _gp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Nothing is checked: rows may be inf or NaN.
     """
     # each factor gathered once, into a fresh array the products overwrite;
-    # the signs go on the smaller one
-    arrays = _row_arrays()
-    left, right = a[..., arrays["_TERM_LEFT"]], b[..., arrays["_TERM_RIGHT"]]
+    # the signs (read here, so a changed _TERM_SIGN is seen) go on the
+    # smaller one
+    _make_row_arrays()
+    left, right = a[..., _TERM_LEFT], b[..., _TERM_RIGHT]
     small, terms = (left, right) if left.size <= right.size else (right, left)
-    small *= arrays["_TERM_SIGN"]
+    small *= _TERM_SIGN
     if terms.shape[-small.ndim:] == small.shape:
         terms *= small
     else:
@@ -314,7 +310,8 @@ def _gp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _reverse_rows(c: np.ndarray) -> np.ndarray:
     """reverse of each coefficient row of a block of shape (N, 8), or of
     one row of shape (8,)."""
-    return c * _row_arrays()["_REVERSION_SIGNS"]
+    _make_row_arrays()
+    return c * _REVERSION_SIGNS
 
 
 def _map(f, *arrays) -> np.ndarray:

@@ -186,8 +186,8 @@ def _eigen_entries(h00: complex, h01: complex, h10: complex, h11: complex):
         # lam - h00 and lam - h11 from the root's offset sd: the rounded lam cancels
         a = (h01, complex(sd - half_gap))
         b = (complex(sd + half_gap), h10)
-        n_a, n_b = (math.sqrt((x.real * x.real + y.real * y.real) + (x.imag * x.imag + y.imag * y.imag))
-                    for x, y in (a, b))
+        n_a, n_b = (math.sqrt((x.real * x.real + y.real * y.real)
+                              + (x.imag * x.imag + y.imag * y.imag)) for x, y in (a, b))
         v, n = (a, n_a) if n_a >= n_b else (b, n_b)
         if n == 0.0:
             return None
