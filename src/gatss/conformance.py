@@ -174,7 +174,7 @@ def suite_commutators() -> SuiteResult:
         for j in range(3):
             k, sign = _LEVI_CIVITA.get((i, j), (0, 0.0))  # eps_iik = 0
             devs.append(np.abs((commutator(s_ops[i], s_ops[j]) - duals[k] * sign).coeffs))
-    return SuiteResult("commutators", worst_deviation(devs), 0.0, 9)
+    return SuiteResult("commutators", worst_deviation(np.array(devs)), 0.0, 9)
 
 
 def suite_rabi_triangle(rng: np.random.Generator, count: int) -> SuiteResult:

@@ -56,32 +56,22 @@ HERMITIAN_TOL = 1e-12
 STATE_NORM_TOL = 1e-9
 
 
-@functools.cache
-def _sigma() -> tuple[np.ndarray, ...]:
-    """sigma_0 through sigma_3 as read-only 2x2 arrays, made on first use."""
-    sigma = (
-        np.array([[1.0 + 0.0j, 0.0], [0.0, 1.0]]),
-        np.array([[0.0 + 0.0j, 1.0], [1.0, 0.0]]),
-        np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-        np.array([[1.0 + 0.0j, 0.0], [0.0, -1.0]]),
-    )
-    for s in sigma:
-        s.setflags(write=False)
-    return sigma
-
-
 def pauli(k: int) -> np.ndarray:
     """sigma_0 (identity) through sigma_3, as read-only 2x2 arrays."""
     if k not in (0, 1, 2, 3):
         raise ValueError(f"pauli index must be 0..3, got {k!r}")
-    return _sigma()[k]
+    return _blade_images()[k]
 
 
 @functools.cache
 def _blade_images() -> np.ndarray:
-    """Matrix image of each basis blade; composite blades are built as
+    """Read-only matrix image of each basis blade, made on first use: the
+    Pauli matrices for 1, e1, e2 and e3, and the composite blades built as
     products of their vector factors rather than entered by hand."""
-    s0, s1, s2, s3 = _sigma()
+    s0 = np.array([[1.0 + 0.0j, 0.0], [0.0, 1.0]])
+    s1 = np.array([[0.0 + 0.0j, 1.0], [1.0, 0.0]])
+    s2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    s3 = np.array([[1.0 + 0.0j, 0.0], [0.0, -1.0]])
     images = np.stack(
         [
             s0,
@@ -121,7 +111,7 @@ def unrep(m: np.ndarray) -> Multivector:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    z = [np.trace(s @ m) / 2.0 for s in _sigma()]
+    z = [np.trace(s @ m) / 2.0 for s in _blade_images()[:4]]
     return Multivector([*(w.real for w in z), *(w.imag for w in z[1:]), z[0].imag])
 
 
