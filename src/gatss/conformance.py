@@ -92,21 +92,19 @@ class SuiteResult:
 
 def worst_deviation(deviations) -> float:
     """Largest entry of deviations, 0.0 when there are none: an array, or a
-    sequence of numbers, arrays or sequences of them.
+    sequence of numbers, or of arrays and sequences of them.
 
-    Unlike the builtin max, a NaN anywhere makes the result NaN.  Arrays
-    are reduced by numpy, sequences in Python, so that `diag`'s checks
-    need no numpy.
+    Unlike the builtin max, a NaN anywhere makes the result NaN.  An array
+    is reduced by its own max; a sequence by Python's builtins, which loop
+    in C, so that `diag`'s checks need no numpy.
     """
     if hasattr(deviations, "max"):
         return float(deviations.max(initial=0.0))
-    worst = 0.0
-    for x in deviations:
-        x = float(x) if isinstance(x, (int, float)) else worst_deviation(x)
-        if x != x:
-            return math.nan
-        worst = max(worst, x)
-    return worst
+    if not all(issubclass(t, (int, float)) for t in set(map(type, deviations))):
+        deviations = [x if isinstance(x, (int, float)) else worst_deviation(x) for x in deviations]
+    if any(map(math.isnan, deviations)):
+        return math.nan
+    return float(max(max(deviations, default=0.0), 0.0))
 
 
 def _worst_by_block(devs_of, count: int, draw) -> float:
