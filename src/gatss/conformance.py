@@ -91,15 +91,16 @@ class SuiteResult:
 
 
 def worst_deviation(deviations) -> float:
-    """Largest entry of deviations, 0.0 when there are none: an array, or a
-    sequence of numbers, or of arrays and sequences of them.
+    """Largest entry of deviations, 0.0 when there are none: an array, or an
+    iterable of numbers, or of arrays and iterables of them.
 
     Unlike the builtin max, a NaN anywhere makes the result NaN.  An array
-    is reduced by its own max; a sequence by Python's builtins, which loop
-    in C, so that `diag`'s checks need no numpy.
+    is reduced by its own max; anything else by Python's builtins, which
+    loop in C, so that `diag`'s checks need no numpy.
     """
     if hasattr(deviations, "max"):
         return float(deviations.max(initial=0.0))
+    deviations = list(deviations)
     if not all(issubclass(t, (int, float)) for t in set(map(type, deviations))):
         deviations = [x if isinstance(x, (int, float)) else worst_deviation(x) for x in deviations]
     if any(map(math.isnan, deviations)):

@@ -166,6 +166,23 @@ class TestPassRule:
         assert worst_deviation([]) == 0.0
         assert SuiteResult("check", worst_deviation([]), 0.0, 0).passed
 
+    @pytest.mark.parametrize("devs, worst", [
+        ([-1.0], 0.0),
+        ([1, 2.5], 2.5),
+        ([np.float64(2.0), 1.0], 2.0),
+        ([float("inf"), 1.0], float("inf")),
+        ([[], []], 0.0),
+        ([[1.0], np.array([5.0, 0.5])], 5.0),
+        (np.array([[1.0, 3.0], [2.0, 0.0]]), 3.0),
+        (iter([0.5, 1.5]), 1.5),
+        ([3.0, np.float64("nan")], float("nan")),
+        ([0.0, np.array([1.0, np.nan])], float("nan")),
+    ], ids=["negative", "int", "numpy_scalar", "inf", "empty_parts", "mixed_parts",
+            "array", "iterator", "numpy_nan", "nan_in_array_part"])
+    def test_as_numpy_max_with_initial_zero(self, devs, worst):
+        # lists reduce in Python, arrays by numpy, to the same value
+        assert worst_deviation(devs).hex() == worst.hex()
+
     def test_worst_at_tol_passes(self):
         assert worst_deviation([1e-12, 3e-12, 2e-12]) == 3e-12
         assert SuiteResult("check", 3e-12, 3e-12, 3).passed
