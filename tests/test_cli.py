@@ -679,8 +679,8 @@ class TestSubprocess:
 
 
 # Run in a fresh interpreter: import gatss and gatss.cli, call main on the
-# argv given (none: import only), and print the exit code, whether numpy is
-# loaded, and the top-level names of the modules that cli holds.
+# argv given ("-": import only), and print the exit code, whether numpy is
+# loaded, and whether cli holds a numpy module.
 FRESH_MAIN = """
 import json, sys, types
 import gatss, gatss.cli

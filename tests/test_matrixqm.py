@@ -485,8 +485,8 @@ class TestStackedOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(states, states), min_size=1, max_size=5))
-    # |<u|psi>| = x, whose x ** 2 (C pow) is one ulp above x * x: the
-    # reference squares with pow, so squaring with x * x fails this row
+    # |<u|psi>| = x, whose x ** 2 (C pow) is one ulp above x * x with
+    # glibc: the reference squares with pow, so x * x fails this row
     @example([(np.array([1.0 + 0j, 0.0]),
                np.array([0.37796883434360806 + 0j, math.sqrt(1.0 - 0.37796883434360806 ** 2)]))])
     def test_probability_rows(self, rows):
