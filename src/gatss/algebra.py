@@ -24,6 +24,7 @@ role of a complex amplitude elsewhere in the package.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Sequence
@@ -108,22 +109,13 @@ def _product_terms() -> tuple[list[int], list[int], list[float]]:
 _TERMS = _product_terms()
 
 
-def _make_row_arrays() -> None:
-    """Make the arrays of the row kernels once: the term list's, and
-    reversion's signs, which negate grades 2 and 3.  The kernels that read
-    them call this first, and so does the module __getattr__ (PEP 562) for
-    reads from outside, so that importing the algebra loads no numpy."""
-    global _TERM_LEFT, _TERM_RIGHT, _TERM_SIGN, _REVERSION_SIGNS
-    if "_TERM_SIGN" not in globals():
-        _TERM_LEFT, _TERM_RIGHT, _TERM_SIGN = map(np.array, _TERMS)
-        _REVERSION_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
-
-
-def __getattr__(name: str):
-    if name in ("_TERM_LEFT", "_TERM_RIGHT", "_TERM_SIGN", "_REVERSION_SIGNS"):
-        _make_row_arrays()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+@functools.cache
+def _row_arrays():
+    """The arrays of the row kernels, made on their first call so that
+    importing the algebra loads no numpy: the term list's i, j and sign,
+    and reversion's signs, which negate grades 2 and 3."""
+    left, right, sign = map(np.array, _TERMS)
+    return left, right, sign, np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 
 
 def _float_product():
@@ -292,12 +284,11 @@ def _gp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Nothing is checked: rows may be inf or NaN.
     """
     # each factor gathered once, into a fresh array the products overwrite;
-    # the signs (read here, so a changed _TERM_SIGN is seen) go on the
-    # smaller one
-    _make_row_arrays()
-    left, right = a[..., _TERM_LEFT], b[..., _TERM_RIGHT]
+    # the signs go on the smaller one
+    i, j, sign, _ = _row_arrays()
+    left, right = a[..., i], b[..., j]
     small, terms = (left, right) if left.size <= right.size else (right, left)
-    small *= _TERM_SIGN
+    small *= sign
     if terms.shape[-small.ndim:] == small.shape:
         terms *= small
     else:
@@ -310,8 +301,7 @@ def _gp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _reverse_rows(c: np.ndarray) -> np.ndarray:
     """reverse of each coefficient row of a block of shape (N, 8), or of
     one row of shape (8,)."""
-    _make_row_arrays()
-    return c * _REVERSION_SIGNS
+    return c * _row_arrays()[3]
 
 
 def _map(f, *arrays) -> np.ndarray:

@@ -23,8 +23,8 @@ and so does one whose closed-form angle is not finite (from a phase of
 about 9e307), while the other rows keep their values.
 
 The homomorphism suite doubles as a tamper check: flipping any one of the
-64 signs in the product's term list (`algebra._TERM_SIGN`) makes it fail,
-as `test_homomorphism_sees_every_sign_flip` in tests/test_conformance.py pins.
+64 term signs that `algebra._row_arrays` holds makes it fail, as
+`test_homomorphism_sees_every_sign_flip` in tests/test_conformance.py pins.
 """
 
 from __future__ import annotations
@@ -41,13 +41,12 @@ from .twostate import (
     Hamiltonian,
     _coupling_rows,
     _evolution_rows,
-    _precession_angles,
     _probability_rows,
     _rabi_rows,
     _row_blocks,
+    _u_rows,
     hamiltonian_from_field,
     spin_vectors,
-    u_vector_closed_form,
 )
 
 np = _LazyNumpy(globals())
@@ -273,13 +272,10 @@ def trajectory_deviations(
         blocks.append([matrixqm.probability_matrix(e, col_t) for e in basis_cols]
                       + [matrixqm.expectation_matrix(s, col_t) for s in s_mats])
     oracle = np.hstack(blocks)
-    axis = np.full((3, t.size), np.nan)
-    finite = ~np.isnan(_precession_angles(cfg.b_norm, cfg.q, cfg.m, t))
-    axis[:, finite] = u_vector_closed_form(cfg, t[finite])
     refs = (
         ("dev_p", ("p_plus", "p_minus"), oracle[:2]),
         ("dev_s", ("s1", "s2", "s3"), oracle[2:]),
-        ("dev_u", ("u1", "u2", "u3"), axis),
+        ("dev_u", ("u1", "u2", "u3"), _u_rows(cfg, t)),
     )
     return {
         dev: np.max(np.abs(np.array([table[c] for c in columns]) - ref), axis=0,

@@ -65,25 +65,9 @@ def pauli(k: int) -> np.ndarray:
 
 @functools.cache
 def _blade_images() -> np.ndarray:
-    """Read-only matrix image of each basis blade, made on first use: the
-    Pauli matrices for 1, e1, e2 and e3, and the composite blades built as
-    products of their vector factors rather than entered by hand."""
-    s0 = np.array([[1.0 + 0.0j, 0.0], [0.0, 1.0]])
-    s1 = np.array([[0.0 + 0.0j, 1.0], [1.0, 0.0]])
-    s2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    s3 = np.array([[1.0 + 0.0j, 0.0], [0.0, -1.0]])
-    images = np.stack(
-        [
-            s0,
-            s1,
-            s2,
-            s3,
-            s2 @ s3,       # e23 -> i sigma1
-            s3 @ s1,       # e31 -> i sigma2
-            s1 @ s2,       # e12 -> i sigma3
-            s1 @ s2 @ s3,  # e123 -> i sigma0
-        ]
-    )
+    """Read-only matrix image of each basis blade, made on first use: rep
+    of the eight unit coefficient rows."""
+    images = np.reshape([_rep_entries(row) for row in np.eye(8).tolist()], (8, 2, 2))
     images.setflags(write=False)
     return images
 
@@ -91,7 +75,11 @@ def _blade_images() -> np.ndarray:
 def _rep_entries(c: Sequence[float]) -> tuple[complex, complex, complex, complex]:
     """The entries h00, h01, h10, h11 of rep for eight coefficients, as
     Python complex numbers: each part is the sum of the two blades whose
-    images reach it (the images of `_blade_images`)."""
+    images reach it.  This is the one blade map: 1, e1, e2 and e3 go to the
+    Pauli matrices sigma0..sigma3, and each composite blade to the product
+    of its factors' images, sigma2 sigma3 = i sigma1 for e23,
+    sigma3 sigma1 = i sigma2 for e31, sigma1 sigma2 = i sigma3 for e12 and
+    sigma1 sigma2 sigma3 = i sigma0 for e123."""
     c0, c1, c2, c3, c4, c5, c6, c7 = c
     return (complex(c0 + c3, c6 + c7), complex(c1 + c5, c4 - c2),
             complex(c1 - c5, c2 + c4), complex(c0 - c3, c7 - c6))

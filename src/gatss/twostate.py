@@ -304,21 +304,16 @@ def _angle(q: float, b, m: float, t):
         return np.where(np.isfinite(alpha), alpha, q / m * b * t)
 
 
-def _precession_angles(b, q: float, m: float, t) -> np.ndarray:
-    """The closed forms' `_angle` for magnitudes b at times t: 0 in a zero
-    field at any t (even 0 * inf), NaN where not finite (being twice the
-    rotor's phase, it is so from a phase of about 9e307)."""
-    alpha = np.where(b == 0.0, 0.0, _angle(q, b, m, t))
-    return np.where(np.isfinite(alpha), alpha, np.nan)
-
-
 def _precession_rows(B, q: float, m: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed forms' kernel: |B| of fields B, shape (3,) or (N, 3), and
-    the C library's cos and sin of the `_precession_angles` at times t
-    broadcast against |B|, NaN where the angle is."""
+    the C library's cos and sin of the angles `_angle` at times t broadcast
+    against |B|.  The angle is 0 in a zero field at any t (even 0 * inf),
+    and NaN where it is not finite (being twice the rotor's phase, it is so
+    from a phase of about 9e307), which makes its cos and sin NaN."""
     t = np.asarray(t, dtype=float)
     b = _map(_norm3, *np.asarray(B, dtype=float).T)
-    alpha = _precession_angles(b, q, m, t)
+    alpha = np.where(b == 0.0, 0.0, _angle(q, b, m, t))
+    alpha = np.where(np.isfinite(alpha), alpha, np.nan)
     return b, _map(math.cos, alpha), _map(math.sin, alpha)
 
 
@@ -451,9 +446,18 @@ def u_vector_closed_form(cfg: FieldConfig, t):
     i.e. e3 swept clockwise about the field axis (e3 in a zero field, at any t),
     matching the sandwich route up to roundoff.  t may also be an array of
     times, giving arrays u1, u2, u3 with each entry the call at that time.
-    The angle is _precession_rows', checked by `_finite_angle`."""
+    By `_u_rows`, checked by `_finite_angle`."""
+    u1, u2, u3 = _u_rows(cfg, t)
+    _finite_angle(u1, t)
+    if u1.ndim:
+        return u1, u2, u3
+    return float(u1), float(u2), float(u3)
+
+
+def _u_rows(cfg: FieldConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u_vector_closed_form's u1, u2 and u3 at times t, unchecked: NaN
+    where the angle of `_precession_rows` is."""
     b, ca, sa = _precession_rows(cfg.B, cfg.q, cfg.m, t)
-    _finite_angle(ca, t)
     b, (b1, b2, b3) = float(b), cfg.B
     if not sys.float_info.min <= b * b < math.inf:
         # the squares below would leave the normal range; only the field's
@@ -464,9 +468,7 @@ def u_vector_closed_form(cfg: FieldConfig, t):
     u1 = (b1 * cos_th * (1.0 - ca) - b2 * sa) / b
     u2 = (b2 * cos_th * (1.0 - ca) + b1 * sa) / b
     u3 = cos_th * cos_th + sin_th2 * ca
-    if ca.ndim:
-        return u1, u2, u3
-    return float(u1), float(u2), float(u3)
+    return u1, u2, u3
 
 
 def spin_vectors(hbar: float = 1.0) -> tuple[Multivector, Multivector, Multivector]:

@@ -26,14 +26,12 @@ from gatss.algebra import (
     ZERO,
     Multivector,
     Rotor,
-    _TERM_LEFT,
-    _TERM_RIGHT,
     _NOT_FINITE,
     _NOT_UNIT,
-    _TERM_SIGN,
     _exp_bivector_rows,
     _gp_rows,
     _norm3,
+    _row_arrays,
     _unit_defect,
     commutator,
     exp_bivector,
@@ -418,9 +416,11 @@ class TestOneProduct:
             assert not np.isfinite(rows).all()
 
     def test_reference_table_is_the_term_list(self):
+        # the arrays _gp_rows reads, not the lists they are made from
+        left, right, sign, _ = _row_arrays()
         table = np.zeros((8, 8, 8))
         for e in range(64):
-            table[_TERM_LEFT[e], _TERM_RIGHT[e], e % 8] = _TERM_SIGN[e]
+            table[left[e], right[e], e % 8] = sign[e]
         assert np.array_equal(table, REFERENCE_TABLE)
 
 

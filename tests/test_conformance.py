@@ -345,10 +345,11 @@ def test_memory_flat_in_count():
 
 def test_homomorphism_sees_every_sign_flip(monkeypatch):
     # the tamper check: a single wrong sign in the product's term list
+    left, right, sign, reversion = algebra._row_arrays()
     for term in range(64):
-        flipped = algebra._TERM_SIGN.copy()
+        flipped = sign.copy()
         flipped[term] = -flipped[term]
-        monkeypatch.setattr(algebra, "_TERM_SIGN", flipped)
+        monkeypatch.setattr(algebra, "_row_arrays", lambda: (left, right, flipped, reversion))
         result = suite_homomorphism(np.random.default_rng(term), 5)
         assert not result.passed, f"term {term}: worst={result.worst:.3e}"
     monkeypatch.undo()
@@ -488,6 +489,8 @@ class TestDeviationsMatchPerRow:
     @settings(max_examples=150, deadline=None)
     @given(check_fields, st.floats(0.0, math.pi), st.floats(-math.pi, math.pi),
            st.lists(check_times, min_size=1, max_size=6))
+    # past a phase of about 9e307 the closed form breaks down: dev_u is 0, 2^-55, NaN
+    @example(FieldConfig(B=(1e308, 0.0, 0.0)), 0.7, -1.2, [0.0, 0.5, 1.9])
     def test_rows(self, cfg, theta0, phi0, t_grid):
         psi0 = polar_state(theta0, phi0)
         try:

@@ -14,6 +14,7 @@ regenerates them in a commit of its own:
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
@@ -21,8 +22,6 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-
-import pytest
 
 from gatss.cli import main
 
@@ -129,21 +128,27 @@ def invoke(argv: list[str], config: dict | None, workdir: str) -> dict:
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-@pytest.fixture(scope="module")
+@functools.cache
 def golden() -> dict:
     with open(GOLDEN_PATH, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def test_every_case_has_a_golden(golden):
-    assert sorted(golden) == sorted(CASES)
+def pytest_generate_tests(metafunc):
+    # one test_golden per case; a hook rather than a marker, so that this
+    # module imports without pytest and can replay the cases on its own
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", sorted(CASES))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, golden, tmp_path, monkeypatch):
+def test_every_case_has_a_golden():
+    assert sorted(golden()) == sorted(CASES)
+
+
+def test_golden(name, tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     argv, config = CASES[name]
-    assert invoke(argv, config, str(tmp_path)) == golden[name]
+    assert invoke(argv, config, str(tmp_path)) == golden()[name]
 
 
 if __name__ == "__main__":
