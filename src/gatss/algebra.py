@@ -110,7 +110,7 @@ _TERMS = _product_terms()
 
 
 @functools.cache
-def _row_arrays():
+def _row_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The arrays of the row kernels, made on their first call so that
     importing the algebra loads no numpy: the term list's i, j and sign,
     and reversion's signs, which negate grades 2 and 3."""

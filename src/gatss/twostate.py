@@ -306,8 +306,8 @@ def _angle(q: float, b, m: float, t):
 
 def _precession_rows(B, q: float, m: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed forms' kernel: |B| of fields B, shape (3,) or (N, 3), and
-    the C library's cos and sin of the angles `_angle` at times t broadcast
-    against |B|.  The angle is 0 in a zero field at any t (even 0 * inf),
+    the C library's cos and sin of the angle q |B| t / m (`_angle`) at times
+    t broadcast against |B|.  The angle is 0 in a zero field at any t (even 0 * inf),
     and NaN where it is not finite (being twice the rotor's phase, it is so
     from a phase of about 9e307), which makes its cos and sin NaN."""
     t = np.asarray(t, dtype=float)
@@ -446,7 +446,7 @@ def u_vector_closed_form(cfg: FieldConfig, t):
     i.e. e3 swept clockwise about the field axis (e3 in a zero field, at any t),
     matching the sandwich route up to roundoff.  t may also be an array of
     times, giving arrays u1, u2, u3 with each entry the call at that time.
-    By `_u_rows`, checked by `_finite_angle`."""
+    Computed by `_u_rows` and checked by `_finite_angle`."""
     u1, u2, u3 = _u_rows(cfg, t)
     _finite_angle(u1, t)
     if u1.ndim:
