@@ -47,6 +47,7 @@ from .twostate import (
     _u_rows,
     hamiltonian_from_field,
     spin_vectors,
+    u_vector_closed_form,
 )
 
 np = _LazyNumpy(globals())
@@ -272,10 +273,14 @@ def trajectory_deviations(
         blocks.append([matrixqm.probability_matrix(e, col_t) for e in basis_cols]
                       + [matrixqm.expectation_matrix(s, col_t) for s in s_mats])
     oracle = np.hstack(blocks)
+    try:
+        axis = u_vector_closed_form(cfg, t)
+    except ValueError:  # some angle is not finite: NaN in its rows
+        axis = _u_rows(cfg, t)
     refs = (
         ("dev_p", ("p_plus", "p_minus"), oracle[:2]),
         ("dev_s", ("s1", "s2", "s3"), oracle[2:]),
-        ("dev_u", ("u1", "u2", "u3"), _u_rows(cfg, t)),
+        ("dev_u", ("u1", "u2", "u3"), axis),
     )
     return {
         dev: np.max(np.abs(np.array([table[c] for c in columns]) - ref), axis=0,

@@ -447,11 +447,9 @@ def u_vector_closed_form(cfg: FieldConfig, t):
     matching the sandwich route up to roundoff.  t may also be an array of
     times, giving arrays u1, u2, u3 with each entry the call at that time.
     Computed by `_u_rows` and checked by `_finite_angle`."""
-    u1, u2, u3 = _u_rows(cfg, t)
-    _finite_angle(u1, t)
-    if u1.ndim:
-        return u1, u2, u3
-    return float(u1), float(u2), float(u3)
+    u = _u_rows(cfg, t)
+    _finite_angle(u[0], t)
+    return u if u[0].ndim else tuple(map(float, u))
 
 
 def _u_rows(cfg: FieldConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

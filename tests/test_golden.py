@@ -10,6 +10,12 @@ same change as a refactor.  A change that alters output on purpose
 regenerates them in a commit of its own:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+The module needs no pytest: `--check` replays the cases on their own and
+compares them with the goldens, say on an interpreter without numpy, where
+the cases that need it are listed and not run:
+
+    PYTHONPATH=src python tests/test_golden.py --check
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import functools
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -134,9 +141,23 @@ def golden() -> dict:
         return json.load(fh)
 
 
+def replay(workdir: str) -> dict:
+    """Every case's outcome by name, None for a case that stops on a
+    missing numpy."""
+    captured = {}
+    for name in sorted(CASES):
+        try:
+            captured[name] = invoke(*CASES[name], workdir)
+        except ModuleNotFoundError as exc:
+            if exc.name != "numpy":
+                raise
+            captured[name] = None
+    return captured
+
+
 def pytest_generate_tests(metafunc):
     # one test_golden per case; a hook rather than a marker, so that this
-    # module imports without pytest and can replay the cases on its own
+    # module imports without pytest and `--check` runs anywhere
     if "name" in metafunc.fixturenames:
         metafunc.parametrize("name", sorted(CASES))
 
@@ -151,12 +172,33 @@ def test_golden(name, tmp_path, monkeypatch):
     assert invoke(argv, config, str(tmp_path)) == golden()[name]
 
 
+def test_check_runs_without_pytest_or_numpy():
+    # every case but the evolve and conformance runs needs neither
+    block = "import runpy, sys; sys.modules['pytest'] = sys.modules['numpy'] = None; "
+    done = subprocess.run(
+        [sys.executable, "-c", block + "runpy.run_path(sys.argv.pop(1), run_name='__main__')",
+         __file__, "--check"], capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    head, _, missing = done.stdout.rstrip("\n").partition(" need numpy: ")
+    assert head == "18 identical; differ: none;"
+    assert len(missing.split(", ")) == 11
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    if sys.argv[1:] not in (["--write"], ["--check"]):
         raise SystemExit(__doc__)
     os.environ["COLUMNS"] = COLUMNS
     with tempfile.TemporaryDirectory() as workdir:
-        captured = {name: invoke(*CASES[name], workdir) for name in sorted(CASES)}
+        captured = replay(workdir)
+    missing = [name for name, got in captured.items() if got is None]
+    if sys.argv[1] == "--check":
+        differ = [name for name, got in captured.items() if got not in (None, golden()[name])]
+        print(f"{len(captured) - len(missing) - len(differ)} identical;",
+              f"differ: {', '.join(differ) or 'none'};",
+              f"need numpy: {', '.join(missing) or 'none'}")
+        raise SystemExit(1 if differ else 0)
+    if missing:
+        raise SystemExit(f"the goldens need numpy: {', '.join(missing)}")
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump(captured, fh, indent=1, sort_keys=True)
         fh.write("\n")

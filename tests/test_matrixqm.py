@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -535,3 +536,20 @@ class TestStackedOracle:
         rng = np.random.default_rng(53)
         rows = rng.uniform(-10.0, 10.0, (20, 8))
         assert stacked_outcome(rep, rows) == [hexes(rep(Multivector(r))) for r in rows]
+
+    def test_rep_rows_and_unrep_ignore_the_images_zero_signs(self):
+        # the blade images as products of Pauli matrices carry negative
+        # zeros (pauli(2)[0, 1] was -0.0 - 1j) that rep's unit rows do not;
+        # neither rep on rows nor unrep lets the sign of a zero through
+        s0 = np.array([[1.0 + 0.0j, 0.0], [0.0, 1.0]])
+        s1 = np.array([[0.0 + 0.0j, 1.0], [1.0, 0.0]])
+        s2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        s3 = np.array([[1.0 + 0.0j, 0.0], [0.0, -1.0]])
+        products = np.stack([s0, s1, s2, s3, s2 @ s3, s3 @ s1, s1 @ s2, s1 @ s2 @ s3])
+        rows = np.array(list(itertools.product([0.0, -0.0, 1.5, -2.0], repeat=8)))
+        assert stacked_outcome(rep, rows) == stacked_outcome(
+            lambda r: np.tensordot(r, products, axes=1), rows)
+        for m in rep(rows[::97]):
+            z = [np.trace(s @ m) / 2.0 for s in products[:4]]
+            expected = [*(w.real for w in z), *(w.imag for w in z[1:]), z[0].imag]
+            assert hexes(unrep(m).coeffs) == hexes(np.array(expected))
