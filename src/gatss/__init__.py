@@ -9,57 +9,8 @@ formulation used to cross-check everything; `conformance` bundles the
 randomized agreement suites; `cli` exposes diag/evolve/conformance commands.
 """
 
-from .algebra import (
-    BLADE_NAMES,
-    E1,
-    E2,
-    E3,
-    E12,
-    E23,
-    E31,
-    E123,
-    ONE,
-    ZERO,
-    Multivector,
-    Rotor,
-    commutator,
-    exp_bivector,
-    gp,
-    grade,
-    hodge_dual,
-    norm,
-    reverse,
-    rotor_axis_angle,
-    sandwich,
-    vector,
-    wedge,
-)
-from .spinor import (
-    AlgebraicSpinor,
-    basis_eps,
-    from_amplitudes,
-    idempotent_f,
-    inner,
-    left_mul,
-    to_amplitudes,
-)
-from .twostate import (
-    EigenSystem,
-    FieldConfig,
-    Hamiltonian,
-    eigensystem,
-    evolution_rotor,
-    evolve,
-    expectation,
-    hamiltonian_from_field,
-    polar_angles,
-    polar_state,
-    probability,
-    rabi_probability,
-    spin_vectors,
-    time_grid,
-    trajectory,
-    u_vector_closed_form,
-)
+from .algebra import *
+from .spinor import *
+from .twostate import *
 
 __version__ = "0.1.0"
