@@ -1,9 +1,11 @@
 """Command line front end: diag | evolve | conformance.
 
 Exit codes: 0 on success, 1 for usage or input errors, 2 when a numerical
-cross-check exceeds its tolerance.  All numeric text output uses 17
-significant digits and is locale independent, so identical invocations
-produce byte-identical bytes.
+cross-check exceeds its tolerance.  csv, diag's text and the check lines
+write each number with 17 significant digits, JSON writes Python's
+shortest repr that reads back as the same double, and conformance's
+summary rounds to 4 digits; all of it is locale independent, so identical
+invocations produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -59,9 +61,13 @@ def _fmt(x: float) -> str:
 def _number(value, name: str) -> float:
     label = name.replace("_", "-")
     try:
+        if isinstance(value, bool):
+            raise TypeError
         out = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{label} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer past the largest double
+        out = math.inf
     if not math.isfinite(out):
         raise ValueError(f"{label} must be finite")
     return out
@@ -82,6 +88,12 @@ def _positive(value, name: str) -> int:
     if out < 1:
         raise ValueError(f"{name} must be at least 1")
     return out
+
+
+def _boolean(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name.replace('_', '-')} must be true or false, got {value!r}")
+    return value
 
 
 def _format(value, name: str) -> str:
@@ -142,10 +154,10 @@ _SETTINGS: dict[str, tuple[dict[str, Any] | None, Any, dict[str, Any]]] = {
     "count": (_INT, _positive, {"conformance": 1000}),
     "format": ({"choices": _FORMATS}, _format, {"diag": "csv", "evolve": "csv"}),
     "check": ({"action": "store_true", "default": None,
-               "help": "append matrix-oracle deviation columns"}, None, {"evolve": False}),
+               "help": "append matrix-oracle deviation columns"}, _boolean, {"evolve": False}),
     "check_rabi": ({"action": "store_true", "default": None,
                     "help": "compare p_minus against the closed Rabi formula"},
-                   None, {"evolve": False}),
+                   _boolean, {"evolve": False}),
     "config": ({"metavar": "PATH"}, None, {"diag": None, "evolve": None, "conformance": None}),
     "tol": (_FLOAT, _number, {"diag": 1e-9, "evolve": 1e-10}),
     "state": (None, None, {"evolve": None}),
@@ -344,7 +356,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = _COMMANDS[args.command][1](_settings(args))
         sys.stdout.flush()
         return code
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # an input error, or a size the process cannot hold
         print(f"gatss {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

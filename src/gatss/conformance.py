@@ -30,6 +30,7 @@ The homomorphism suite doubles as a tamper check: flipping any one of the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import matrixqm
@@ -211,6 +212,8 @@ def run_all(seed: int, count: int) -> list[SuiteResult]:
     """Run every suite with a deterministic stream derived from the seed."""
     if count < 1:
         raise ValueError("count must be at least 1")
+    if count > sys.maxsize:  # numpy's sizes are C ssize_t
+        raise ValueError(f"count must be at most {sys.maxsize}")
     rng = np.random.default_rng(seed)
     return [
         suite_homomorphism(rng, count),

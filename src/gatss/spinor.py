@@ -99,16 +99,13 @@ class AlgebraicSpinor:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Sequence[float]]) -> "AlgebraicSpinor":
+        """The state of to_json_dict's form; ValueError for any other shape."""
         try:
             cp = data["c_plus"]
             cm = data["c_minus"]
         except (KeyError, TypeError) as exc:
             raise ValueError("expected keys c_plus and c_minus") from exc
-        if len(cp) != 2 or len(cm) != 2:
-            raise ValueError("amplitudes must each hold [re, ps]")
-        return from_amplitudes(
-            complex(float(cp[0]), float(cp[1])), complex(float(cm[0]), float(cm[1]))
-        )
+        return from_amplitudes(_amplitude("c_plus", cp), _amplitude("c_minus", cm))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraicSpinor):
@@ -130,6 +127,17 @@ _EPS_MINUS = AlgebraicSpinor(gp(E1, _F))
 def basis_eps() -> tuple[AlgebraicSpinor, AlgebraicSpinor]:
     """The orthonormal ideal basis (eps_plus, eps_minus) = (f, e1 f)."""
     return _EPS_PLUS, _EPS_MINUS
+
+
+def _amplitude(key: str, pair) -> complex:
+    """An amplitude of the JSON form, [re, ps]: two numbers, not booleans."""
+    try:
+        re, ps = pair
+        if isinstance(re, bool) or isinstance(ps, bool):
+            raise TypeError
+        return complex(float(re), float(ps))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be [re, ps], two numbers; got {pair!r}") from None
 
 
 def _center(z: numbers.Complex) -> Multivector:

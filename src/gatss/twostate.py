@@ -349,6 +349,8 @@ def _row_blocks(rows):
 
 def time_grid(t_start: float, t_end: float, steps: int) -> np.ndarray:
     """np.linspace(t_start, t_end, steps), exact also where t_end - t_start overflows."""
+    if steps > sys.maxsize:  # numpy's sizes are C ssize_t
+        raise ValueError(f"steps must be at most {sys.maxsize}")
     with np.errstate(over="ignore"):  # a last step past the top, which linspace sets to t_end
         if math.isfinite(float(t_end) - float(t_start)):
             return np.linspace(t_start, t_end, steps)

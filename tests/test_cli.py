@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gatss.cli import _CSV_BLOCK_ROWS, main
+from gatss.cli import _CSV_BLOCK_ROWS, _SETTINGS, main
 from gatss import twostate
 from gatss.algebra import _norm3
 from gatss.twostate import (
@@ -373,6 +375,17 @@ class TestEvolve:
         )
         assert code == 1
 
+    # a grid of 2**59 doubles is 4 EiB, past every 64-bit address space, so
+    # numpy fails before it allocates; never test a grid that could be held
+    @pytest.mark.parametrize("steps, message", [
+        (2 ** 59, "Unable to allocate"),
+        (2 ** 63, "steps must be at most 9223372036854775807"),
+    ], ids=["past_memory", "past_ssize"])
+    def test_grid_too_large_exit_1(self, capsys, steps, message):
+        code, out, err = run_cli(capsys, ["evolve", "--B=0,0,1", "--t-end=1", f"--steps={steps}"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"gatss evolve: error: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv, t",
         [
@@ -493,8 +506,16 @@ class TestEvolve:
             ({"c_plus": [math.nan, 0.0], "c_minus": [0.0, 0.0]},
              "bad state: amplitudes must be finite, got (nan+0j)"),
             ({"c_plus": [1e154, 0.0], "c_minus": [1e154, 0.0]}, "state must be normalized"),
+            ({"c_plus": [1, None], "c_minus": [0, 0]},
+             "bad state: c_plus must be [re, ps], two numbers; got [1, None]"),
+            ({"c_plus": 1, "c_minus": [0, 0]},
+             "bad state: c_plus must be [re, ps], two numbers; got 1"),
+            ({"c_plus": [1, 0], "c_minus": {"a": 1, "b": 2}},
+             "bad state: c_minus must be [re, ps], two numbers; got {'a': 1, 'b': 2}"),
+            ({"c_plus": [True, 0], "c_minus": [0, 0]},
+             "bad state: c_plus must be [re, ps], two numbers; got [True, 0]"),
         ],
-        ids=["nan", "norm_overflows"],
+        ids=["nan", "norm_overflows", "null_part", "number", "object", "boolean"],
     )
     def test_state_out_of_range(self, capsys, tmp_path, state, message):
         cfg = tmp_path / "c.json"
@@ -539,9 +560,16 @@ class TestConformance:
             assert any(line.startswith(name) and "PASS" in line for line in lines)
         assert lines[-1] == "overall: PASS (seed=42)"
 
-    def test_count_validation(self, capsys):
-        code, out, err = run_cli(capsys, ["conformance", "--count", "0"])
-        assert code == 1
+    @pytest.mark.parametrize("argv, config, err", [
+        (["--count=0"], {}, "count must be at least 1"),
+        (["--count=9223372036854775808"], {}, "count must be at most 9223372036854775807"),
+        ([], {"count": 1e300}, "count must be at most 9223372036854775807"),
+    ], ids=["zero", "flag_past_ssize", "config_past_ssize"])
+    def test_count_validation(self, capsys, tmp_path, argv, config, err):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        result = run_cli(capsys, ["conformance", *argv, "--config", str(path)])
+        assert result == (1, "", f"gatss conformance: error: {err}\n")
 
     def test_config_seed(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
@@ -579,7 +607,14 @@ class TestParsing:
         (["evolve", "--steps=2"], {"format": "xml"}, 1, 'format must be "csv" or "json"'),
         (["evolve", "--steps=2", "--B=1,nan,0"], {}, 1, "--B must be finite"),
         (["diag", "--h=0,1,inf,0"], {}, 1, "--h must be finite"),
+        (["evolve", "--steps=2"], {"check": "false"}, 1,
+         "check must be true or false, got 'false'"),
+        (["evolve", "--steps=2"], {"check_rabi": 1}, 1, "check-rabi must be true or false, got 1"),
+        (["evolve", "--steps=2"], {"q": True}, 1, "q must be a number, got True"),
+        (["evolve", "--steps=2"], {"q": 10 ** 400}, 1, "q must be finite"),
+        (["diag"], {"h": [True, 1, 0, 0]}, 1, "h must be a number, got True"),
         (["evolve"], {"steps": 3.0}, 0, None),
+        (["evolve"], {"steps": 3, "check": False, "check_rabi": False}, 0, None),
     ])
     def test_config_and_flag_casts(self, capsys, tmp_path, argv, config, code, err):
         path = tmp_path / "c.json"
@@ -809,3 +844,98 @@ class TestNoWarningReachesTheCli:
         if theta0 is not None:
             argv.append(f"--theta0={theta0!r}")
         assert strict_exit_code(argv) in (0, 1, 2)
+
+    # the commands of CI's step "Batched suites and checks at scale"
+    @pytest.mark.parametrize("argv", [
+        "conformance --count 20000",
+        "evolve --B=1,2,3 --t-end=50 --steps=10000 --check",
+        "evolve --B=0,0,0 --t-end=50 --steps=10000 --check",
+        "evolve --B=1,0,1 --t-end=50 --steps=10000 --check-rabi",
+        "evolve --B=1,2,3 --t-end=1e5 --steps=2001 --check",
+        "diag --h=6429.006900440708,-0.5114275108942732,-0.8446029215658675,-0.15839130652560873",
+        "diag --h=1,1e-9,0,0",
+    ])
+    def test_at_scale(self, argv):
+        assert strict_exit_code(argv.split()) == 0
+
+
+# any JSON value, as json.load gives it back
+any_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+# a size is small, or too large to hold, or no integer at all: never a size
+# the process could really allocate or run through
+non_integer = any_json.filter(
+    lambda v: not (type(v) is int or isinstance(v, float) and v.is_integer())
+)
+huge = [2 ** 63, 2 ** 70, 1e300]
+amplitude = st.one_of(st.lists(finite_double, min_size=2, max_size=2), any_json)
+# each setting's valid values (a grid never runs backwards), then its
+# arbitrary ones
+CONFIG_VALUES = {
+    "h": (st.lists(finite_double, min_size=4, max_size=4), any_json),
+    "B": (st.lists(finite_double, min_size=3, max_size=3), any_json),
+    "q": (finite_double, any_json),
+    "m": (magnitudes(1e-300, 1e300), any_json),
+    "hbar": (magnitudes(1e-300, 1e300), any_json),
+    "theta0": (finite_double, any_json),
+    "t_start": (finite_double.map(lambda t: -abs(t)), any_json),
+    "t_end": (finite_double.map(abs), any_json),
+    "steps": (st.integers(1, 8), st.one_of(st.sampled_from([2 ** 59, *huge]), non_integer)),
+    "seed": (st.integers(), any_json),
+    "count": (st.integers(1, 8), st.one_of(st.sampled_from(huge), non_integer)),
+    "format": (st.sampled_from(["csv", "json"]), any_json),
+    "check": (st.booleans(), any_json),
+    "check_rabi": (st.booleans(), any_json),
+    "config": (st.none(), any_json),
+    "tol": (finite_double, any_json),
+    "state": (st.one_of(st.sampled_from(["plus", "minus"]),
+                        st.fixed_dictionaries({"c_plus": amplitude, "c_minus": amplitude})),
+              any_json),
+}
+
+
+REQUIRED = {"diag": ("h",), "evolve": ("B", "t_end", "steps"), "conformance": ()}
+
+
+@st.composite
+def config_files(draw):
+    """A subcommand and its config: each setting it takes absent or valid,
+    the required ones valid, then up to three of any settings arbitrary."""
+    command = draw(st.sampled_from(list(REQUIRED)))
+    config = {key: draw(valid) for key, (valid, _) in CONFIG_VALUES.items()
+              if key in REQUIRED[command] or command in _SETTINGS[key][2] and draw(st.booleans())}
+    for key in draw(st.lists(st.sampled_from(list(CONFIG_VALUES)), max_size=3, unique=True)):
+        config[key] = draw(CONFIG_VALUES[key][1])
+    return command, config
+
+
+class TestConfigValuesReachNoTraceback:
+    """Whatever a config file holds, a run exits 0, 1 or 2: a bad value is
+    an input error, never a traceback or a warning."""
+
+    def test_every_setting_is_drawn(self):
+        assert CONFIG_VALUES.keys() == _SETTINGS.keys()
+
+    @settings(max_examples=300, deadline=None)
+    @given(config_files())
+    @example(("evolve", {"B": [0, 0, 1], "t_end": 1, "steps": 2,
+                         "state": {"c_plus": [1, None], "c_minus": [0, 0]}}))
+    @example(("evolve", {"B": [0, 0, 1], "t_end": 1, "steps": 2,
+                         "state": {"c_plus": 1, "c_minus": [0, 0]}}))
+    @example(("evolve", {"B": [0, 0, 1], "t_end": 1, "steps": 2,
+                         "state": {"c_plus": [1, 0], "c_minus": {"a": 1, "b": 2}}}))
+    @example(("evolve", {"B": [0, 0, 1], "t_end": 1, "steps": 2 ** 59}))
+    @example(("evolve", {"B": [0, 0, 1], "t_end": 1, "steps": 2 ** 63}))
+    @example(("conformance", {"count": 2 ** 63}))
+    @example(("conformance", {"count": 1e300}))
+    def test_config(self, run):
+        command, config = run
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            assert strict_exit_code([command, "--config", path]) in (0, 1, 2)
