@@ -560,16 +560,16 @@ class TestConformance:
             assert any(line.startswith(name) and "PASS" in line for line in lines)
         assert lines[-1] == "overall: PASS (seed=42)"
 
-    @pytest.mark.parametrize("argv, config, err", [
-        (["--count=0"], {}, "count must be at least 1"),
-        (["--count=9223372036854775808"], {}, "count must be at most 9223372036854775807"),
-        ([], {"count": 1e300}, "count must be at most 9223372036854775807"),
-    ], ids=["zero", "flag_past_ssize", "config_past_ssize"])
-    def test_count_validation(self, capsys, tmp_path, argv, config, err):
+    def test_count_validation(self, capsys, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(config))
-        result = run_cli(capsys, ["conformance", *argv, "--config", str(path)])
-        assert result == (1, "", f"gatss conformance: error: {err}\n")
+        for argv, config, err in [
+            (["--count=0"], {}, "count must be at least 1"),
+            (["--count=9223372036854775808"], {}, "count must be at most 9223372036854775807"),
+            ([], {"count": 1e300}, "count must be at most 9223372036854775807"),
+        ]:
+            path.write_text(json.dumps(config))
+            result = run_cli(capsys, ["conformance", *argv, "--config", str(path)])
+            assert result == (1, "", f"gatss conformance: error: {err}\n"), (argv, config)
 
     def test_config_seed(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
@@ -607,13 +607,13 @@ class TestParsing:
         (["evolve", "--steps=2"], {"format": "xml"}, 1, 'format must be "csv" or "json"'),
         (["evolve", "--steps=2", "--B=1,nan,0"], {}, 1, "--B must be finite"),
         (["diag", "--h=0,1,inf,0"], {}, 1, "--h must be finite"),
+        (["evolve"], {"steps": 3.0}, 0, None),
         (["evolve", "--steps=2"], {"check": "false"}, 1,
          "check must be true or false, got 'false'"),
         (["evolve", "--steps=2"], {"check_rabi": 1}, 1, "check-rabi must be true or false, got 1"),
         (["evolve", "--steps=2"], {"q": True}, 1, "q must be a number, got True"),
         (["evolve", "--steps=2"], {"q": 10 ** 400}, 1, "q must be finite"),
         (["diag"], {"h": [True, 1, 0, 0]}, 1, "h must be a number, got True"),
-        (["evolve"], {"steps": 3.0}, 0, None),
         (["evolve"], {"steps": 3, "check": False, "check_rabi": False}, 0, None),
     ])
     def test_config_and_flag_casts(self, capsys, tmp_path, argv, config, code, err):
@@ -923,14 +923,8 @@ class TestConfigValuesReachNoTraceback:
     @settings(max_examples=300, deadline=None)
     @given(config_files())
     @example(("evolve", {"B": [0, 0, 1], "t_end": 1, "steps": 2,
-                         "state": {"c_plus": [1, None], "c_minus": [0, 0]}}))
-    @example(("evolve", {"B": [0, 0, 1], "t_end": 1, "steps": 2,
                          "state": {"c_plus": 1, "c_minus": [0, 0]}}))
-    @example(("evolve", {"B": [0, 0, 1], "t_end": 1, "steps": 2,
-                         "state": {"c_plus": [1, 0], "c_minus": {"a": 1, "b": 2}}}))
     @example(("evolve", {"B": [0, 0, 1], "t_end": 1, "steps": 2 ** 59}))
-    @example(("evolve", {"B": [0, 0, 1], "t_end": 1, "steps": 2 ** 63}))
-    @example(("conformance", {"count": 2 ** 63}))
     @example(("conformance", {"count": 1e300}))
     def test_config(self, run):
         command, config = run
