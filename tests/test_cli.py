@@ -845,18 +845,36 @@ class TestNoWarningReachesTheCli:
             argv.append(f"--theta0={theta0!r}")
         assert strict_exit_code(argv) in (0, 1, 2)
 
-    # the commands of CI's step "Batched suites and checks at scale"
-    @pytest.mark.parametrize("argv", [
-        "conformance --count 20000",
-        "evolve --B=1,2,3 --t-end=50 --steps=10000 --check",
-        "evolve --B=0,0,0 --t-end=50 --steps=10000 --check",
-        "evolve --B=1,0,1 --t-end=50 --steps=10000 --check-rabi",
-        "evolve --B=1,2,3 --t-end=1e5 --steps=2001 --check",
-        "diag --h=6429.006900440708,-0.5114275108942732,-0.8446029215658675,-0.15839130652560873",
-        "diag --h=1,1e-9,0,0",
-    ])
-    def test_at_scale(self, argv):
-        assert strict_exit_code(argv.split()) == 0
+    # Whole runs where the batched kernels meet their limits: long grids and
+    # suites, a span t-end - t-start that overflows a double, a 1e300
+    # angle, entries whose squares underflow (1e-200, 1e-300) or overflow
+    # (1e200, 1e308), a value after a space; and the exit codes at
+    # breakdown: an eigenvalue that overflows is an input error, 1, and
+    # past a phase of about 9e307 the closed forms fail their check, 2.
+    AT_SCALE = [
+        ("conformance --count 20000", 0),
+        ("evolve --B=1,2,3 --t-end=50 --steps=10000 --check", 0),
+        ("evolve --B=0,0,0 --t-end=50 --steps=10000 --check", 0),
+        ("evolve --B=1,0,1 --t-end=50 --steps=10000 --check-rabi", 0),
+        ("evolve --B=1,2,3 --t-end=1e5 --steps=2001 --check", 0),
+        ("diag --h=6429.006900440708,-0.5114275108942732,-0.8446029215658675,-0.15839130652560873",
+         0),
+        ("diag --h=1,1e-9,0,0", 0),
+        ("evolve --B=0,0,1 --theta0=1e300 --t-end=1 --steps=3", 0),
+        ("evolve --B=1e200,0,0 --t-end=1 --steps=3", 0),
+        ("diag --h=0.3,1,-2,0.5", 0),
+        ("diag --h=0.3,1,-2,0.5 --format=json", 0),
+        ("diag --h=0,1e-200,0,1e-200", 0),
+        ("diag --h -0.5,1,2,3", 0),
+        ("evolve --B -1,0,1 --t-end=1 --steps=3", 0),
+        ("evolve --B=1e-300,0,0 --t-start=-1.5e308 --t-end=1.5e308 --steps=5", 0),
+        ("diag --h=1e308,1e308,0,0", 1),
+        ("evolve --B=1e308,0,0 --t-end=1.9 --steps=2 --check", 2),
+    ]
+
+    @pytest.mark.parametrize("argv, code", AT_SCALE, ids=[argv for argv, _ in AT_SCALE])
+    def test_at_scale(self, argv, code):
+        assert strict_exit_code(argv.split()) == code
 
 
 # any JSON value, as json.load gives it back
