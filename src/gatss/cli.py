@@ -151,7 +151,7 @@ _SETTINGS: dict[str, tuple[dict[str, Any] | None, Any, dict[str, Any]]] = {
     "t_end": (_FLOAT, _number, {"evolve": _REQUIRED}),
     "steps": (_INT, _positive, {"evolve": _REQUIRED}),
     "seed": (_INT, _integer, {"conformance": 0}),
-    "count": (_INT, _positive, {"conformance": 1000}),
+    "count": (_INT, _integer, {"conformance": 1000}),
     "format": ({"choices": _FORMATS}, _format, {"diag": "csv", "evolve": "csv"}),
     "check": ({"action": "store_true", "default": None,
                "help": "append matrix-oracle deviation columns"}, _boolean, {"evolve": False}),
@@ -178,7 +178,9 @@ def _load_config(path: str | None) -> dict[str, Any]:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a decode error, bytes that are not UTF-8, an integer past int()'s
+        # digit limit, or nesting past the recursion limit
         raise ValueError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")

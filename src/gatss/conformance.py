@@ -214,6 +214,8 @@ def run_all(seed: int, count: int) -> list[SuiteResult]:
         raise ValueError("count must be at least 1")
     if count > sys.maxsize:  # numpy's sizes are C ssize_t
         raise ValueError(f"count must be at most {sys.maxsize}")
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
     rng = np.random.default_rng(seed)
     return [
         suite_homomorphism(rng, count),

@@ -566,6 +566,9 @@ class TestConformance:
             (["--count=0"], {}, "count must be at least 1"),
             (["--count=9223372036854775808"], {}, "count must be at most 9223372036854775807"),
             ([], {"count": 1e300}, "count must be at most 9223372036854775807"),
+            (["--seed=-1"], {}, "seed must be at least 0"),
+            ([], {"seed": -1}, "seed must be at least 0"),
+            (["--count=0", "--seed=-1"], {}, "count must be at least 1"),
         ]:
             path.write_text(json.dumps(config))
             result = run_cli(capsys, ["conformance", *argv, "--config", str(path)])
@@ -660,6 +663,17 @@ class TestParsing:
         arr = tmp_path / "arr.json"
         arr.write_text("[1, 2]")
         assert run_cli(capsys, ["diag", "--h", "0,1,0,1", "--config", str(arr)])[0] == 1
+        # past the digit limit of int(), nested past the recursion limit, not UTF-8
+        for name, data in [
+            ("digits.json", b'{"seed": ' + b"1" * 5000 + b"}"),
+            ("nested.json", b"[" * 1000 + b"]" * 1000),
+            ("bytes.json", b"\xff\xfe{}"),
+        ]:
+            path = tmp_path / name
+            path.write_bytes(data)
+            code, out, err = run_cli(capsys, ["diag", "--h", "0,1,0,1", "--config", str(path)])
+            assert (code, out, len(err.splitlines())) == (1, "", 1), name
+            assert err.startswith("gatss diag: error: config file is not valid JSON: "), name
 
 
 class TestSubprocess:

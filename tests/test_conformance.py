@@ -81,6 +81,12 @@ class TestRunAll:
         with pytest.raises(ValueError):
             run_all(seed=0, count=0)
 
+    def test_seed_validation(self):
+        with pytest.raises(ValueError, match="^seed must be at least 0$"):
+            run_all(seed=-1, count=1)
+        with pytest.raises(ValueError, match="^count must be at least 1$"):
+            run_all(seed=-1, count=0)
+
 
 class TestIndividualSuites:
     def test_commutators_exact(self):
