@@ -917,7 +917,7 @@ CONFIG_VALUES = {
     "t_start": (finite_double.map(lambda t: -abs(t)), any_json),
     "t_end": (finite_double.map(abs), any_json),
     "steps": (st.integers(1, 8), st.one_of(st.sampled_from([2 ** 59, *huge]), non_integer)),
-    "seed": (st.integers(), any_json),
+    "seed": (st.integers(min_value=0), any_json),
     "count": (st.integers(1, 8), st.one_of(st.sampled_from(huge), non_integer)),
     "format": (st.sampled_from(["csv", "json"]), any_json),
     "check": (st.booleans(), any_json),
