@@ -58,7 +58,7 @@ def _fmt(x: float) -> str:
 # line.
 
 
-def _number(value, name: str) -> float:
+def _number(value, name: str, low: float = -math.inf) -> float:
     label = name.replace("_", "-")
     try:
         if isinstance(value, bool):
@@ -70,24 +70,21 @@ def _number(value, name: str) -> float:
         out = math.inf
     if not math.isfinite(out):
         raise ValueError(f"{label} must be finite")
+    if out < low:  # -0.0 passes a low of 0
+        raise ValueError(f"{label} must be at least {low:g}")
     return out
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, low: float = -math.inf) -> int:
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer")
-    if isinstance(value, int):
-        return value
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _positive(value, name: str) -> int:
-    out = _integer(value, name)
-    if out < 1:
-        raise ValueError(f"{name} must be at least 1")
-    return out
+        value = int(value)
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return value
 
 
 def _boolean(value, name: str) -> bool:
@@ -149,7 +146,7 @@ _SETTINGS: dict[str, tuple[dict[str, Any] | None, Any, dict[str, Any]]] = {
     "theta0": (_FLOAT, None, {"evolve": None}),
     "t_start": (_FLOAT, _number, {"evolve": 0.0}),
     "t_end": (_FLOAT, _number, {"evolve": _REQUIRED}),
-    "steps": (_INT, _positive, {"evolve": _REQUIRED}),
+    "steps": (_INT, functools.partial(_integer, low=1), {"evolve": _REQUIRED}),
     "seed": (_INT, _integer, {"conformance": 0}),
     "count": (_INT, _integer, {"conformance": 1000}),
     "format": ({"choices": _FORMATS}, _format, {"diag": "csv", "evolve": "csv"}),
@@ -159,7 +156,8 @@ _SETTINGS: dict[str, tuple[dict[str, Any] | None, Any, dict[str, Any]]] = {
                     "help": "compare p_minus against the closed Rabi formula"},
                    _boolean, {"evolve": False}),
     "config": ({"metavar": "PATH"}, None, {"diag": None, "evolve": None, "conformance": None}),
-    "tol": (_FLOAT, _number, {"diag": 1e-9, "evolve": 1e-10}),
+    # every worst value is at least 0, so a negative tol would fail every check
+    "tol": (_FLOAT, functools.partial(_number, low=0.0), {"diag": 1e-9, "evolve": 1e-10}),
     "state": (None, None, {"evolve": None}),
 }
 
@@ -253,9 +251,7 @@ def _cmd_diag(s: dict[str, Any]) -> int:
     es = eigensystem(ham)
     theta, phi = polar_angles(ham)
     residuals = conformance.eigensystem_residuals(ham, es)
-    check = conformance.SuiteResult(
-        "diag", conformance.worst_deviation(list(residuals.values())), s["tol"], 1
-    )
+    check = conformance.check("diag", [list(residuals.values())], s["tol"])
     report = {
         "e_plus": es.e_plus,
         "e_minus": es.e_minus,
@@ -290,14 +286,14 @@ def _cmd_evolve(s: dict[str, Any]) -> int:
             raise ValueError("check-rabi assumes the initial state eps_plus")
 
     table = trajectory(cfg, psi0, time_grid(s["t_start"], s["t_end"], s["steps"]))
-    worsts = {}
+    checks = []
     if s["check"]:
         devs = conformance.trajectory_deviations(cfg, psi0, table)
         table.update(devs)
-        worsts["check"] = conformance.worst_deviation(list(devs.values()))
+        checks.append(conformance.check("check", devs.values(), s["tol"]))
     if s["check_rabi"]:
-        worsts["check-rabi"] = conformance.rabi_deviation(cfg, table)
-    checks = [conformance.SuiteResult(k, w, s["tol"], s["steps"]) for k, w in worsts.items()]
+        gaps = conformance.rabi_deviation(cfg, table)
+        checks.append(conformance.check("check-rabi", [gaps], s["tol"]))
 
     if s["format"] == "csv":
         print(",".join(table))

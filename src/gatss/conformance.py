@@ -6,9 +6,10 @@ being multiplicative, associativity of the geometric product, exactness of
 the spin commutators, and the three-way agreement of the transition
 probability (closed form, rotor dynamics, matrix dynamics).  The residual
 and deviation functions back the checks of `diag` and
-`evolve --check/--check-rabi`.  Every check reduces its deviations with
-`worst_deviation` and decides with `SuiteResult.passed`, so a NaN
-deviation fails it.
+`evolve --check/--check-rabi`.  Every verdict, the suites' and the
+command line's alike, is `check` of its deviations: one reduction that
+counts the cases, keeps a NaN as the worst value, and decides with
+`SuiteResult.passed`, so a NaN deviation fails it.
 
 The three randomized suites draw their values a block of rows at a time,
 the same stream of numbers that drawing them one at a time gives, so
@@ -55,7 +56,7 @@ np = _LazyNumpy(globals())
 
 __all__ = [
     "SuiteResult",
-    "worst_deviation",
+    "check",
     "suite_homomorphism",
     "suite_associativity",
     "suite_commutators",
@@ -78,7 +79,8 @@ _COEFF_SPAN = 10.0
 
 @dataclass(frozen=True)
 class SuiteResult:
-    """Outcome of one check: the worst deviation over `count` cases."""
+    """Outcome of one check: the worst deviation over the `count` cases
+    that `check` read."""
 
     name: str
     worst: float
@@ -91,39 +93,37 @@ class SuiteResult:
         return self.worst <= self.tol
 
 
-def worst_deviation(deviations) -> float:
-    """Largest entry of deviations, 0.0 when there are none: an array, or an
-    iterable of numbers, or of arrays and iterables of them.
-
-    Unlike the builtin max, a NaN anywhere makes the result NaN.  An array
-    is reduced by its own max; anything else by Python's builtins, which
-    loop in C, so that `diag`'s checks need no numpy.
-    """
-    if hasattr(deviations, "max"):
-        return float(deviations.max(initial=0.0))
-    deviations = list(deviations)
-    if not all(issubclass(t, (int, float)) for t in set(map(type, deviations))):
-        deviations = [x if isinstance(x, (int, float)) else worst_deviation(x) for x in deviations]
-    if any(map(math.isnan, deviations)):
-        return math.nan
-    return float(max(max(deviations, default=0.0), 0.0))
+def _nan_max(values) -> float:
+    """Largest entry of values, floored at 0.0: an array, reduced by its own
+    max, or a list of numbers, reduced by Python's builtins, which loop in
+    C, so that `diag`'s checks need no numpy.  Unlike the builtin max, a
+    NaN anywhere makes the result NaN."""
+    if hasattr(values, "max"):
+        worst = float(values.max(initial=0.0))
+    else:
+        worst = math.nan if any(map(math.isnan, values)) else float(max(values, default=0.0))
+    return worst if not worst <= 0.0 else 0.0  # NaN stays; -0.0 floors to 0.0
 
 
-def _worst_by_block(devs_of, count: int, draw) -> float:
-    """worst_deviation of devs_of over count draws, each block of rows
-    drawn by draw(rows) and checked before the next is drawn, so that
-    memory stays flat however many draws there are."""
-    worst = 0.0
-    for block in _row_blocks(range(count)):
-        worst = worst_deviation([worst, worst_deviation(devs_of(draw(len(block))))])
-    return worst
+def check(name: str, blocks, tol: float) -> SuiteResult:
+    """The verdict of a check on its deviations, read one block at a time:
+    each block an array with the cases on its first axis, or a list of
+    numbers, one case each.  The worst value is the largest deviation,
+    0.0 when there are none, and NaN if any deviation is NaN; blocks may
+    be a generator, so a suite holds one block at a time however many
+    cases it checks."""
+    worst, count = 0.0, 0
+    for block in blocks:
+        count += len(block)
+        worst = _nan_max([worst, _nan_max(block)])
+    return SuiteResult(name, worst, tol, count)
 
 
 def suite_homomorphism(rng: np.random.Generator, count: int) -> SuiteResult:
     """rep(a b) == rep(a) rep(b), entrywise, over random pairs."""
-    worst = _worst_by_block(_homomorphism_devs, count,
-                            lambda rows: rng.uniform(-_COEFF_SPAN, _COEFF_SPAN, (rows, 2, 8)))
-    return SuiteResult("homomorphism", worst, HOMOMORPHISM_TOL, count)
+    blocks = (_homomorphism_devs(rng.uniform(-_COEFF_SPAN, _COEFF_SPAN, (len(rows), 2, 8)))
+              for rows in _row_blocks(range(count)))
+    return check("homomorphism", blocks, HOMOMORPHISM_TOL)
 
 
 def _homomorphism_devs(pairs: np.ndarray) -> np.ndarray:
@@ -139,9 +139,9 @@ def _homomorphism_devs(pairs: np.ndarray) -> np.ndarray:
 
 def suite_associativity(rng: np.random.Generator, count: int) -> SuiteResult:
     """(a b) c == a (b c), scaled by the product of coefficient norms."""
-    worst = _worst_by_block(_associativity_devs, count,
-                            lambda rows: rng.uniform(-_COEFF_SPAN, _COEFF_SPAN, (rows, 3, 8)))
-    return SuiteResult("associativity", worst, ASSOCIATIVITY_TOL, count)
+    blocks = (_associativity_devs(rng.uniform(-_COEFF_SPAN, _COEFF_SPAN, (len(rows), 3, 8)))
+              for rows in _row_blocks(range(count)))
+    return check("associativity", blocks, ASSOCIATIVITY_TOL)
 
 
 def _associativity_devs(triples: np.ndarray) -> np.ndarray:
@@ -174,16 +174,17 @@ def suite_commutators() -> SuiteResult:
         for j in range(3):
             k, sign = _LEVI_CIVITA.get((i, j), (0, 0.0))  # eps_iik = 0
             devs.append(np.abs((commutator(s_ops[i], s_ops[j]) - duals[k] * sign).coeffs))
-    return SuiteResult("commutators", worst_deviation(np.array(devs)), 0.0, 9)
+    return check("commutators", [np.array(devs)], 0.0)
 
 
 def suite_rabi_triangle(rng: np.random.Generator, count: int) -> SuiteResult:
     """Transition probability out of eps_plus agrees pairwise between the
     closed form, the rotor dynamics and the matrix dynamics, over fields
     from uniform(-5, 5) and times from uniform(0, 10)."""
-    worst = _worst_by_block(_rabi_devs, count, lambda rows: rng.uniform(
-        [-5.0, -5.0, -5.0, 0.0], [5.0, 5.0, 5.0, 10.0], (rows, 4)))
-    return SuiteResult("rabi_triangle", worst, RABI_TRIANGLE_TOL, count)
+    blocks = (_rabi_devs(rng.uniform([-5.0, -5.0, -5.0, 0.0], [5.0, 5.0, 5.0, 10.0],
+                                     (len(rows), 4)))
+              for rows in _row_blocks(range(count)))
+    return check("rabi_triangle", blocks, RABI_TRIANGLE_TOL)
 
 
 def _rabi_devs(draws: np.ndarray) -> np.ndarray:
@@ -242,13 +243,13 @@ def eigensystem_residuals(h: Hamiltonian, es: EigenSystem) -> dict[str, float]:
     # the oracle on one matrix: matrixqm's Python-complex core, no numpy
     values, vectors = matrixqm._eigen_entries(*matrixqm._rep_entries(h_mv._c))
     return {
-        "residual_eigen_relation": worst_deviation(
+        "residual_eigen_relation": _nan_max(
             relation_residual(es.psi_plus, es.e_plus) + relation_residual(es.psi_minus, es.e_minus)
         ),
-        "residual_oracle_eigenvalues": worst_deviation([
+        "residual_oracle_eigenvalues": _nan_max([
             abs(es.e_plus - values[0]), abs(es.e_minus - values[1])
         ]),
-        "residual_oracle_overlap": worst_deviation([
+        "residual_oracle_overlap": _nan_max([
             overlap_residual(vectors[0], es.psi_plus), overlap_residual(vectors[1], es.psi_minus),
         ]),
     }
@@ -294,8 +295,9 @@ def trajectory_deviations(
     }
 
 
-def rabi_deviation(cfg: FieldConfig, table: dict[str, list[float]]) -> float:
-    """Largest gap between the p_minus column of a trajectory out of
-    eps_plus and the closed Rabi formula."""
+def rabi_deviation(cfg: FieldConfig, table: dict[str, list[float]]) -> list[float]:
+    """Per-row gaps between the p_minus column of a trajectory out of
+    eps_plus and the closed Rabi formula; NaN where the closed form's angle
+    is not finite."""
     p_closed = _rabi_rows(cfg.B, cfg.q, cfg.m, table["t"])
-    return worst_deviation(np.abs(np.array(table["p_minus"]) - p_closed))
+    return np.abs(np.array(table["p_minus"]) - p_closed).tolist()

@@ -618,6 +618,10 @@ class TestParsing:
         (["evolve", "--steps=2"], {"q": 10 ** 400}, 1, "q must be finite"),
         (["diag"], {"h": [True, 1, 0, 0]}, 1, "h must be a number, got True"),
         (["evolve"], {"steps": 3, "check": False, "check_rabi": False}, 0, None),
+        (["diag", "--h=0,0,0,0", "--tol=-1"], {}, 1, "tol must be at least 0"),
+        (["evolve", "--steps=2", "--check"], {"tol": -5e-324}, 1, "tol must be at least 0"),
+        (["evolve", "--steps=3", "--tol=-0.0"], {}, 0, None),
+        (["evolve", "--steps=3"], {"tol": 0}, 0, None),
     ])
     def test_config_and_flag_casts(self, capsys, tmp_path, argv, config, code, err):
         path = tmp_path / "c.json"
@@ -923,7 +927,7 @@ CONFIG_VALUES = {
     "check": (st.booleans(), any_json),
     "check_rabi": (st.booleans(), any_json),
     "config": (st.none(), any_json),
-    "tol": (finite_double, any_json),
+    "tol": (finite_double.map(abs), any_json),
     "state": (st.one_of(st.sampled_from(["plus", "minus"]),
                         st.fixed_dictionaries({"c_plus": amplitude, "c_minus": amplitude})),
               any_json),

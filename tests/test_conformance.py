@@ -16,6 +16,7 @@ from gatss.conformance import (
     _associativity_devs,
     _homomorphism_devs,
     _rabi_devs,
+    check,
     eigensystem_residuals,
     rabi_deviation,
     run_all,
@@ -23,7 +24,6 @@ from gatss.conformance import (
     suite_homomorphism,
     suite_rabi_triangle,
     trajectory_deviations,
-    worst_deviation,
 )
 from gatss.matrixqm import STATE_NORM_TOL, pauli, rep, spinor_rep
 from gatss.spinor import basis_eps
@@ -117,9 +117,12 @@ class TestOracleChecks:
 
     def test_rabi_deviation(self):
         table = trajectory(TILTED, EPS_PLUS, np.linspace(0.0, 12.0, 41))
-        assert rabi_deviation(TILTED, table) <= 1e-12
+        gaps = rabi_deviation(TILTED, table)
+        assert len(gaps) == 41 and max(gaps) <= 1e-12
         table["p_minus"][7] -= 1e-6
-        assert abs(rabi_deviation(TILTED, table) - 1e-6) <= 1e-9
+        gaps = rabi_deviation(TILTED, table)
+        assert abs(gaps[7] - 1e-6) <= 1e-9
+        assert max(gaps[:7] + gaps[8:]) <= 1e-12
 
     def test_rabi_deviation_where_the_field_length_overflows(self):
         # |B| is inf from finite components, so sin(theta) is inf / inf
@@ -127,7 +130,8 @@ class TestOracleChecks:
         table = trajectory(cfg, EPS_PLUS, [0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isnan(rabi_deviation(cfg, table))
+            gaps = rabi_deviation(cfg, table)
+        assert len(gaps) == 1 and math.isnan(gaps[0])
 
     @pytest.mark.parametrize(
         "h",
@@ -160,39 +164,100 @@ class TestPassRule:
     def test_nan_anywhere_fails(self, position):
         devs = [1e-16, 0.0, 3e-15, 2e-16]
         devs[position] = float("nan")
-        worst = worst_deviation(devs)
-        assert np.isnan(worst)
-        assert not SuiteResult("check", worst, 1e-10, len(devs)).passed
+        result = check("check", [devs], 1e-10)
+        assert np.isnan(result.worst) and result.count == len(devs)
+        assert not result.passed
 
     def test_nan_in_a_column_fails(self):
         columns = [[0.0, 1e-16], [2e-16, float("nan")], [0.0, 0.0]]
-        assert not SuiteResult("check", worst_deviation(columns), 1e-10, 2).passed
+        result = check("check", columns, 1e-10)
+        assert np.isnan(result.worst) and result.count == 6
+        assert not result.passed
 
     def test_empty_is_zero(self):
-        assert worst_deviation([]) == 0.0
-        assert SuiteResult("check", worst_deviation([]), 0.0, 0).passed
+        assert check("check", [], 0.0) == SuiteResult("check", 0.0, 0.0, 0)
+        assert check("check", [[], np.empty((0, 3))], 0.0).passed
 
-    @pytest.mark.parametrize("devs, worst", [
-        ([-1.0], 0.0),
-        ([1, 2.5], 2.5),
-        ([np.float64(2.0), 1.0], 2.0),
-        ([float("inf"), 1.0], float("inf")),
-        ([[], []], 0.0),
-        ([[1.0], np.array([5.0, 0.5])], 5.0),
-        (np.array([[1.0, 3.0], [2.0, 0.0]]), 3.0),
-        (iter([0.5, 1.5]), 1.5),
-        ([3.0, np.float64("nan")], float("nan")),
-        ([0.0, np.array([1.0, np.nan])], float("nan")),
+    @pytest.mark.parametrize("blocks, worst, count", [
+        ([[-1.0]], 0.0, 1),
+        ([[1, 2.5]], 2.5, 2),
+        ([[np.float64(2.0), 1.0]], 2.0, 2),
+        ([[float("inf"), 1.0]], float("inf"), 2),
+        ([[], []], 0.0, 0),
+        ([[1.0], np.array([5.0, 0.5])], 5.0, 3),
+        ([np.array([[1.0, 3.0], [2.0, 0.0]])], 3.0, 2),
+        (iter([[0.5], [1.5]]), 1.5, 2),
+        ([[3.0, np.float64("nan")]], float("nan"), 2),
+        ([[0.0], np.array([1.0, np.nan])], float("nan"), 3),
     ], ids=["negative", "int", "numpy_scalar", "inf", "empty_parts", "mixed_parts",
             "array", "iterator", "numpy_nan", "nan_in_array_part"])
-    def test_as_numpy_max_with_initial_zero(self, devs, worst):
-        # lists reduce in Python, arrays by numpy, to the same value
-        assert worst_deviation(devs).hex() == worst.hex()
+    def test_as_numpy_max_with_initial_zero(self, blocks, worst, count):
+        # lists reduce in Python, arrays by numpy, to the same value; the
+        # parts are blocks, one of them an array, and the blocks may come
+        # from an iterator
+        result = check("check", blocks, 0.0)
+        assert (result.worst.hex(), result.count) == (worst.hex(), count)
 
     def test_worst_at_tol_passes(self):
-        assert worst_deviation([1e-12, 3e-12, 2e-12]) == 3e-12
-        assert SuiteResult("check", 3e-12, 3e-12, 3).passed
-        assert not SuiteResult("check", float("inf"), 1e-10, 1).passed
+        result = check("check", [[1e-12, 3e-12, 2e-12]], 3e-12)
+        assert result.worst == 3e-12 and result.passed
+        assert not check("check", [[float("inf")]], 1e-10).passed
+
+    @pytest.mark.parametrize("first", [[math.nan], np.array([[math.nan, 0.0]])])
+    def test_nan_is_worst_across_blocks(self, first):
+        # NaN in one block and a larger finite value in another, either way
+        # round: a fold by the builtin max keeps 5.0 in one order or both
+        later = np.array([[5.0, 1.0]])
+        for blocks in ([first, later], [later, first]):
+            result = check("check", blocks, 10.0)
+            assert math.isnan(result.worst) and result.count == 2
+            assert not result.passed
+
+
+def reference_check(entries):
+    """check's worst value, from the flat entries in pure Python."""
+    if any(math.isnan(x) for x in entries):
+        return math.nan
+    worst = 0.0
+    for x in entries:
+        if x > worst:
+            worst = x
+    return worst
+
+
+check_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan]),
+    st.floats(-1e300, 0.0),
+    st.floats(allow_nan=False),
+    st.floats(0.0, 2.2e-308),
+)
+block_shapes = st.sampled_from([None, (), (3,), (2, 2)])  # None: a list
+
+
+@st.composite
+def check_blocks(draw):
+    """Blocks of cases as check reads them, and their flat entries."""
+    blocks, entries = [], []
+    for shape in draw(st.lists(block_shapes, max_size=5)):
+        cases = draw(st.integers(0, 4))
+        size = cases * math.prod(shape or ())
+        values = draw(st.lists(check_entries, min_size=size, max_size=size))
+        entries += values
+        blocks.append(values if shape is None else np.array(values).reshape((cases, *shape)))
+    return blocks, entries
+
+
+class TestCheckMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(check_blocks())
+    @example(([[-0.0], np.array([-0.0, -1.0])], [-0.0, -0.0, -1.0]))
+    @example(([np.array([[math.nan, 1.0, 2.0]]), [math.inf]], [math.nan, 1.0, 2.0, math.inf]))
+    def test_worst_and_count(self, blocks_and_entries):
+        blocks, entries = blocks_and_entries
+        result = check("check", iter(blocks), 0.0)
+        assert result.worst.hex() == reference_check(entries).hex()
+        assert result.count == sum(map(len, blocks))
+        assert result.passed == (result.worst == 0.0)
 
 
 # Per-draw references: the suites and checks as they ran before they took
@@ -249,7 +314,7 @@ def reference_run_all(seed, count):
              for _ in range(count)]
     rabi = [reference_rabi(rng.uniform(-5.0, 5.0, 3), rng.uniform(0.0, 10.0))
             for _ in range(count)]
-    return [worst_deviation(devs).hex() for devs in (hom, assoc, rabi)]
+    return [reference_check(np.ravel(devs).tolist()).hex() for devs in (hom, assoc, rabi)]
 
 
 def reference_deviations(cfg, psi0, table):
@@ -272,7 +337,7 @@ def reference_deviations(cfg, psi0, table):
              if cfg.b_norm > 0.0 else (0.0, 0.0, 1.0)),
         )
         for dev, columns, ref in refs:
-            devs[dev].append(worst_deviation([abs(table[c][i] - r) for c, r in zip(columns, ref)]))
+            devs[dev].append(reference_check([abs(table[c][i] - r) for c, r in zip(columns, ref)]))
     return devs
 
 
@@ -385,11 +450,24 @@ class TestRabiDraws:
         rng = StubRng(self.BLOCK)
         result = suite_rabi_triangle(rng, 4)
         assert rng.sizes == [(4, 4)]
-        expected = worst_deviation([reference_rabi(row[:3], row[3]) for row in self.BLOCK])
+        expected = reference_check(
+            np.ravel([reference_rabi(row[:3], row[3]) for row in self.BLOCK]).tolist())
         assert (result.count, result.worst.hex()) == (4, expected.hex())
         # closed form, rotor route and matrix route all give probability 0
         gaps = _rabi_devs(np.array(self.BLOCK))
         assert gaps[[1, 3]].tolist() == [[0.0, 0.0, 0.0]] * 2
+
+    def test_a_nan_in_the_second_block_fails_the_suite(self):
+        # the draw whose angle |B| t = 2e308 is not finite has NaN gaps; a
+        # fold that dropped NaN would pass on the finite first block
+        first = [self.BLOCK[i % 4] for i in range(_BLOCK_ROWS)]
+        second = [[1.0, 2.0, 3.0, 0.5], [1e308, 0.0, 0.0, 2.0]] + self.BLOCK[:2]
+        rng = StubRng(first, second)
+        result = suite_rabi_triangle(rng, _BLOCK_ROWS + 4)
+        assert rng.sizes == [(_BLOCK_ROWS, 4), (4, 4)]
+        assert math.isnan(result.worst) and result.count == _BLOCK_ROWS + 4
+        assert not result.passed
+        assert suite_rabi_triangle(StubRng(first), _BLOCK_ROWS).passed
 
 
 # the closed form alone, beyond the suite's range: zero fields (one with a
@@ -466,9 +544,9 @@ class TestClosedRabiMatchesPerDraw:
         cfg = FieldConfig(B=b, q=qm[0], m=qm[1])
         table = {"t": [t for t, _ in rows], "p_minus": [p for _, p in rows]}
         # NaN where the per-draw formula raises
-        assert rabi_deviation(cfg, table).hex() == worst_deviation([
+        assert hexes(rabi_deviation(cfg, table)) == hexes([
             nan_on_error(lambda: abs(p - reference_rabi_probability(b, *qm, t)), ())
-            for t, p in rows]).hex()
+            for t, p in rows])
 
 
 check_fields = st.one_of(
