@@ -296,8 +296,11 @@ def trajectory_deviations(
 
 
 def rabi_deviation(cfg: FieldConfig, table: dict[str, list[float]]) -> list[float]:
-    """Per-row gaps between the p_minus column of a trajectory out of
-    eps_plus and the closed Rabi formula; NaN where the closed form's angle
-    is not finite."""
+    """Per-row gaps between the p_minus column of a trajectory and the
+    closed Rabi formula; NaN where the closed form's angle is not finite.
+
+    The formula holds for an initial state whose eps_minus amplitude is 0,
+    eps_plus times any unit phase, which p_minus does not see, and in any
+    field, the zero field included, where it is 0."""
     p_closed = _rabi_rows(cfg.B, cfg.q, cfg.m, table["t"])
     return np.abs(np.array(table["p_minus"]) - p_closed).tolist()

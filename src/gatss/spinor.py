@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from .algebra import E1, Multivector, _gp_rows, _reverse_rows, gp, reverse
 
@@ -98,7 +98,7 @@ class AlgebraicSpinor:
         return {"c_plus": [cp.real, cp.imag], "c_minus": [cm.real, cm.imag]}
 
     @classmethod
-    def from_json_dict(cls, data: Mapping[str, Sequence[float]]) -> "AlgebraicSpinor":
+    def from_json_dict(cls, data: Mapping[str, list[float]]) -> "AlgebraicSpinor":
         """The state of to_json_dict's form; ValueError for any other shape."""
         try:
             cp = data["c_plus"]
@@ -130,8 +130,11 @@ def basis_eps() -> tuple[AlgebraicSpinor, AlgebraicSpinor]:
 
 
 def _amplitude(key: str, pair) -> complex:
-    """An amplitude of the JSON form, [re, ps]: two numbers, not booleans."""
+    """An amplitude of the JSON form, [re, ps]: a list or tuple of two
+    numbers, not booleans."""
     try:
+        if not isinstance(pair, (list, tuple)):
+            raise TypeError
         re, ps = pair
         if isinstance(re, bool) or isinstance(ps, bool):
             raise TypeError

@@ -72,6 +72,19 @@ __all__ = [
 ]
 
 
+def _vector3(v, name: str) -> tuple[float, float, float]:
+    """The three components of a list, tuple or 1-D numpy array as floats;
+    ValueError for any other container, such as a str, a set or a dict."""
+    numpy = sys.modules.get("numpy")  # no array exists before numpy loads
+    if not (isinstance(v, (list, tuple))
+            or numpy is not None and isinstance(v, numpy.ndarray) and v.ndim == 1):
+        raise ValueError(f"{name} must be a list, tuple or 1-D array, got {type(v).__name__}")
+    out = tuple(float(x) for x in v)
+    if len(out) != 3:
+        raise ValueError(f"{name} must have 3 components")
+    return out
+
+
 @dataclass(frozen=True)
 class Hamiltonian:
     """Hermitian observable h0 + h . e, stored as (h0, (h1, h2, h3))."""
@@ -81,9 +94,7 @@ class Hamiltonian:
 
     def __post_init__(self):
         h0 = float(self.h0)
-        h = tuple(float(x) for x in self.h)
-        if len(h) != 3:
-            raise ValueError("vector part must have 3 components")
+        h = _vector3(self.h, "vector part")
         if not (math.isfinite(h0) and all(math.isfinite(x) for x in h)):
             raise ValueError("Hamiltonian coefficients must be finite")
         object.__setattr__(self, "h0", h0)
@@ -111,9 +122,7 @@ class FieldConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        B = tuple(float(x) for x in self.B)
-        if len(B) != 3:
-            raise ValueError("field must have 3 components")
+        B = _vector3(self.B, "field")
         q, m, hbar = float(self.q), float(self.m), float(self.hbar)
         vals = (*B, q, m, hbar)
         if not all(math.isfinite(x) for x in vals):

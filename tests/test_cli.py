@@ -33,6 +33,14 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_captured(argv):
+    """run_cli without a fixture, for hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestDiag:
     def test_worked_example(self, capsys):
         code, out, err = run_cli(capsys, ["diag", "--h", "0,1,0,1"])
@@ -322,32 +330,24 @@ class TestEvolve:
         assert (code, err) == (0, "")
         assert out == expected
 
-    def test_check_rabi_needs_field(self, capsys):
+    def test_check_rabi_zero_field(self, capsys):
+        # the Rabi formula is 0 in a zero field, as p_minus is
         code, out, err = run_cli(
             capsys,
-            ["evolve", "--B", "0,0,0", "--t-end", "1", "--steps", "2", "--check-rabi"],
+            ["evolve", "--B", "0,0,0", "--t-end", "1", "--steps", "3", "--check-rabi"],
         )
-        assert code == 1
-        assert "nonzero field" in err
+        assert (code, err) == (0, "check-rabi: max_deviation = 0\n")
 
-    def test_check_rabi_needs_plus_state(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            [
-                "evolve",
-                "--B",
-                "1,0,1",
-                "--theta0",
-                "0.5",
-                "--t-end",
-                "1",
-                "--steps",
-                "2",
-                "--check-rabi",
-            ],
-        )
-        assert code == 1
-        assert "eps_plus" in err
+    def test_check_rabi_needs_plus_state(self, capsys, tmp_path):
+        # any state with an eps_minus amplitude, however small, is refused
+        cfg = tmp_path / "c.json"
+        argv = ["evolve", "--B=1,0,1", "--t-end=1", "--steps=2", "--check-rabi"]
+        for extra, state in [(["--theta0=0.5"], None), (["--theta0=0.1"], None),
+                             ([], "minus"), ([], {"c_plus": [1, 0], "c_minus": [0, 1e-300]})]:
+            cfg.write_text(json.dumps({"state": state}))
+            code, out, err = run_cli(capsys, argv + extra + ["--config", str(cfg)])
+            assert (code, out) == (1, "")
+            assert err == "gatss evolve: error: check-rabi assumes the initial state eps_plus\n"
 
     def test_missing_required(self, capsys):
         assert run_cli(capsys, ["evolve", "--B", "1,2,3", "--steps", "5"])[0] == 1
@@ -514,8 +514,13 @@ class TestEvolve:
              "bad state: c_minus must be [re, ps], two numbers; got {'a': 1, 'b': 2}"),
             ({"c_plus": [True, 0], "c_minus": [0, 0]},
              "bad state: c_plus must be [re, ps], two numbers; got [True, 0]"),
+            ({"c_plus": "10", "c_minus": "00"},
+             "bad state: c_plus must be [re, ps], two numbers; got '10'"),
+            ({"c_plus": {"1": 0, "0": 1}, "c_minus": [0, 0]},
+             "bad state: c_plus must be [re, ps], two numbers; got {'1': 0, '0': 1}"),
         ],
-        ids=["nan", "norm_overflows", "null_part", "number", "object", "boolean"],
+        ids=["nan", "norm_overflows", "null_part", "number", "object", "boolean", "text",
+             "object_of_numbers"],
     )
     def test_state_out_of_range(self, capsys, tmp_path, state, message):
         cfg = tmp_path / "c.json"
@@ -806,6 +811,34 @@ class TestCheckProperty:
             code = main(argv)
         h = hamiltonian_from_field(FieldConfig(B=b, hbar=hbar)).h
         assert code in ((0, 2) if _norm3(*h) * (t_end / hbar) < 1e308 else (0, 1, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(signed_field, signed_field, signed_field)),
+        st.one_of(
+            st.sampled_from([(-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]),
+            st.floats(-math.pi, math.pi).map(lambda phi: (math.cos(phi), math.sin(phi))),
+        ),
+    )
+    def test_check_rabi_sees_no_phase(self, b, c_plus):
+        # the Rabi formula holds out of eps_plus times any unit phase, in any
+        # field; a phase of -1 flips every sign exactly, so its whole run is
+        # eps_plus's, while other phases can move the last bits of a gap.
+        # The grid ends at an angle omega t of 10, where the absolute tol
+        # holds at every field scale (the angle's roundoff grows with it).
+        t_end = 10.0 / (_norm3(*b) or 1.0)
+        argv = ["evolve", "--B=" + ",".join(map(repr, b)), f"--t-end={t_end!r}", "--steps=5",
+                "--check-rabi"]
+        with tempfile.TemporaryDirectory() as workdir:
+            cfg = os.path.join(workdir, "c.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump({"state": {"c_plus": c_plus, "c_minus": [0.0, 0.0]}}, fh)
+            phased = run_captured(argv + ["--config", cfg])
+        plus = run_captured(argv)
+        assert (phased[0], plus[0]) == (0, 0)
+        assert phased[2].startswith("check-rabi: max_deviation = ")
+        if c_plus in ((1.0, 0.0), (-1.0, 0.0)):
+            assert phased == plus
 
 
 # any finite double: signed zeros, subnormals, hypothesis' own choice, and

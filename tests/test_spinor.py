@@ -288,9 +288,17 @@ class TestJson:
         blob = psi.to_json_dict()
         assert blob == {"c_plus": [0.6, 0.0], "c_minus": [0.0, -0.8]}
         assert AlgebraicSpinor.from_json_dict(blob) == psi
+        assert AlgebraicSpinor.from_json_dict({"c_plus": (0.6, 0), "c_minus": (0, -0.8)}) == psi
 
     def test_bad_payloads_rejected(self):
         with pytest.raises(ValueError):
             AlgebraicSpinor.from_json_dict({"c_plus": [1.0, 0.0]})
         with pytest.raises(ValueError):
             AlgebraicSpinor.from_json_dict({"c_plus": [1.0], "c_minus": [0.0, 0.0]})
+
+    @pytest.mark.parametrize("pair", ["10", b"10", {1.0: 0, 0.0: 1}, {1.0, 0.0}, range(2)],
+                             ids=["str", "bytes", "dict", "set", "range"])
+    def test_amplitude_is_a_list_or_tuple(self, pair):
+        # any other iterable of two items would unpack into [re, ps]
+        with pytest.raises(ValueError, match=r"^c_plus must be \[re, ps\], two numbers; got "):
+            AlgebraicSpinor.from_json_dict({"c_plus": pair, "c_minus": [0.0, 0.0]})

@@ -86,6 +86,15 @@ class TestHamiltonianType:
         with pytest.raises(ValueError):
             Hamiltonian(0.0, (math.inf, 0.0, 0.0))
 
+    def test_vector_part_containers(self):
+        # lists, tuples and 1-D arrays; str, bytes, sets and mappings would
+        # each give three numbers from their characters, bytes or keys
+        for v in ([3, 0, 4], (3, 0, 4), np.array([3.0, 0.0, 4.0])):
+            assert Hamiltonian(0, v).h == (3.0, 0.0, 4.0)
+        for v in ("100", b"100", {1.0, 2.0, 3.0}, {1: 0, 2: 0, 3: 0}, np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="^vector part must be a list, tuple or 1-D "):
+                Hamiltonian(0, v)
+
 
 class TestNorm3:
     @settings(max_examples=300, deadline=None)
@@ -150,6 +159,13 @@ class TestFieldConfig:
             FieldConfig(B=(0.0, 0.0, 1.0), m=0.0)
         with pytest.raises(ValueError):
             FieldConfig(B=(0.0, 0.0, 1.0), hbar=-1.0)
+
+    def test_field_containers(self):
+        for b in ([1, 2, 3], (1, 2, 3), np.array([1.0, 2.0, 3.0])):
+            assert FieldConfig(B=b).B == (1.0, 2.0, 3.0)
+        for b in ("123", b"123", {1.0, 2.0, 3.0}, {1: 0, 2: 0, 3: 0}, iter((1, 2, 3))):
+            with pytest.raises(ValueError, match="^field must be a list, tuple or 1-D array, "):
+                FieldConfig(B=b)
 
 
 class TestPolarAngles:
