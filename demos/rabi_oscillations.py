@@ -26,15 +26,14 @@ from gatss import (
 
 def run(field, t_end, steps):
     cfg = FieldConfig(B=tuple(field))
-    if cfg.b_norm == 0.0:
-        raise SystemExit("need a nonzero field")
     h = hamiltonian_from_field(cfg)
     eps_plus, eps_minus = basis_eps()
     h_mat = matrixqm.rep(h.as_multivector())
     psi0_col = matrixqm.spinor_rep(eps_plus)
     minus_col = matrixqm.spinor_rep(eps_minus)
 
-    sin_theta = math.hypot(cfg.B[0], cfg.B[1]) / cfg.b_norm
+    # sin(theta) = 0 in a zero field, where the closed form is 0
+    sin_theta = math.hypot(cfg.B[0], cfg.B[1]) / (cfg.b_norm or 1.0)
     print(f"B = {field}, omega = {cfg.omega:.6f}, peak flip = {sin_theta ** 2:.6f}")
     print()
     print(f"{'t':>8} {'closed':>12} {'rotor':>12} {'matrix':>12}")

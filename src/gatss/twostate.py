@@ -16,6 +16,12 @@ which precesses states clockwise about the field axis at alpha(t) =
 q |B| t / m.  Observables (spin expectations, transition probabilities, the
 precessing axis u(t) = U e3 reverse(U)) come out of scalar-grade
 projections and reproduce the usual closed forms.
+
+The closed forms `rabi_probability` and `u_vector_closed_form` fail as the
+matrix oracle does.  One time t whose precession angle is not finite
+raises ValueError.  An array of times given to `u_vector_closed_form` gets
+NaN in exactly those rows, and in every other row the bits of the call at
+that time.
 """
 
 from __future__ import annotations
@@ -72,14 +78,23 @@ __all__ = [
 ]
 
 
+def _real(x, name: str) -> float:
+    """float(x), which also takes numeric text; ValueError for a bool,
+    which float would take as 0 or 1."""
+    if isinstance(x, bool):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    return float(x)
+
+
 def _vector3(v, name: str) -> tuple[float, float, float]:
-    """The three components of a list, tuple or 1-D numpy array as floats;
-    ValueError for any other container, such as a str, a set or a dict."""
+    """The three components of a list, tuple or 1-D numpy array as floats
+    (`_real`); ValueError for any other container, such as a str, a set or
+    a dict."""
     numpy = sys.modules.get("numpy")  # no array exists before numpy loads
     if not (isinstance(v, (list, tuple))
             or numpy is not None and isinstance(v, numpy.ndarray) and v.ndim == 1):
         raise ValueError(f"{name} must be a list, tuple or 1-D array, got {type(v).__name__}")
-    out = tuple(float(x) for x in v)
+    out = tuple(_real(x, f"{name} component") for x in v)
     if len(out) != 3:
         raise ValueError(f"{name} must have 3 components")
     return out
@@ -93,7 +108,7 @@ class Hamiltonian:
     h: tuple[float, float, float]
 
     def __post_init__(self):
-        h0 = float(self.h0)
+        h0 = _real(self.h0, "h0")
         h = _vector3(self.h, "vector part")
         if not (math.isfinite(h0) and all(math.isfinite(x) for x in h)):
             raise ValueError("Hamiltonian coefficients must be finite")
@@ -123,7 +138,7 @@ class FieldConfig:
 
     def __post_init__(self):
         B = _vector3(self.B, "field")
-        q, m, hbar = float(self.q), float(self.m), float(self.hbar)
+        q, m, hbar = _real(self.q, "q"), _real(self.m, "m"), _real(self.hbar, "hbar")
         vals = (*B, q, m, hbar)
         if not all(math.isfinite(x) for x in vals):
             raise ValueError("field configuration must be finite")
@@ -293,7 +308,7 @@ def rabi_probability(cfg: FieldConfig, t: float) -> float:
     """Closed-form transition probability out of eps_plus in a static field:
     (1/2) sin^2(theta) (1 - cos(omega t)) with omega = q |B| / m and theta
     the angle between B and e3, by `_rabi_rows`, checked by `_finite_angle`."""
-    return float(_finite_angle(_rabi_rows(cfg.B, cfg.q, cfg.m, float(t)), float(t)))
+    return _finite_angle(float(_rabi_rows(cfg.B, cfg.q, cfg.m, float(t))), t)
 
 
 def _rabi_rows(B, q: float, m: float, t) -> np.ndarray:
@@ -326,13 +341,12 @@ def _precession_rows(B, q: float, m: float, t) -> tuple[np.ndarray, np.ndarray, 
     return b, _map(math.cos, alpha), _map(math.sin, alpha)
 
 
-def _finite_angle(values: np.ndarray, t) -> np.ndarray:
-    """values of a closed form at times t, NaN exactly where its angle is
-    not finite, or ValueError naming the first such t."""
-    bad = np.broadcast_to(t, values.shape)[np.isnan(values)]
-    if bad.size:
-        raise ValueError(_ANGLE_NOT_FINITE.format(t=float(bad[0])))
-    return values
+def _finite_angle(value: float, t) -> float:
+    """value of a closed form at one time t, or ValueError naming t where
+    value is NaN, as it is exactly where the angle at t is not finite."""
+    if math.isnan(value):
+        raise ValueError(_ANGLE_NOT_FINITE.format(t=float(t)))
+    return value
 
 
 def polar_state(theta: float, phi: float = 0.0) -> AlgebraicSpinor:
@@ -455,12 +469,13 @@ def u_vector_closed_form(cfg: FieldConfig, t):
         u3 = cos^2 th + sin^2 th cos a
 
     i.e. e3 swept clockwise about the field axis (e3 in a zero field, at any t),
-    matching the sandwich route up to roundoff.  t may also be an array of
-    times, giving arrays u1, u2, u3 with each entry the call at that time.
-    Computed by `_u_rows` and checked by `_finite_angle`."""
+    matching the sandwich route up to roundoff.  One time t whose angle is
+    not finite raises ValueError (`_finite_angle`).  t may also be an array
+    of times, giving arrays u1, u2, u3 in which each entry is the call at
+    that time, or NaN where that call raises, as the oracle's stacks are.
+    Computed by `_u_rows`."""
     u = _u_rows(cfg, t)
-    _finite_angle(u[0], t)
-    return u if u[0].ndim else tuple(map(float, u))
+    return u if u[0].ndim else tuple(_finite_angle(float(x), t) for x in u)
 
 
 def _u_rows(cfg: FieldConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

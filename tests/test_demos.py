@@ -16,13 +16,25 @@ def test_demos_found():
     assert DEMOS
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo):
+def run_demo(demo, *args):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    result = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", str(demo)],
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", str(demo), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    result = run_demo(demo)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_rabi_demo_in_a_zero_field():
+    # the flip probability is 0 by all three routes, with no peak
+    result = run_demo(ROOT / "demos" / "rabi_oscillations.py", "--B", "0", "0", "0")
+    assert result.returncode == 0, result.stderr
+    assert "peak flip = 0.000000" in result.stdout
+    assert result.stdout.rstrip().endswith("largest pairwise disagreement: 0.000e+00")

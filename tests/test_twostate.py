@@ -29,6 +29,7 @@ from gatss.algebra import (
 )
 from gatss.spinor import basis_eps, from_amplitudes, inner, left_mul, to_amplitudes
 from per_row_oracle import hexes
+from test_conformance import check_fields
 from gatss.twostate import (
     EigenSystem,
     FieldConfig,
@@ -94,6 +95,13 @@ class TestHamiltonianType:
         for v in ("100", b"100", {1.0, 2.0, 3.0}, {1: 0, 2: 0, 3: 0}, np.zeros((1, 3))):
             with pytest.raises(ValueError, match="^vector part must be a list, tuple or 1-D "):
                 Hamiltonian(0, v)
+        # numeric text stays a number; a bool, which float takes as 0 or 1, does not
+        assert Hamiltonian("1", ("0", 2, "1e3")) == Hamiltonian(1.0, (0.0, 2.0, 1000.0))
+        with pytest.raises(ValueError, match=r"^h0 must be a number, got True$"):
+            Hamiltonian(True, (0, 1, 0))
+        message = r"^vector part component must be a number, got False$"
+        with pytest.raises(ValueError, match=message):
+            Hamiltonian(0, (0, False, 1))
 
 
 class TestNorm3:
@@ -166,6 +174,13 @@ class TestFieldConfig:
         for b in ("123", b"123", {1.0, 2.0, 3.0}, {1: 0, 2: 0, 3: 0}, iter((1, 2, 3))):
             with pytest.raises(ValueError, match="^field must be a list, tuple or 1-D array, "):
                 FieldConfig(B=b)
+        # numeric text stays a number; a bool, which float takes as 0 or 1, does not
+        assert FieldConfig(B=[1, "2", 3], q="2") == FieldConfig(B=(1.0, 2.0, 3.0), q=2.0)
+        with pytest.raises(ValueError, match=r"^field component must be a number, got True$"):
+            FieldConfig(B=[True, "2", 3])
+        for name in ("q", "m", "hbar"):
+            with pytest.raises(ValueError, match=rf"^{name} must be a number, got True$"):
+                FieldConfig(B=(1, 2, 3), **{name: True})
 
 
 class TestPolarAngles:
@@ -592,19 +607,15 @@ class TestRabi:
         (FieldConfig(B=(1.0, 1.0, 0.0), q=1e300, m=1e-10), 1.0, 1.0),
         (FieldConfig(B=(0.0, 3.0, 4.0)), math.inf, math.inf),
         (FieldConfig(B=(0.0, 3.0, 4.0)), math.nan, math.nan),
-        (FieldConfig(B=(0.0, 3.0, 4.0)), [0.5, math.inf, math.nan], math.inf),
-        (FieldConfig(B=(10.0, 0.0, 0.0)), [1.0, -1e308, 1e308], -1e308),
     ])
     def test_closed_forms_name_a_non_finite_angle(self, cfg, t, bad):
+        # one time raises; an array of times gets NaN rows (TestUVector)
         message = f"precession angle q |B| t / m is not finite at t = {bad!r}"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError) as exc:
-                u_vector_closed_form(cfg, t)
-            assert str(exc.value) == message
-            if cfg.b_norm > 0.0 and np.ndim(t) == 0:
+            for closed_form in (u_vector_closed_form, rabi_probability):
                 with pytest.raises(ValueError) as exc:
-                    rabi_probability(cfg, t)
+                    closed_form(cfg, t)
                 assert str(exc.value) == message
 
     def test_closed_forms_where_q_b_overflows(self):
@@ -706,6 +717,32 @@ class TestUVector:
                 assert rabi_probability(cfg, t) == 0.0
             u = u_vector_closed_form(cfg, np.array([-2.0, 0.0, 3.5, math.inf, math.nan]))
             assert hexes(np.concatenate(u)) == hexes([0.0] * 10 + [1.0] * 5)
+
+    @pytest.mark.parametrize("cfg, t", [
+        (FieldConfig(B=(0.0, 3.0, 4.0)), [0.5, math.inf, math.nan]),
+        (FieldConfig(B=(10.0, 0.0, 0.0)), [1.0, -1e308, 1e308]),  # the angle overflows
+    ], ids=["inf_and_nan", "overflow"])
+    def test_array_of_times_gives_nan_rows(self, cfg, t):
+        # as the oracle's stacks: NaN in the rows whose angle is not
+        # finite, the call at that time in the others
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = u_vector_closed_form(cfg, t)
+            assert np.isnan(u).tolist() == [[False, True, True]] * 3
+            assert hexes([c[0] for c in u]) == hexes(u_vector_closed_form(cfg, t[0]))
+
+    # every double, the angle overflowing in most fields at the top
+    @settings(max_examples=200, deadline=None)
+    @given(check_fields, st.lists(st.one_of(
+        wide_float, st.floats(), st.sampled_from([1e308, -sys.float_info.max])), max_size=6))
+    def test_array_is_the_call_at_each_time(self, cfg, ts):
+        u = u_vector_closed_form(cfg, ts)
+        for row, t in enumerate(ts):
+            try:
+                expected = u_vector_closed_form(cfg, t)
+            except ValueError:
+                expected = (math.nan,) * 3
+            assert hexes([c[row] for c in u]) == hexes(expected)
 
     def test_initial_axis(self):
         cfg = FieldConfig(B=(1.0, 2.0, 3.0))
