@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 __all__ = [
     "BLADE_NAMES",

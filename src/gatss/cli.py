@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import os
 import re
 import sys
-from typing import Any, Sequence
+from collections.abc import Sequence
 
 from . import conformance
 from .spinor import AlgebraicSpinor, basis_eps, to_amplitudes
@@ -51,6 +50,32 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _json_floats(values, sep: str) -> str:
+    """The floats joined by sep, each as json writes it: float.__repr__,
+    with nan, inf and -inf as NaN, Infinity and -Infinity."""
+    text = sep.join(map(float.__repr__, values))
+    # among the reprs of floats, only nan and inf hold an "n"
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+def _json(value, indent: str = "\n") -> str:
+    """value in the layout that the json module's dumps(value, indent=2)
+    writes, for the values gatss writes: dicts with plain ASCII keys, lists
+    of floats, floats, bools and plain ASCII strings.  indent is the line
+    break and indentation of value's level."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = ("," + inner).join(f'"{k}": {_json(v, inner)}' for k, v in value.items())
+        return "{" + inner + items + indent + "}" if value else "{}"
+    if isinstance(value, list):
+        return "[" + inner + _json_floats(value, "," + inner) + indent + "]" if value else "[]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return f'"{value}"'
+    return _json_floats((value,), "")
 
 
 # Casts turn a flag, config or default value into a checked setting; `name`
@@ -134,7 +159,7 @@ _REQUIRED = object()
 # (None: kept as given) and its default in each subcommand that takes it.
 # The order builds the flags, and so --help, and is the order in which
 # settings are resolved and their errors reported.
-_SETTINGS: dict[str, tuple[dict[str, Any] | None, Any, dict[str, Any]]] = {
+_SETTINGS: dict[str, tuple[dict[str, object] | None, object, dict[str, object]]] = {
     "h": ({"metavar": "h0,h1,h2,h3", "help": "Hamiltonian coefficients"},
           _numbers(4), {"diag": _REQUIRED}),
     "B": ({"metavar": "b1,b2,b3", "help": "magnetic field components"},
@@ -168,9 +193,11 @@ _FOREIGN = {
 }
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
+def _load_config(path: str | None) -> dict[str, object]:
     if path is None:
         return {}
+    import json  # only a config file is parsed, so only it loads json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -185,14 +212,14 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return data
 
 
-def _settings(args: argparse.Namespace) -> dict[str, Any]:
+def _settings(args: argparse.Namespace) -> dict[str, object]:
     """The subcommand's settings: a flag overrides the config file, which
     overrides the default."""
     command = args.command
     config = _load_config(args.config)
     if command in _FOREIGN and config.get(_FOREIGN[command][0]) is not None:
         raise ValueError(_FOREIGN[command][1])
-    settings: dict[str, Any] = {}
+    settings: dict[str, object] = {}
     for name, (flag, cast, defaults) in _SETTINGS.items():
         if command not in defaults:
             continue
@@ -246,7 +273,7 @@ def _text(value) -> str:
     return value
 
 
-def _cmd_diag(s: dict[str, Any]) -> int:
+def _cmd_diag(s: dict[str, object]) -> int:
     ham = Hamiltonian(s["h"][0], s["h"][1:])
     es = eigensystem(ham)
     theta, phi = polar_angles(ham)
@@ -266,7 +293,7 @@ def _cmd_diag(s: dict[str, Any]) -> int:
         "status": "ok" if check.passed else "tolerance-exceeded",
     }
     if s["format"] == "json":
-        print(json.dumps(report, indent=2))
+        print(_json(report))
     else:
         print("\n".join(
             f"{key}: " + ", ".join(f"{k} = {_text(v)}" for k, v in value.items())
@@ -276,7 +303,7 @@ def _cmd_diag(s: dict[str, Any]) -> int:
     return 0 if check.passed else 2
 
 
-def _cmd_evolve(s: dict[str, Any]) -> int:
+def _cmd_evolve(s: dict[str, object]) -> int:
     cfg = FieldConfig(B=s["B"], q=s["q"], m=s["m"], hbar=s["hbar"])
     psi0 = _initial_state(s["theta0"], s["state"])
     if s["check_rabi"] and to_amplitudes(psi0)[1] != 0:
@@ -301,13 +328,13 @@ def _cmd_evolve(s: dict[str, Any]) -> int:
         while block := "".join(map(template.__mod__, itertools.islice(rows, _CSV_BLOCK_ROWS))):
             sys.stdout.write(block)
     else:
-        print(json.dumps(table, indent=2))
+        print(_json(table))
     for check in checks:
         print(f"{check.name}: max_deviation = {_fmt(check.worst)}", file=sys.stderr)
     return 0 if all(check.passed for check in checks) else 2
 
 
-def _cmd_conformance(s: dict[str, Any]) -> int:
+def _cmd_conformance(s: dict[str, object]) -> int:
     results = conformance.run_all(s["seed"], s["count"])
     for r in results:
         print(

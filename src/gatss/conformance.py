@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import matrixqm
 from .algebra import _finite_rows, _gp_rows, _LazyNumpy, commutator, hodge_dual
@@ -45,6 +45,7 @@ from .twostate import (
     _evolution_rows,
     _probability_rows,
     _rabi_rows,
+    _Record,
     _row_blocks,
     hamiltonian_from_field,
     spin_vectors,
@@ -76,15 +77,11 @@ RABI_TRIANGLE_TOL = 1e-10
 _COEFF_SPAN = 10.0
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(_Record, namedtuple("SuiteResult", "name worst tol count")):
     """Outcome of one check: the worst deviation over the `count` cases
     that `check` read."""
 
-    name: str
-    worst: float
-    tol: float
-    count: int
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .algebra import Multivector, _LazyNumpy
 from .spinor import AlgebraicSpinor, to_amplitudes

@@ -22,12 +22,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import TYPE_CHECKING, Mapping
+from collections.abc import Mapping
 
 from .algebra import E1, Multivector, _gp_rows, _reverse_rows, gp, reverse
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "AlgebraicSpinor",
@@ -182,9 +179,9 @@ def _near_unit(re, ps):
     return (abs(re - 1.0) <= NORM_TOL) & (abs(ps) <= NORM_TOL)
 
 
-def _is_normalized_rows(psi: np.ndarray) -> np.ndarray:
+def _is_normalized_rows(psi):
     """AlgebraicSpinor.is_normalized row by row of a block of spinor
-    coefficient rows of shape (N, 8): a boolean per row."""
+    coefficient rows, an array of shape (N, 8): a boolean per row."""
     p = _gp_rows(_reverse_rows(psi), psi)
     return _near_unit(2.0 * p[:, 0], 2.0 * p[:, 7])
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .algebra import (
     _NOT_FINITE,
@@ -79,9 +79,10 @@ __all__ = [
 
 
 def _real(x, name: str) -> float:
-    """float(x), which also takes numeric text; ValueError for a bool,
-    which float would take as 0 or 1."""
-    if isinstance(x, bool):
+    """float(x), which also takes numeric text; ValueError for a bool or a
+    numpy bool, which float would take as 0 or 1."""
+    numpy = sys.modules.get("numpy")  # no numpy bool exists before numpy loads
+    if isinstance(x, bool) or numpy is not None and isinstance(x, numpy.bool_):
         raise ValueError(f"{name} must be a number, got {x!r}")
     return float(x)
 
@@ -100,20 +101,34 @@ def _vector3(v, name: str) -> tuple[float, float, float]:
     return out
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
+class _Record:
+    """Base of the records, each a namedtuple whose fields __new__ sets.
+
+    Their _make, which _replace calls, builds through the constructor and
+    so through its checks; namedtuple's own skips __new__.  Their __init__
+    takes the constructor's arguments and does nothing, so that a wrapper
+    of it, as perfbench's tracer puts on each public class, can pass them
+    on; object's would refuse them.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+
+class Hamiltonian(_Record, namedtuple("Hamiltonian", "h0 h")):
     """Hermitian observable h0 + h . e, stored as (h0, (h1, h2, h3))."""
 
-    h0: float
-    h: tuple[float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        h0 = _real(self.h0, "h0")
-        h = _vector3(self.h, "vector part")
+    def __new__(cls, h0: float, h: tuple[float, float, float]):
+        h0 = _real(h0, "h0")
+        h = _vector3(h, "vector part")
         if not (math.isfinite(h0) and all(math.isfinite(x) for x in h)):
             raise ValueError("Hamiltonian coefficients must be finite")
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "h", h)
+        return super().__new__(cls, h0, h)
 
     @property
     def r_norm(self) -> float:
@@ -127,27 +142,21 @@ class Hamiltonian:
         return Multivector((self.h0, *self.h, 0.0, 0.0, 0.0, 0.0))
 
 
-@dataclass(frozen=True)
-class FieldConfig:
+class FieldConfig(_Record, namedtuple("FieldConfig", "B q m hbar")):
     """Static magnetic field B with coupling charge q, mass m and hbar."""
 
-    B: tuple[float, float, float]
-    q: float = 1.0
-    m: float = 1.0
-    hbar: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        B = _vector3(self.B, "field")
-        q, m, hbar = _real(self.q, "q"), _real(self.m, "m"), _real(self.hbar, "hbar")
+    def __new__(cls, B: tuple[float, float, float], q: float = 1.0, m: float = 1.0,
+                hbar: float = 1.0):
+        B = _vector3(B, "field")
+        q, m, hbar = _real(q, "q"), _real(m, "m"), _real(hbar, "hbar")
         vals = (*B, q, m, hbar)
         if not all(math.isfinite(x) for x in vals):
             raise ValueError("field configuration must be finite")
         if m <= 0.0 or hbar <= 0.0:
             raise ValueError("mass and hbar must be positive")
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "hbar", hbar)
+        return super().__new__(cls, B, q, m, hbar)
 
     @property
     def b_norm(self) -> float:
@@ -164,16 +173,12 @@ class FieldConfig:
         return float(_angle(self.q, self.B[2], self.m, 1.0))
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(_Record, namedtuple(
+    "EigenSystem", "e_plus e_minus rotor psi_plus psi_minus degenerate", defaults=(False,)
+)):
     """Diagonalization result; e_plus >= e_minus always holds."""
 
-    e_plus: float
-    e_minus: float
-    rotor: Rotor
-    psi_plus: AlgebraicSpinor
-    psi_minus: AlgebraicSpinor
-    degenerate: bool = False
+    __slots__ = ()
 
 
 def polar_angles(h: Hamiltonian) -> tuple[float, float]:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gatss.cli import _CSV_BLOCK_ROWS, _SETTINGS, main
+import gatss
+from gatss.cli import _CSV_BLOCK_ROWS, _SETTINGS, _json, main
 from gatss import twostate
 from gatss.algebra import _norm3
 from gatss.twostate import (
@@ -773,6 +774,82 @@ class TestNumpyOnFirstUse:
         result = json.loads(done.stdout.splitlines()[-1])
         # cli itself never holds numpy, whatever the subcommand loads
         assert result == [code, loaded, False], done.stderr
+
+
+# Run in a fresh `python -S` interpreter, which has neither site-packages
+# nor what a .pth file there would load: put gatss first on the path and
+# numpy's directory last, then either import numpy alone (argv "numpy") or
+# import gatss.cli and call main on the argv given ("-": import only).
+# Print the exit code and which of the modules that no computation needs
+# are loaded, read before anything is imported to print them.
+LEAN_MAIN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+sys.path.append(sys.argv[2])
+code = None
+if sys.argv[3] == "numpy":
+    import numpy
+else:
+    import gatss.cli
+    if sys.argv[3] != "-":
+        code = gatss.cli.main(sys.argv[3:])
+print(code, *(m for m in ("dataclasses", "inspect", "json", "typing") if m in sys.modules))
+"""
+
+
+def lean_run(*argv):
+    """LEAN_MAIN's last line, split into the exit code and the loaded modules."""
+    paths = [os.path.dirname(os.path.dirname(m.__file__)) for m in (gatss, np)]
+    done = subprocess.run([sys.executable, "-S", "-c", LEAN_MAIN, *paths, *argv],
+                          capture_output=True, text=True)
+    assert done.stdout, done.stderr
+    return done.stdout.splitlines()[-1].split()
+
+
+class TestLeanImport:
+    """`import gatss.cli` and every diag run load none of dataclasses,
+    inspect, json and typing; evolve loads only those that numpy loads
+    itself, and a config file is the one input that loads json."""
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["-"], []),
+        (["diag", "--h=0.3,1,-2,0.5"], []),
+        (["diag", "--h=0.3,1.2,-0.7,0.4", "--format=json"], []),
+        (["diag", "--config", "{config}"], ["json"]),
+        (["evolve", "--B=1,2,3", "--t-end=1", "--steps=3"], None),
+    ], ids=["import", "diag_csv", "diag_json", "diag_config", "evolve_csv"])
+    def test_unneeded_modules_stay_unloaded(self, tmp_path, argv, loaded):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"h": [1.5, -0.25, 2.0, -3.0], "format": "json"}))
+        argv = [str(config) if a == "{config}" else a for a in argv]
+        if loaded is None:
+            loaded = lean_run("numpy")[1:]
+            assert "dataclasses" not in loaded and "json" not in loaded
+        assert lean_run(*argv) == ["None" if argv == ["-"] else "0", *loaded]
+
+
+# floats over the double range, with the values where repr changes
+# notation (1e16 and 1e-5), signed zeros, subnormals and the non-finite
+json_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e16, 9999999999999998.0,
+                     1e-5, 9.999999999999999e-06, -1.7976931348623157e308,
+                     math.nan, math.inf, -math.inf]),
+)
+json_leaves = st.one_of(json_floats, st.lists(json_floats, max_size=4), st.booleans(),
+                        st.sampled_from(["ok", "tolerance-exceeded"]))
+json_keys = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", max_size=12)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(json_leaves, lambda values: st.dictionaries(json_keys, values, max_size=4),
+                        max_leaves=12))
+    @example([])
+    @example({})
+    @example({"t": [], "p": [math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-5]})
+    def test_writes_json_dumps_layout(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
 
 
 def magnitudes(lo, hi):

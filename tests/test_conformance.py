@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -154,7 +153,7 @@ class TestOracleChecks:
     def test_eigensystem_residuals_see_a_wrong_eigenvalue(self):
         h = Hamiltonian(0.3, (1.2, -0.7, 0.4))
         es = eigensystem(h)
-        residuals = eigensystem_residuals(h, dataclasses.replace(es, e_plus=es.e_plus + 1e-3))
+        residuals = eigensystem_residuals(h, es._replace(e_plus=es.e_plus + 1e-3))
         assert residuals["residual_oracle_eigenvalues"] >= 1e-3 - 1e-12
         assert residuals["residual_eigen_relation"] >= 1e-4
 

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gatss import matrixqm
+from gatss.conformance import SuiteResult
 from gatss.algebra import (
     E1,
     E2,
@@ -102,6 +103,12 @@ class TestHamiltonianType:
         message = r"^vector part component must be a number, got False$"
         with pytest.raises(ValueError, match=message):
             Hamiltonian(0, (0, False, 1))
+        # numpy's bools are refused as Python's are
+        message = r"^vector part component must be a number, got np\.True_$"
+        with pytest.raises(ValueError, match=message):
+            Hamiltonian(0, np.array([True, False, True]))
+        with pytest.raises(ValueError, match=r"^h0 must be a number, got np\.False_$"):
+            Hamiltonian(np.bool_(False), (0, 1, 0))
 
 
 class TestNorm3:
@@ -181,6 +188,87 @@ class TestFieldConfig:
         for name in ("q", "m", "hbar"):
             with pytest.raises(ValueError, match=rf"^{name} must be a number, got True$"):
                 FieldConfig(B=(1, 2, 3), **{name: True})
+        # numpy's bools are refused as Python's are
+        with pytest.raises(ValueError, match=r"^field component must be a number, got np\.True_$"):
+            FieldConfig(B=np.array([True, False, True]))
+        for name in ("q", "m", "hbar"):
+            with pytest.raises(ValueError, match=rf"^{name} must be a number, got np\.True_$"):
+                FieldConfig(B=(1, 2, 3), **{name: np.bool_(True)})
+
+
+class TestRecords:
+    """The records are named tuples that keep their dataclass contract: the
+    repr, read-only fields, hashing and equality by field, a default for
+    degenerate, and checks on every construction, _make and _replace too."""
+
+    RECORDS = [
+        Hamiltonian(0.3, (1, 2, 3)),
+        FieldConfig(B=(1, 0, 0), q=2),
+        EigenSystem(1.0, -1.0, Rotor.identity(), *basis_eps()),
+        SuiteResult("diag", 0.5, 1e-9, 3),
+    ]
+
+    def test_repr(self):
+        assert [repr(r) for r in self.RECORDS[::3]] == [
+            "Hamiltonian(h0=0.3, h=(1.0, 2.0, 3.0))",
+            "SuiteResult(name='diag', worst=0.5, tol=1e-09, count=3)",
+        ]
+        assert repr(self.RECORDS[1]) == "FieldConfig(B=(1.0, 0.0, 0.0), q=2.0, m=1.0, hbar=1.0)"
+        eigen = repr(eigensystem(Hamiltonian(2.0, (0, 0, 0))))
+        assert eigen.startswith("EigenSystem(e_plus=2.0, e_minus=2.0, rotor=Rotor([1.0, ")
+        assert eigen.endswith("), psi_minus=AlgebraicSpinor(c_plus=(0, 0), c_minus=(1, 0)), "
+                              "degenerate=True)")
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_are_read_only(self, record):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.other = 1.0
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_a_wrapped_init_gets_the_arguments(self, monkeypatch, record):
+        # perfbench's tracer counts constructions by wrapping __init__
+        cls, seen = type(record), []
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            seen.append(args)
+            return init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", wrapper)
+        assert cls(*record) == cls._make(record) == record
+        assert seen == [tuple(record)] * 2
+
+    def test_hash_and_equality_by_field(self):
+        a, b = Hamiltonian(1, [0, 0, 1]), Hamiltonian(1.0, np.array([0.0, 0.0, 1.0]))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Hamiltonian(1.0, (0.0, 0.0, 2.0))
+        assert FieldConfig(B=(0, 0, 1)) == FieldConfig((0.0, 0.0, 1.0), 1.0, 1.0, 1.0)
+        assert {FieldConfig(B=(0, 0, 1)): 1}[FieldConfig(B=[0, 0, 1])] == 1
+        assert SuiteResult("diag", 0.5, 1e-9, 3) == self.RECORDS[3]
+        # a record is a tuple of its fields, and equal to that plain tuple
+        assert a == (1.0, (0.0, 0.0, 1.0)) and tuple(a) == (a.h0, a.h)
+
+    def test_degenerate_default_and_passed(self):
+        assert self.RECORDS[2].degenerate is False
+        assert self.RECORDS[3].passed is False and self.RECORDS[3]._replace(worst=0.0).passed
+
+    def test_make_and_replace_check(self):
+        h = Hamiltonian(1.0, (0, 0, 1))
+        with pytest.raises(ValueError, match="^Hamiltonian coefficients must be finite$"):
+            h._replace(h0=math.nan)
+        with pytest.raises(ValueError, match="^h0 must be a number, got True$"):
+            Hamiltonian._make([True, (0, 0, 1)])
+        assert h._replace(h=[0, "2", 0]) == Hamiltonian(1.0, (0.0, 2.0, 0.0))
+        cfg = FieldConfig(B=(0, 0, 1))
+        for m in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^mass and hbar must be positive$"):
+                cfg._replace(m=m)
+        with pytest.raises(ValueError, match="^field must have 3 components$"):
+            FieldConfig._make([(0, 1), 1.0, 1.0, 1.0])
+        assert cfg._replace(q=-2) == FieldConfig(B=(0.0, 0.0, 1.0), q=-2.0)
 
 
 class TestPolarAngles:
