@@ -351,6 +351,21 @@ def _norm3(x: float, y: float, z: float) -> float:
     return math.sqrt(s)
 
 
+def _norm3_rows(B: np.ndarray) -> np.ndarray:
+    """_norm3 of each row of B, shape (3,) or (N, 3), bit for bit: the plain
+    sum of squares, and _norm3 itself only on the rows whose sum overflows
+    or falls below the normal range while a component is nonzero."""
+    rows = B.reshape(-1, 3)
+    x, y, z = rows.T
+    with np.errstate(over="ignore"):
+        s = x * x + y * y + z * z
+    b = np.sqrt(s)
+    redo = (s == math.inf) | ((s < sys.float_info.min) & rows.any(axis=1))
+    if redo.any():
+        b[redo] = _map(_norm3, *rows[redo].T)
+    return b.reshape(B.shape[:-1])
+
+
 def norm(a: Multivector) -> float:
     """Euclidean norm of the coefficient vector; inf once the sum of squares
     overflows."""
@@ -450,17 +465,14 @@ def exp_bivector(b: Multivector) -> Rotor:
 def _exp_bivector_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """exp_bivector row by row of a block of bivectors of shape (N, 8).
 
-    Returns the rotor rows, their angles theta (_norm3's plain sum, and
-    _norm3 itself where that sum overflows; one that underflows is below the
-    series cutoff either way) and their deviations |R reverse(R) - 1|, each
-    rotor equal to exp_bivector's bit for bit.  Nothing raises: a row whose
-    theta is not finite comes back NaN, and the caller tests theta and the
-    deviation.  Run under np.errstate.
+    Returns the rotor rows, their angles theta (_norm3's, by `_norm3_rows`)
+    and their deviations |R reverse(R) - 1|, each rotor equal to
+    exp_bivector's bit for bit.  Nothing raises: a row whose theta is not
+    finite comes back NaN, and the caller tests theta and the deviation.
+    Run under np.errstate.
     """
     b = c[:, 4:7]
-    theta = np.sqrt(b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2])
-    over = theta == math.inf
-    theta[over] = _map(_norm3, *b[over].T)
+    theta = _norm3_rows(b)
     finite = theta < math.inf
     angles = np.where(finite, theta, 0.0)
     cos, sin = _map(math.cos, angles), _map(math.sin, angles)

@@ -13,8 +13,9 @@ counts the cases, keeps a NaN as the worst value, and decides with
 
 The three randomized suites draw their values a block of rows at a time,
 the same stream of numbers that drawing them one at a time gives, so
-memory stays flat at any count.  They run on blocks of coefficient rows
-(`algebra._gp_rows`, `_exp_bivector_rows`) and stacked matrices (the
+memory stays flat at any count.  All four suites run on blocks of
+coefficient rows (`algebra._gp_rows`, `_exp_bivector_rows`; the
+commutator suite's block is its nine pairs) and stacked matrices (the
 oracle's (N, 2, 2) forms); so does the oracle side of
 `trajectory_deviations`.  Every deviation equals, bit for bit,
 what the per-draw objects give.  Each check those objects make (finite
@@ -25,7 +26,8 @@ about 9e307), while the other rows keep their values.
 
 The homomorphism suite doubles as a tamper check: flipping any one of the
 64 term signs that `algebra._row_arrays` holds makes it fail, as
-`test_homomorphism_sees_every_sign_flip` in tests/test_conformance.py pins.
+`test_homomorphism_sees_every_sign_flip` in tests/test_conformance.py pins;
+the commutator suite fails where e1 e2 = e12 is flipped.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import sys
 from collections import namedtuple
 
 from . import matrixqm
-from .algebra import _finite_rows, _gp_rows, _LazyNumpy, commutator, hodge_dual
+from .algebra import E123, _finite_rows, _gp_rows, _LazyNumpy
 from .spinor import AlgebraicSpinor, basis_eps, left_mul, to_amplitudes
 from .twostate import (
     EigenSystem,
@@ -154,23 +156,16 @@ def _associativity_devs(triples: np.ndarray) -> np.ndarray:
     return np.where(_finite_rows(a, b, c, ab, bc, lhs, rhs)[:, None], gap, np.nan)
 
 
-# The signed Levi-Civita symbol: (i, j) -> (k, eps_ijk) for i != j.
-_LEVI_CIVITA = {
-    (0, 1): (2, 1.0), (1, 2): (0, 1.0), (2, 0): (1, 1.0),
-    (1, 0): (2, -1.0), (2, 1): (0, -1.0), (0, 2): (1, -1.0),
-}
-
-
 def suite_commutators() -> SuiteResult:
-    """[S_i, S_j] = hbar e123 eps_ijk S_k, exact (tolerance zero)."""
-    s_ops = spin_vectors(1.0)
-    duals = [hodge_dual(s) for s in s_ops]
-    devs = []
-    for i in range(3):
-        for j in range(3):
-            k, sign = _LEVI_CIVITA.get((i, j), (0, 0.0))  # eps_iik = 0
-            devs.append(np.abs((commutator(s_ops[i], s_ops[j]) - duals[k] * sign).coeffs))
-    return check("commutators", [np.array(devs)], 0.0)
+    """[S_i, S_j] = hbar e123 eps_ijk S_k, exact (tolerance zero), for the
+    nine pairs (i, j) as one block of rows: each gap row equals
+    |commutator(S_i, S_j) - hodge_dual(S_k) eps_ijk| bit for bit."""
+    i, j = np.divmod(np.arange(9), 3)  # the pairs in row-major order
+    k, eps = (3 - i - j) % 3, (j - i + 1) % 3 - 1.0  # eps_ijk; 0 where i = j
+    s = np.array([op._c for op in spin_vectors(1.0)])
+    a, b = s[i], s[j]
+    gap = _gp_rows(a, b) - _gp_rows(b, a) - _gp_rows(E123.coeffs, s[k]) * eps[:, None]
+    return check("commutators", [np.abs(gap)], 0.0)
 
 
 def suite_rabi_triangle(rng: np.random.Generator, count: int) -> SuiteResult:

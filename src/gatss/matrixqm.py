@@ -91,7 +91,9 @@ def rep(a: Multivector | np.ndarray) -> np.ndarray:
     shape (N, 8), to a stack of matrices, shape (N, 2, 2)."""
     if isinstance(a, Multivector):
         return np.reshape(_rep_entries(a._c), (2, 2))
-    return np.tensordot(np.asarray(a, dtype=float), _blade_images(), axes=1)
+    a = np.asarray(a, dtype=float)
+    # the np.dot inside np.tensordot(a, _blade_images(), axes=1), at half its cost
+    return np.dot(a.reshape(-1, 8), _blade_images().reshape(8, 4)).reshape(a.shape[:-1] + (2, 2))
 
 
 def unrep(m: np.ndarray) -> Multivector:

@@ -46,6 +46,7 @@ from .algebra import (
     _LazyNumpy,
     _map,
     _norm3,
+    _norm3_rows,
     _reverse_rows,
     exp_bivector,
     gp,
@@ -319,10 +320,10 @@ def rabi_probability(cfg: FieldConfig, t: float) -> float:
 def _rabi_rows(B, q: float, m: float, t) -> np.ndarray:
     """rabi_probability for the rows and times _precession_rows takes, unchecked."""
     B = np.asarray(B, dtype=float)
-    b, cos_a, _ = _precession_rows(B, q, m, t)
+    b, alpha = _precession_rows(B, q, m, t)
     with np.errstate(all="ignore"):  # inf / inf where |B| overflows
         sin_theta = _map(math.hypot, B[..., 0], B[..., 1]) / np.where(b == 0.0, 1.0, b)
-        return 0.5 * sin_theta * sin_theta * (1.0 - cos_a)
+        return 0.5 * sin_theta * sin_theta * (1.0 - _map(math.cos, alpha))
 
 
 def _angle(q: float, b, m: float, t):
@@ -333,17 +334,17 @@ def _angle(q: float, b, m: float, t):
         return np.where(np.isfinite(alpha), alpha, q / m * b * t)
 
 
-def _precession_rows(B, q: float, m: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The closed forms' kernel: |B| of fields B, shape (3,) or (N, 3), and
-    the C library's cos and sin of the angle q |B| t / m (`_angle`) at times
-    t broadcast against |B|.  The angle is 0 in a zero field at any t (even 0 * inf),
+def _precession_rows(B, q: float, m: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """The closed forms' kernel: |B| of fields B, shape (3,) or (N, 3), by
+    `_norm3_rows`, and the angle q |B| t / m (`_angle`) at times t
+    broadcast against |B|, whose cos and sin the C library gives to each
+    caller (`_map`).  The angle is 0 in a zero field at any t (even 0 * inf),
     and NaN where it is not finite (being twice the rotor's phase, it is so
     from a phase of about 9e307), which makes its cos and sin NaN."""
     t = np.asarray(t, dtype=float)
-    b = _map(_norm3, *np.asarray(B, dtype=float).T)
+    b = _norm3_rows(np.asarray(B, dtype=float))
     alpha = np.where(b == 0.0, 0.0, _angle(q, b, m, t))
-    alpha = np.where(np.isfinite(alpha), alpha, np.nan)
-    return b, _map(math.cos, alpha), _map(math.sin, alpha)
+    return b, np.where(np.isfinite(alpha), alpha, np.nan)
 
 
 def _finite_angle(value: float, t) -> float:
@@ -486,7 +487,8 @@ def u_vector_closed_form(cfg: FieldConfig, t):
 def _u_rows(cfg: FieldConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u_vector_closed_form's u1, u2 and u3 at times t, unchecked: NaN
     where the angle of `_precession_rows` is."""
-    b, ca, sa = _precession_rows(cfg.B, cfg.q, cfg.m, t)
+    b, alpha = _precession_rows(cfg.B, cfg.q, cfg.m, t)
+    ca, sa = _map(math.cos, alpha), _map(math.sin, alpha)
     b, (b1, b2, b3) = float(b), cfg.B
     if not sys.float_info.min <= b * b < math.inf:
         # the squares below would leave the normal range; only the field's

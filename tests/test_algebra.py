@@ -31,6 +31,7 @@ from gatss.algebra import (
     _exp_bivector_rows,
     _gp_rows,
     _norm3,
+    _norm3_rows,
     _row_arrays,
     _unit_defect,
     commutator,
@@ -46,6 +47,7 @@ from gatss.algebra import (
     wedge,
 )
 
+MAX = sys.float_info.max
 BASIS_VECTORS = (E1, E2, E3)
 ALL_BLADES = (ONE, E1, E2, E3, E23, E31, E12, E123)
 
@@ -336,12 +338,29 @@ class TestRowKernels:
                     exp_bivector(Multivector(row))
                 assert theta[i] == math.inf and np.isnan(rotors[i]).all()
                 continue
-            # theta is _norm3's, except where its plain sum underflows
-            assert theta[i] == length or max(theta[i], length) < 1e-8
+            assert theta[i].hex() == length.hex()
             assert hex_rows(rotors[i]) == hex_rows(exp_bivector(Multivector(row)).mv.coeffs)
             # the deviation Rotor measures on that row, by the same expression
             assert dev[i].hex() == _unit_defect(*rotors[i, [0, 4, 5, 6]].tolist())[1].hex()
             assert dev[i] <= UNIT_TOL
+
+
+class TestNorm3Rows:
+    # ±0.0, subnormals, the largest double, and rows whose sum of squares
+    # overflows or underflows, over the whole finite range
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.one_of(
+        full_range_coeff, st.sampled_from([5e-324, -5e-324, MAX, -MAX]))] * 3),
+        min_size=1, max_size=8))
+    @example([(0.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (5e-324, 0.0, -5e-324)])
+    @example([(MAX, MAX, MAX), (-MAX, 0.0, 0.0), (1e154, 1e154, 1e154), (1e-200, 0.0, 0.0)])
+    def test_rows_are_norm3_bit_for_bit(self, rows):
+        b = np.array(rows)
+        expected = [_norm3(*row).hex() for row in rows]
+        assert [x.hex() for x in _norm3_rows(b).tolist()] == expected
+        # one row of shape (3,) gives a 0-d array
+        single = _norm3_rows(b[0])
+        assert single.shape == () and float(single).hex() == expected[0]
 
 
 def edge_block(rng, shape):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gatss import algebra, conformance, twostate
-from gatss.algebra import Multivector, gp, norm
+from gatss import algebra, conformance, matrixqm, spinor, twostate
+from gatss.algebra import Multivector, commutator, gp, hodge_dual, norm
 from gatss.conformance import (
     SuiteResult,
     _associativity_devs,
@@ -424,6 +424,62 @@ def test_homomorphism_sees_every_sign_flip(monkeypatch):
         assert not result.passed, f"term {term}: worst={result.worst:.3e}"
     monkeypatch.undo()
     assert suite_homomorphism(np.random.default_rng(0), 5).passed
+
+
+def test_commutator_gaps_are_the_object_paths(monkeypatch):
+    # the nine gap rows, pair (i, j) in row-major order, bit for bit
+    blocks = []
+    monkeypatch.setattr(conformance, "check", lambda name, gaps, tol: blocks.extend(gaps))
+    suite_commutators()
+    s = twostate.spin_vectors(1.0)
+    eps = np.zeros((3, 3, 3))
+    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
+    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
+    expected = []
+    for i in range(3):
+        for j in range(3):
+            k = (3 - i - j) % 3  # any k where i = j, whose eps_ijk is 0
+            gap = commutator(s[i], s[j]) - hodge_dual(s[k]) * eps[i, j, k]
+            expected.append(np.abs(gap.coeffs))
+    assert len(blocks) == 1 and hexes(blocks[0]) == hexes(expected)
+
+
+def test_commutators_see_a_sign_flip(monkeypatch):
+    # the suite reads the row kernels' term list: e1 e2 = -e12 must fail it
+    left, right, sign, reversion = algebra._row_arrays()
+    term = 8 * 1 + 6  # the term of blade e12 whose left factor is e1
+    assert right[term] == 2
+    flipped = sign.copy()
+    flipped[term] = -flipped[term]
+    monkeypatch.setattr(algebra, "_row_arrays", lambda: (left, right, flipped, reversion))
+    result = suite_commutators()
+    assert not result.passed, f"worst={result.worst:.3e}"
+    monkeypatch.undo()
+    assert suite_commutators().passed
+
+
+def test_suites_stay_off_the_object_path(monkeypatch):
+    # counters on the object path's product and length, in every module
+    # that imports them by name
+    calls = dict.fromkeys(["gp", "_norm3"], 0)
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in calls:
+        original = getattr(algebra, name)
+        for module in (algebra, spinor, twostate, matrixqm, conformance):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    suite_commutators()
+    assert calls == {"gp": 0, "_norm3": 0}
+    run_all(7, 300)
+    # in-range fields take no Python length, and the products left are the
+    # one of each Rabi block's psi0.is_normalized(), two blocks here
+    assert calls["_norm3"] == 0 and calls["gp"] <= 2
 
 
 class StubRng:

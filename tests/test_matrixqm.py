@@ -537,6 +537,27 @@ class TestStackedOracle:
         rows = rng.uniform(-10.0, 10.0, (20, 8))
         assert stacked_outcome(rep, rows) == [hexes(rep(Multivector(r))) for r in rows]
 
+    @pytest.mark.parametrize("shape", [(8,), (1, 8), (7, 8), (0, 8), (3, 5, 8)])
+    def test_rep_row_shapes(self, shape):
+        rows = np.random.default_rng(59).uniform(-10.0, 10.0, shape)
+        out = rep(rows)
+        assert out.shape == shape[:-1] + (2, 2)
+        for row, m in zip(rows.reshape(-1, 8), out.reshape(-1, 2, 2)):
+            assert np.array_equal(m, rep(Multivector(row)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        signed(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))),
+        min_size=8, max_size=8), min_size=1, max_size=6))
+    def test_rep_rows_over_the_range(self, rows):
+        # values, not bits: each entry of rep on rows is a sum over all eight
+        # blades, the zero products of the six that do not reach it included,
+        # so where the entry is zero its sign can differ from _rep_entries',
+        # which adds only the two that do (np.tensordot's sums did the same)
+        out = rep(np.array(rows))
+        assert all(np.array_equal(m, rep(Multivector(row))) for row, m in zip(rows, out))
+
     def test_rep_rows_and_unrep_ignore_the_images_zero_signs(self):
         # the blade images as products of Pauli matrices carry negative
         # zeros (pauli(2)[0, 1] was -0.0 - 1j) that rep's unit rows do not;
