@@ -142,7 +142,7 @@ def _float_product():
 _product = _float_product()
 
 
-# Error messages shared with the row kernels of twostate.trajectory.
+# Error messages of Multivector and Rotor.
 _NOT_FINITE = "multivector coefficients must be finite"
 _NOT_UNIT = "rotor must have unit norm, |R~R - 1| = {dev:.3e}"
 
@@ -462,14 +462,13 @@ def exp_bivector(b: Multivector) -> Rotor:
     return Rotor(Multivector((w, 0.0, 0.0, 0.0, c4 * s, c5 * s, c6 * s, 0.0)))
 
 
-def _exp_bivector_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _exp_bivector_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp_bivector row by row of a block of bivectors of shape (N, 8).
 
-    Returns the rotor rows, their angles theta (_norm3's, by `_norm3_rows`)
-    and their deviations |R reverse(R) - 1|, each rotor equal to
-    exp_bivector's bit for bit.  Nothing raises: a row whose theta is not
-    finite comes back NaN, and the caller tests theta and the deviation.
-    Run under np.errstate.
+    Returns the rotor rows and their deviations |R reverse(R) - 1|, each
+    rotor equal to exp_bivector's bit for bit, with the angle theta by
+    `_norm3_rows`.  Nothing raises: a row whose theta is not finite comes
+    back NaN, and the caller tests the rotors.  Run under np.errstate.
     """
     b = c[:, 4:7]
     theta = _norm3_rows(b)
@@ -482,7 +481,7 @@ def _exp_bivector_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     out[:, 0] = np.where(series, 1.0 - theta2 / 2.0, cos)
     out[:, 4:7] = b * np.where(series, 1.0 - theta2 / 6.0, sin / theta)[:, None]
     out[~finite] = np.nan
-    return out, theta, _unit_defect(*out[:, [0, 4, 5, 6]].T, np.sqrt)[1]
+    return out, _unit_defect(*out[:, [0, 4, 5, 6]].T, np.sqrt)[1]
 
 
 def rotor_axis_angle(n_hat: Multivector, alpha: float) -> Rotor:

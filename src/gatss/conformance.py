@@ -18,11 +18,13 @@ coefficient rows (`algebra._gp_rows`, `_exp_bivector_rows`; the
 commutator suite's block is its nine pairs) and stacked matrices (the
 oracle's (N, 2, 2) forms); so does the oracle side of
 `trajectory_deviations`.  Every deviation equals, bit for bit,
-what the per-draw objects give.  Each check those objects make (finite
-coefficients, unit rotors, normalized states, a Hermitian H, the oracle's
-state norm) is a mask: a draw or row that fails one has NaN deviations,
-and so does one whose closed-form angle is not finite (from a phase of
-about 9e307), while the other rows keep their values.
+what the per-draw objects give.  A draw or row that those objects would
+reject has NaN deviations, while the other rows keep their values: the
+products' finite coefficients and the oracle's checks (a Hermitian H, its
+state norm) are masks, the rotor route marks its rows with the three flags
+of `twostate._evolution_rows` (a rotor off unit norm, a state or an
+initial state not normalized), and a closed-form angle that is not finite
+(from a phase of about 9e307) is NaN.
 
 The homomorphism suite doubles as a tamper check: flipping any one of the
 64 term signs that `algebra._row_arrays` holds makes it fail, as
@@ -181,19 +183,18 @@ def suite_rabi_triangle(rng: np.random.Generator, count: int) -> SuiteResult:
 def _rabi_devs(draws: np.ndarray) -> np.ndarray:
     """The pairwise gaps |closed - rotor|, |rotor - matrix| and
     |closed - matrix| of the transition probability at each row
-    (b1, b2, b3, t) with q = m = hbar = 1, shape (N, 3).  A row that fails
-    a check of the rotor route or of the oracle, or whose closed-form angle
-    |B| t is not finite, has NaN in its gaps (the suite's draws reach
-    neither)."""
+    (b1, b2, b3, t) with q = m = hbar = 1, shape (N, 3).  A row that the
+    rotor route's object API rejects (the mask of `_evolution_rows`), that
+    fails a check of the oracle, or whose closed-form angle |B| t is not
+    finite has NaN in its gaps (the suite's draws reach none of them)."""
     eps_plus, eps_minus = basis_eps()
     t = draws[:, 3]
     p_closed = _rabi_rows(draws[:, :3], 1.0, 1.0, t)
     with np.errstate(all="ignore"):
         # hamiltonian_from_field, evolution_rotor, evolve, then probability
         h, bivector = _coupling_rows(draws[:, :3], 1.0, 1.0, 1.0)
-        _, _, psi, checks = _evolution_rows(eps_plus, bivector, t, 1.0)
+        _, psi, failed = _evolution_rows(eps_plus, bivector, t, 1.0)
         product = _probability_rows(eps_minus.mv.coeffs, psi)
-        failed = np.any([mask for mask, _ in checks], axis=0) | ~_finite_rows(product)
         p_rotor = np.where(failed, np.nan, 2.0 * product[:, 0])
         col_t = matrixqm.evolve_matrix(matrixqm.spinor_rep(eps_plus), matrixqm.rep(h), t, 1.0)
         p_matrix = matrixqm.probability_matrix(matrixqm.spinor_rep(eps_minus), col_t)

@@ -32,8 +32,6 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .algebra import (
-    _NOT_FINITE,
-    _NOT_UNIT,
     E2,
     E3,
     E123,
@@ -41,7 +39,6 @@ from .algebra import (
     Multivector,
     Rotor,
     _exp_bivector_rows,
-    _finite_rows,
     _gp_rows,
     _LazyNumpy,
     _map,
@@ -53,6 +50,7 @@ from .algebra import (
     hodge_dual,
     reverse,
     rotor_axis_angle,
+    sandwich,
     vector,
 )
 from .spinor import AlgebraicSpinor, _is_normalized_rows, basis_eps, left_mul
@@ -247,16 +245,7 @@ def _coupling_rows(B, q: float, m: float, hbar: float) -> tuple[np.ndarray, np.n
         return h, _gp_rows(E123.coeffs, h)
 
 
-# Error messages shared by the object API, trajectory's row kernel and the
-# closed forms.
-_BAD_TIME = "need finite t and positive finite hbar"
-_PHASE_OVERFLOW = (
-    "phase |h| t / hbar overflows at t = {t!r}: the rotor exponential needs "
-    "it below about 1.8e308"
-)
 _ANGLE_NOT_FINITE = "precession angle q |B| t / m is not finite at t = {t!r}"
-_PSI0_NOT_NORMALIZED = "initial state must be normalized"
-_STATES_NOT_NORMALIZED = "both states must be normalized"
 
 
 def evolution_rotor(h: Hamiltonian, t: float, hbar: float = 1.0) -> Rotor:
@@ -271,19 +260,29 @@ def evolution_rotor(h: Hamiltonian, t: float, hbar: float = 1.0) -> Rotor:
             "evolution_rotor needs h0 = 0; evolve under Hamiltonian(0.0, h.h) and "
             "carry exp(-e123 h0 t / hbar) on the amplitudes instead"
         )
-    if not math.isfinite(float(t)) or not math.isfinite(float(hbar)) or hbar <= 0.0:
-        raise ValueError(_BAD_TIME)
+    return _bivector_rotor(hodge_dual(h.vector_part())._c, t, hbar)
+
+
+def _bivector_rotor(c, t: float, hbar: float) -> Rotor:
+    """evolution_rotor from the coefficients c of the bivector e123 h,
+    which may be out of range (a coupling that overflows)."""
+    t, hbar = float(t), float(hbar)
+    if not math.isfinite(t) or not math.isfinite(hbar) or hbar <= 0.0:
+        raise ValueError("need finite t and positive finite hbar")
     # an exponent out of range is inf or NaN, which Multivector rejects
-    exponent = hodge_dual(h.vector_part()) * (-float(t) / float(hbar))
+    exponent = Multivector(tuple(map((-t / hbar).__mul__, c)))
     if _norm3(*exponent._c[4:7]) == math.inf:
-        raise ValueError(_PHASE_OVERFLOW.format(t=float(t)))
+        raise ValueError(
+            f"phase |h| t / hbar overflows at t = {t!r}: the rotor exponential needs "
+            "it below about 1.8e308"
+        )
     return exp_bivector(exponent)
 
 
 def evolve(psi0: AlgebraicSpinor, u: Rotor) -> AlgebraicSpinor:
     """Apply an evolution rotor to a normalized state."""
     if not psi0.is_normalized():
-        raise ValueError(_PSI0_NOT_NORMALIZED)
+        raise ValueError("initial state must be normalized")
     return left_mul(u.mv, psi0)
 
 
@@ -305,7 +304,7 @@ def probability(u_n: AlgebraicSpinor, psi: AlgebraicSpinor) -> float:
     Equals the squared magnitude of inner(u_n, psi) for normalized states.
     """
     if not u_n.is_normalized() or not psi.is_normalized():
-        raise ValueError(_STATES_NOT_NORMALIZED)
+        raise ValueError("both states must be normalized")
     p = gp(gp(gp(reverse(u_n.mv), psi.mv), reverse(psi.mv)), u_n.mv)
     return 2.0 * p._c[0]
 
@@ -398,9 +397,9 @@ def trajectory(
     axis u(t) = U e3 reverse(U)), in that order.
 
     Each row is what evolution_rotor, evolve, probability, expectation and
-    sandwich give at its t, bit for bit, computed in blocks of rows.  An
-    invalid row raises their ValueError: for the first such row, the
-    first check it fails.
+    sandwich give at its t, bit for bit, computed in blocks of rows.  The
+    rows only mark where those functions would raise; the first marked row
+    is replayed through them (`_object_row`), which raises its ValueError.
     """
     table: dict[str, list[float]] = {
         name: [] for name in ("t", "p_plus", "p_minus", "s1", "s2", "s3", "u1", "u2", "u3")
@@ -416,22 +415,36 @@ def trajectory(
 
 
 def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
-    """trajectory's columns for one block of times, as arrays; every check
-    is a mask over the rows, decided before anything is returned."""
-    eps_plus, eps_minus = (eps.mv.coeffs for eps in basis_eps())
-    rotor, rotor_dev, psi, checks = _evolution_rows(psi0, bivector, t, cfg.hbar)
+    """trajectory's columns for one block of times, as arrays.  Where
+    `_evolution_rows` marks a row, the first one is replayed through the
+    object API, whose error is raised; a marked row that replays clean is a
+    defect of the row kernel, and raises too."""
+    rotor, psi, failed = _evolution_rows(psi0, bivector, t, cfg.hbar)
+    if failed.any():
+        at = float(t[int(np.argmax(failed))])
+        _object_row(bivector.tolist(), psi0, at, cfg.hbar)
+        raise ValueError(f"the row kernel rejected t = {at!r}, which the object API accepts")
     # the products of probability, expectation and sandwich
+    eps_plus, eps_minus = (eps.mv.coeffs for eps in basis_eps())
     psi_rev = _reverse_rows(psi)
     products = [_probability_rows(eps, psi) for eps in (eps_plus, eps_minus)]
     products += [_gp_rows(psi_rev, _gp_rows(op, psi)) for op in spins]
     axis = _gp_rows(_gp_rows(rotor, E3.coeffs), _reverse_rows(rotor))
-    checks.append((~_finite_rows(*products, axis), _NOT_FINITE))
-    failed = np.array([mask for mask, _ in checks])
-    if failed.any():
-        row = int(np.argmax(failed.any(axis=0)))
-        message = checks[int(np.argmax(failed[:, row]))][1]
-        raise ValueError(message.format(t=float(t[row]), dev=float(rotor_dev[row])))
     return [t, *(2.0 * p[:, 0] for p in products), axis[:, 1], axis[:, 2], axis[:, 3]]
+
+
+def _object_row(bivector, psi0, t: float, hbar: float) -> None:
+    """One row of trajectory through the object API, in its order, for the
+    error it raises: evolution_rotor from the bivector row e123 h (not from
+    hamiltonian_from_field, which refuses a coupling that overflows with
+    its own message), evolve, probability, expectation, then sandwich."""
+    u = _bivector_rotor(bivector, t, hbar)
+    psi = evolve(psi0, u)
+    for eps in basis_eps():
+        probability(eps, psi)
+    for op in spin_vectors(hbar):
+        expectation(op, psi)
+    sandwich(u, E3)
 
 
 def _evolution_rows(psi0, bivector, t, hbar):
@@ -440,24 +453,25 @@ def _evolution_rows(psi0, bivector, t, hbar):
     or one per time) and the states U psi0, each row equal to the object
     API's bit for bit.
 
-    Returns the rotor rows, their deviations from unit norm, the state
-    rows and the checks the two functions make, as (mask, message) pairs
-    in the order they make them, then the normalization check that
-    probability and expectation make on each state.  Run under np.errstate.
+    Returns the rotor rows, the state rows and one mask of the rows that
+    the object API rejects, from three flags:
+      - a rotor off unit norm, Rotor's check, which only a defect trips;
+      - a state that is not normalized, probability's check.  A t, an
+        exponent or a phase that is not finite makes the rotor NaN (as
+        `_exp_bivector_rows` does wherever its angle is not finite), so
+        also the state, which this flag marks;
+      - psi0 not normalized, evolve's check: a psi0 just past the bound
+        can evolve into a state within it.
+    A unit rotor acting on a normalized psi0 keeps every coefficient and
+    product bounded, so no other check can be the first to fail.  Which
+    check fails, and its message, is the object API's.  Run under
+    np.errstate.
     """
     exponent = bivector * (-t / hbar)[:, None]
-    rotor, theta, rotor_dev = _exp_bivector_rows(exponent)
+    rotor, rotor_dev = _exp_bivector_rows(exponent)
     psi = _gp_rows(rotor, psi0.mv.coeffs)
-    checks = [
-        (~np.isfinite(t), _BAD_TIME),
-        (~_finite_rows(exponent), _NOT_FINITE),
-        (~np.isfinite(theta), _PHASE_OVERFLOW),
-        (rotor_dev > UNIT_TOL, _NOT_UNIT),
-        (np.full(t.shape, not psi0.is_normalized()), _PSI0_NOT_NORMALIZED),
-        (~_finite_rows(psi), _NOT_FINITE),
-        (~_is_normalized_rows(psi), _STATES_NOT_NORMALIZED),
-    ]
-    return rotor, rotor_dev, psi, checks
+    failed = (rotor_dev > UNIT_TOL) | ~_is_normalized_rows(psi) | (not psi0.is_normalized())
+    return rotor, psi, failed
 
 
 def _probability_rows(u_n: np.ndarray, psi: np.ndarray) -> np.ndarray:

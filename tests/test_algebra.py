@@ -330,15 +330,13 @@ class TestRowKernels:
         c = np.zeros((len(bivectors), 8))
         c[:, 4:7] = bivectors
         with np.errstate(all="ignore"):
-            rotors, theta, dev = _exp_bivector_rows(c)
+            rotors, dev = _exp_bivector_rows(c)
         for i, row in enumerate(c):
-            length = _norm3(*row[4:7].tolist())
-            if length == math.inf:
+            if _norm3(*row[4:7].tolist()) == math.inf:
                 with pytest.raises(ValueError, match=r"bivector magnitude \|B\| overflows"):
                     exp_bivector(Multivector(row))
-                assert theta[i] == math.inf and np.isnan(rotors[i]).all()
+                assert np.isnan(rotors[i]).all()
                 continue
-            assert theta[i].hex() == length.hex()
             assert hex_rows(rotors[i]) == hex_rows(exp_bivector(Multivector(row)).mv.coeffs)
             # the deviation Rotor measures on that row, by the same expression
             assert dev[i].hex() == _unit_defect(*rotors[i, [0, 4, 5, 6]].tolist())[1].hex()

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gatss import matrixqm
-from gatss.conformance import SuiteResult
+from gatss import algebra, matrixqm, spinor, twostate
+from gatss.cli import main
+from gatss.conformance import SuiteResult, suite_rabi_triangle
 from gatss.algebra import (
     E1,
     E2,
@@ -19,6 +20,7 @@ from gatss.algebra import (
     Multivector,
     Rotor,
     _norm3,
+    _unit_defect,
     commutator,
     gp,
     hodge_dual,
@@ -28,7 +30,7 @@ from gatss.algebra import (
     sandwich,
     vector,
 )
-from gatss.spinor import basis_eps, from_amplitudes, inner, left_mul, to_amplitudes
+from gatss.spinor import NORM_TOL, basis_eps, from_amplitudes, inner, left_mul, to_amplitudes
 from per_row_oracle import hexes
 from test_conformance import check_fields
 from gatss.twostate import (
@@ -915,14 +917,27 @@ class TestTimeGrid:
         assert t[0] == t_start and (steps == 1 or t[-1] == t_end)
 
 
+def reference_rotor(cfg, t):
+    """evolution_rotor of cfg's coupling at t.  Where the coupling
+    overflows, which hamiltonian_from_field refuses, the rotor's exponent
+    (-t / hbar) e123 h is not finite at every finite t, so evolution_rotor
+    would fail its time check or refuse that exponent."""
+    try:
+        h = hamiltonian_from_field(cfg)
+    except ValueError:
+        if not math.isfinite(t):
+            raise ValueError("need finite t and positive finite hbar") from None
+        raise ValueError("multivector coefficients must be finite") from None
+    return evolution_rotor(h, t, cfg.hbar)
+
+
 def reference_table(cfg, psi0, t_grid):
     """trajectory's columns from a loop over the object API, row by row."""
-    h = hamiltonian_from_field(cfg)
     table = {name: [] for name in ("t", "p_plus", "p_minus", "s1", "s2", "s3", "u1", "u2", "u3")}
     # the object path's numpy scalars warn on overflow; its checks raise
     with np.errstate(all="ignore"):
         for t in t_grid:
-            u = evolution_rotor(h, t, cfg.hbar)
+            u = reference_rotor(cfg, t)
             psi = evolve(psi0, u)
             axis = sandwich(u, E3)
             row = (
@@ -980,13 +995,45 @@ times = st.one_of(
     st.sampled_from([1e300, 3e155, 1e10, math.inf, -math.inf, math.nan]),
 )
 
+# the whole range: magnitudes log-uniform over 1e-300..1e300
+magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+signed = st.builds(float.__mul__, magnitude, st.sampled_from([1.0, -1.0]))
+wide_fields = st.builds(
+    FieldConfig, B=st.tuples(signed, signed, signed), q=signed, m=magnitude, hbar=magnitude,
+)
+wide_times = st.one_of(
+    signed, st.sampled_from([1e308, -1e308, 1.5e308, math.inf, -math.inf, math.nan]),
+)
+
+
+def near_bound(psi, side, offset):
+    """psi rescaled to the squared norm 1 + side (NORM_TOL + offset): just
+    inside or just past the normalization bound on that side."""
+    scale = math.sqrt(1.0 + side * (NORM_TOL + offset))
+    return from_amplitudes(*(scale * z for z in to_amplitudes(psi)))
+
+
+bound_states = st.builds(
+    near_bound, st.one_of(polar_states, amplitude_states), st.sampled_from([1.0, -1.0]),
+    st.floats(-1.1e-9, 1.1e-9),
+)
+
 
 class TestTrajectoryMatchesObjectPath:
     """The blocked kernel of trajectory against a per-row loop over the
     public object API: values bit for bit, errors by message."""
 
     @settings(max_examples=300, deadline=None)
-    @given(fields, states, st.lists(times, min_size=1, max_size=6))
+    @given(st.one_of(fields, wide_fields), st.one_of(states, bound_states),
+           st.lists(st.one_of(times, wide_times), min_size=1, max_size=6))
+    # one example per error of the object API's replay: a bad time, a
+    # coupling that overflows, -t / hbar that overflows, the phase that
+    # overflows, and psi0 not normalized
+    @example(FieldConfig(B=(0.4, -1.1, 2.2)), EPS_PLUS, [1.0, math.nan])
+    @example(FieldConfig(B=(1e300, 1e300, 0.0), q=1e10), EPS_PLUS, [1.0])
+    @example(FieldConfig(B=(1.0, 0.0, 0.0), hbar=1e-300), EPS_PLUS, [1e10])
+    @example(FieldConfig(B=(1.5e308,) * 3), EPS_PLUS, [1.0, 1.5])
+    @example(FieldConfig(B=(0.4, -1.1, 2.2)), from_amplitudes(1.0, 1.0), [1.0])
     def test_rows_and_errors(self, cfg, psi0, t_grid):
         assert outcome(lambda: trajectory(cfg, psi0, t_grid)) == outcome(
             lambda: reference_table(cfg, psi0, t_grid)
@@ -1026,6 +1073,91 @@ class TestTrajectoryMatchesObjectPath:
         cfg = FieldConfig(B=(0.4, -1.1, 2.2))
         grid = [0.0, 1.5, 3.0]
         assert trajectory(cfg, EPS_PLUS, iter(grid)) == trajectory(cfg, EPS_PLUS, grid)
+
+
+def first_scale_past_bound(psi, step):
+    """The first scale k from 1 in the direction of step for which k psi is
+    not normalized: the first double past NORM_TOL, by bisection."""
+    inside, past = 1.0, 1.0 + step
+    while math.nextafter(inside, past) != past:
+        mid = 0.5 * (inside + past)
+        if from_amplitudes(*(mid * z for z in to_amplitudes(psi))).is_normalized():
+            inside = mid
+        else:
+            past = mid
+    return past
+
+
+def off_unit_rotors(monkeypatch, factor):
+    """A defect of the row exponential: every rotor scaled by factor, with
+    its deviation from unit norm measured as before."""
+    exp_rows = twostate._exp_bivector_rows
+
+    def scaled(c):
+        rotor = exp_rows(c)[0] * factor
+        return rotor, _unit_defect(*rotor[:, [0, 4, 5, 6]].T, np.sqrt)[1]
+
+    monkeypatch.setattr(twostate, "_exp_bivector_rows", scaled)
+
+
+class TestTrajectoryFlags:
+    """The three flags of the row kernel, each caught where only it bites."""
+
+    @pytest.mark.parametrize("psi", [EPS_PLUS, polar_state(0.7, -0.3)], ids=["eps_plus", "tilted"])
+    @pytest.mark.parametrize("step", [1e-8, -1e-8], ids=["above", "below"])
+    def test_psi0_just_past_the_bound(self, psi, step):
+        # evolving can round the state back within the bound, so only the
+        # psi0 flag marks these rows
+        k = first_scale_past_bound(psi, step)
+        psi0 = from_amplitudes(*(k * z for z in to_amplitudes(psi)))
+        cfg = FieldConfig(B=(0.4, -1.1, 2.2), q=1.5, m=0.7)
+        for t in np.linspace(0.1, 10.0, 40).tolist():
+            with pytest.raises(ValueError, match="^initial state must be normalized$"):
+                trajectory(cfg, psi0, [t])
+
+    def test_rotor_off_unit_norm(self, monkeypatch):
+        # |R~R - 1| = 1.5e-9 on a psi0 of squared norm 1 - 0.9e-9: the
+        # state stays within the bound, so only the rotor flag marks it
+        psi0 = near_bound(EPS_PLUS, -1.0, -0.1e-9)
+        cfg = FieldConfig(B=(0.4, -1.1, 2.2))
+        assert trajectory(cfg, psi0, [0.5])["t"] == [0.5]
+        off_unit_rotors(monkeypatch, math.sqrt(1.0 + 1.5e-9))
+        message = r"^the row kernel rejected t = 0\.5, which the object API accepts$"
+        with pytest.raises(ValueError, match=message):
+            trajectory(cfg, psi0, [0.5])
+
+    def test_a_defect_of_the_row_exponential_fails_every_caller(self, monkeypatch, capsys):
+        off_unit_rotors(monkeypatch, 1.0 + 1e-8)
+        with pytest.raises(ValueError, match=r"^the row kernel rejected t = 0\.0, "):
+            trajectory(FieldConfig(B=(0.4, -1.1, 2.2)), EPS_PLUS, [0.0, 1.0])
+        assert math.isnan(suite_rabi_triangle(np.random.default_rng(3), 20).worst)
+        assert main(["evolve", "--B=1,2,3", "--t-end=10", "--steps=11"]) == 1
+        assert "the row kernel rejected t = 0.0" in capsys.readouterr().err
+
+
+def test_valid_rows_stay_off_the_object_path(monkeypatch):
+    # counters on the object path's product, rotor and exponential, in
+    # every module that imports them by name
+    calls = dict.fromkeys(["gp", "evolution_rotor", "exp_bivector"], 0)
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    cfg, psi0 = FieldConfig(B=(0.4, -1.1, 2.2), q=1.5, m=0.7, hbar=0.9), polar_state(0.7, -0.3)
+    grid = np.linspace(0.0, 40.0, 1000)
+    for name in calls:
+        original = getattr(algebra, name, None) or getattr(twostate, name)
+        for module in (algebra, spinor, twostate):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    table = trajectory(cfg, psi0, grid)
+    # one product per block, psi0.is_normalized()'s
+    blocks = -(-len(grid) // _BLOCK_ROWS)
+    assert len(table["t"]) == 1000 and blocks == 4
+    assert calls == {"gp": blocks, "evolution_rotor": 0, "exp_bivector": 0}
 
 
 class TestSpinCommutators:
