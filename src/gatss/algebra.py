@@ -311,11 +311,6 @@ def _map(f, *arrays) -> np.ndarray:
     return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
 
 
-def _finite_rows(*blocks: np.ndarray) -> np.ndarray:
-    """Rows finite in every (N, 8) block: Multivector's check, row by row."""
-    return np.isfinite(np.hstack(blocks)).all(axis=1)
-
-
 def grade(a: Multivector, k: int) -> Multivector:
     """Projection onto the grade-k part (k in 0..3)."""
     if k not in (0, 1, 2, 3):

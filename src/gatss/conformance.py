@@ -17,14 +17,15 @@ memory stays flat at any count.  All four suites run on blocks of
 coefficient rows (`algebra._gp_rows`, `_exp_bivector_rows`; the
 commutator suite's block is its nine pairs) and stacked matrices (the
 oracle's (N, 2, 2) forms); so does the oracle side of
-`trajectory_deviations`.  Every deviation equals, bit for bit,
-what the per-draw objects give.  A draw or row that those objects would
-reject has NaN deviations, while the other rows keep their values: the
-products' finite coefficients and the oracle's checks (a Hermitian H, its
-state norm) are masks, the rotor route marks its rows with the three flags
-of `twostate._evolution_rows` (a rotor off unit norm, a state or an
-initial state not normalized), and a closed-form angle that is not finite
-(from a phase of about 9e307) is NaN.
+`trajectory_deviations`.  A draw or row that the per-draw objects accept
+has, bit for bit, the deviations they give.  One that they would reject
+fails its check, while the other rows keep their values: a draw's product
+gaps carry its non-finite values themselves (a product coefficient that is
+not finite makes its row's gaps NaN or inf), the oracle's checks (a
+Hermitian H, its state norm) give NaN, the rotor route marks its rows with
+the three flags of `twostate._evolution_rows` (a rotor off unit norm, a
+state or an initial state not normalized) and reads them as NaN, and a
+closed-form angle that is not finite (from a phase of about 9e307) is NaN.
 
 The homomorphism suite doubles as a tamper check: flipping any one of the
 64 term signs that `algebra._row_arrays` holds makes it fail, as
@@ -39,7 +40,7 @@ import sys
 from collections import namedtuple
 
 from . import matrixqm
-from .algebra import E123, _finite_rows, _gp_rows, _LazyNumpy
+from .algebra import E123, _gp_rows, _LazyNumpy
 from .spinor import AlgebraicSpinor, basis_eps, left_mul, to_amplitudes
 from .twostate import (
     EigenSystem,
@@ -128,13 +129,12 @@ def suite_homomorphism(rng: np.random.Generator, count: int) -> SuiteResult:
 
 def _homomorphism_devs(pairs: np.ndarray) -> np.ndarray:
     """|rep(a b) - rep(a) rep(b)| for coefficient pairs (a, b) of shape
-    (N, 2, 8), shape (N, 2, 2); NaN in a row whose a, b or a b is not
-    finite."""
+    (N, 2, 8), shape (N, 2, 2), as computed: a coefficient of a b that is
+    not finite reaches at least two entries of rep(a b), so the row's
+    gaps hold a NaN or an inf."""
     a, b = pairs[:, 0], pairs[:, 1]
     with np.errstate(all="ignore"):
-        ab = _gp_rows(a, b)
-        gap = np.abs(matrixqm.rep(ab) - matrixqm.rep(a) @ matrixqm.rep(b))
-    return np.where(_finite_rows(a, b, ab)[:, None, None], gap, np.nan)
+        return np.abs(matrixqm.rep(_gp_rows(a, b)) - matrixqm.rep(a) @ matrixqm.rep(b))
 
 
 def suite_associativity(rng: np.random.Generator, count: int) -> SuiteResult:
@@ -146,16 +146,15 @@ def suite_associativity(rng: np.random.Generator, count: int) -> SuiteResult:
 
 def _associativity_devs(triples: np.ndarray) -> np.ndarray:
     """|(a b) c - a (b c)| / max(1, |a| |b| |c|) for coefficient triples
-    (a, b, c) of shape (N, 3, 8), shape (N, 8); NaN in a row where one of
-    the factors or products is not finite."""
+    (a, b, c) of shape (N, 3, 8), shape (N, 8), as computed: a coefficient
+    of a b or b c that is not finite reaches every blade of its side's
+    triple product, so the row's gaps hold a NaN or an inf."""
     a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
     with np.errstate(all="ignore"):
-        ab, bc = _gp_rows(a, b), _gp_rows(b, c)
-        lhs, rhs = _gp_rows(ab, c), _gp_rows(a, bc)
+        lhs, rhs = _gp_rows(_gp_rows(a, b), c), _gp_rows(a, _gp_rows(b, c))
         # algebra.norm of each row, summed as np.dot sums it
         product = np.sqrt(np.vecdot(a, a)) * np.sqrt(np.vecdot(b, b)) * np.sqrt(np.vecdot(c, c))
-        gap = np.abs(lhs - rhs) / np.where(product > 1.0, product, 1.0)[:, None]
-    return np.where(_finite_rows(a, b, c, ab, bc, lhs, rhs)[:, None], gap, np.nan)
+        return np.abs(lhs - rhs) / np.where(product > 1.0, product, 1.0)[:, None]
 
 
 def suite_commutators() -> SuiteResult:

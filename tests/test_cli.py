@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import gatss
 from gatss.cli import _CSV_BLOCK_ROWS, _SETTINGS, _json, main
-from gatss import twostate
-from gatss.algebra import _norm3
+from gatss import cli, conformance, twostate
+from gatss.algebra import E1, _norm3, rotor_axis_angle
+from gatss.spinor import left_mul
 from gatss.twostate import (
     FieldConfig,
     hamiltonian_from_field,
@@ -604,6 +605,52 @@ def test_rotor_at_the_full_angle_fails_both_checks(capsys, monkeypatch):
     code, _, err = run_cli(capsys, evolve_argv)
     assert code == 2
     assert float(err[len("check: max_deviation = "):]) > 0.1
+
+
+def test_rotor_angle_off_by_1e_8_fails_every_check(capsys, monkeypatch):
+    # a unit-scale tamper cell: the rotor exponential given a relative 1e-8
+    # too much angle; its rotors stay unit, so the row kernel flags no row
+    # and only the gaps against the matrix oracle and the closed form see it
+    argvs = [["conformance", "--seed=3", "--count=75"],
+             ["evolve", "--B=1,2,3", "--t-end=10", "--steps=50", "--check"],
+             ["evolve", "--B=1,2,3", "--t-end=10", "--steps=50", "--check-rabi"]]
+    assert [run_cli(capsys, argv)[0] for argv in argvs] == [0, 0, 0]
+    exp_rows, evolution_rows, flagged = twostate._exp_bivector_rows, twostate._evolution_rows, []
+
+    def spied(*args):
+        rows = evolution_rows(*args)
+        flagged.append(bool(rows[2].any()))
+        return rows
+
+    monkeypatch.setattr(twostate, "_exp_bivector_rows", lambda c: exp_rows(c * (1.0 + 1e-8)))
+    monkeypatch.setattr(twostate, "_evolution_rows", spied)
+    monkeypatch.setattr(conformance, "_evolution_rows", spied)
+    results = [run_cli(capsys, argv) for argv in argvs]
+    assert [code for code, _, _ in results] == [2, 2, 2]
+    assert "rabi_triangle  FAIL  worst=2.107e-07" in results[0][1]
+    assert [err.split(" = ")[0] for _, _, err in results[1:]] == [
+        "check: max_deviation", "check-rabi: max_deviation"]
+    assert len(flagged) == 3 and not any(flagged)
+
+
+@pytest.mark.parametrize("defect", ["eigenvectors tilted 1e-7 rad", "e_plus off by 1e-8"])
+def test_diag_sees_a_unit_scale_eigensystem_defect(capsys, monkeypatch, defect):
+    # unit-scale tamper cells for diag: both eigenspinors turned 1e-7 rad
+    # about e1, or e_plus off by a relative 1e-8
+    argv = ["diag", "--h=0.3,1,-2,0.5"]
+    assert "status = ok" in run_cli(capsys, argv)[1]
+    exact, tilt = cli.eigensystem, rotor_axis_angle(E1, 1e-7).mv
+
+    def tampered(h):
+        es = exact(h)
+        if defect.startswith("eigenvectors"):
+            return es._replace(psi_plus=left_mul(tilt, es.psi_plus),
+                               psi_minus=left_mul(tilt, es.psi_minus))
+        return es._replace(e_plus=es.e_plus * (1.0 + 1e-8))
+
+    monkeypatch.setattr(cli, "eigensystem", tampered)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 2 and "status = tolerance-exceeded" in out
 
 
 class TestParsing:

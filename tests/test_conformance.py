@@ -19,6 +19,7 @@ from gatss.conformance import (
     eigensystem_residuals,
     rabi_deviation,
     run_all,
+    suite_associativity,
     suite_commutators,
     suite_homomorphism,
     suite_rabi_triangle,
@@ -272,22 +273,24 @@ def nan_on_error(compute, shape, dtype=float):
             return np.full(shape, np.nan, dtype=dtype)
 
 
-def reference_homomorphism(a, b):
-    def compute():
-        ma, mb = Multivector(a), Multivector(b)
-        return np.abs(rep(gp(ma, mb)) - rep(ma) @ rep(mb))
+def object_homomorphism(a, b):
+    ma, mb = Multivector(a), Multivector(b)
+    return np.abs(rep(gp(ma, mb)) - rep(ma) @ rep(mb))
 
-    return nan_on_error(compute, (2, 2))
+
+def reference_homomorphism(a, b):
+    return nan_on_error(lambda: object_homomorphism(a, b), (2, 2))
+
+
+def object_associativity(a, b, c):
+    ma, mb, mc = Multivector(a), Multivector(b), Multivector(c)
+    lhs = gp(gp(ma, mb), mc)
+    rhs = gp(ma, gp(mb, mc))
+    return np.abs(lhs.coeffs - rhs.coeffs) / max(1.0, norm(ma) * norm(mb) * norm(mc))
 
 
 def reference_associativity(a, b, c):
-    def compute():
-        ma, mb, mc = Multivector(a), Multivector(b), Multivector(c)
-        lhs = gp(gp(ma, mb), mc)
-        rhs = gp(ma, gp(mb, mc))
-        return np.abs(lhs.coeffs - rhs.coeffs) / max(1.0, norm(ma) * norm(mb) * norm(mc))
-
-    return nan_on_error(compute, 8)
+    return nan_on_error(lambda: object_associativity(a, b, c), 8)
 
 
 def reference_rabi(b, t):
@@ -345,7 +348,7 @@ def signed(magnitude):
 
 
 # draws of the suites' own ranges, and out of them up to where products
-# overflow, so that the masks of the per-draw checks come into play
+# overflow, so that draws the per-draw object path rejects come into play
 coefficient = st.one_of(
     st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
     signed(st.floats(-5.0, 200.0).map(lambda e: 10.0 ** e)),
@@ -361,22 +364,48 @@ field_component = st.one_of(
 field_rows = st.tuples(field_component, field_component, field_component)
 
 
+def blade(k, value):
+    """A coefficient row with value at blade k and 0.0 elsewhere."""
+    return [value if i == k else 0.0 for i in range(8)]
+
+
+def assert_draws_match_objects(got, draws, compute, tol):
+    """A row that the per-draw object path accepts equals its gaps by
+    float.hex; a row that it rejects has a NaN or +inf worst gap, which
+    fails check at tol."""
+    for row, draw in zip(got, draws, strict=True):
+        try:
+            with np.errstate(all="ignore"):
+                expected = compute(*draw)
+        except ValueError:
+            result = check("draw", [row[None]], tol)
+            assert math.isnan(result.worst) or result.worst == math.inf, (draw, row)
+            assert not result.passed
+        else:
+            assert hexes(row) == hexes(expected), draw
+
+
 class TestBatchedSuitesMatchPerDraw:
     """Each suite's deviations, row by row, against the per-draw loop, by
-    float.hex; a row whose per-draw computation raises is NaN."""
+    float.hex; a row whose per-draw computation raises is NaN, or, for the
+    product suites, fails with its own NaN or inf gaps."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(coefficient_rows, coefficient_rows), min_size=1, max_size=6))
+    @example([(blade(1, 1e200), blade(2, 1e200)), (blade(0, 1.0), blade(3, 2.0))])  # a b overflows
     def test_homomorphism(self, pairs):
-        got = _homomorphism_devs(np.array(pairs))
-        assert [hexes(row) for row in got] == [hexes(reference_homomorphism(*p)) for p in pairs]
+        assert_draws_match_objects(_homomorphism_devs(np.array(pairs)), pairs,
+                                   object_homomorphism, conformance.HOMOMORPHISM_TOL)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(coefficient_rows, coefficient_rows, coefficient_rows),
                     min_size=1, max_size=6))
+    # (a b) c overflows in e123 alone, where a (b c) does too: NaN there, 0 elsewhere
+    @example([(blade(7, 1e27), blade(7, 1e100), blade(7, 1e182))])
+    @example([(blade(1, 1e200), blade(1, 1e200), [0.0] * 8)])  # a b overflows, c is zero
     def test_associativity(self, triples):
-        got = _associativity_devs(np.array(triples))
-        assert [hexes(row) for row in got] == [hexes(reference_associativity(*t)) for t in triples]
+        assert_draws_match_objects(_associativity_devs(np.array(triples)), triples,
+                                   object_associativity, conformance.ASSOCIATIVITY_TOL)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(field_rows, st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e6))),
@@ -424,6 +453,23 @@ def test_homomorphism_sees_every_sign_flip(monkeypatch):
         assert not result.passed, f"term {term}: worst={result.worst:.3e}"
     monkeypatch.undo()
     assert suite_homomorphism(np.random.default_rng(0), 5).passed
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("suite", [suite_homomorphism, suite_associativity])
+def test_a_product_that_is_not_finite_fails_its_suite(monkeypatch, suite, bad):
+    # the suites hold no mask of their own: a product coefficient that is
+    # not finite, in one row of a draw in the suites' range, fails the suite
+    # through that row's own gaps
+    def tampered(a, b):
+        out = algebra._gp_rows(a, b)
+        out[3, 5] = bad
+        return out
+
+    monkeypatch.setattr(conformance, "_gp_rows", tampered)
+    result = suite(np.random.default_rng(0), 20)
+    assert result.count == 20 and not result.passed
+    assert math.isnan(result.worst) if math.isnan(bad) else not math.isfinite(result.worst)
 
 
 def test_commutator_gaps_are_the_object_paths(monkeypatch):

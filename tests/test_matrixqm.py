@@ -498,15 +498,18 @@ class TestStackedOracle:
             row_outcome(reference_probability, u[0], x) for x in psi
         ]
 
-    @pytest.mark.parametrize("fn, args", [
-        (evolve_matrix, ([2.0, 0.0], np.array(pauli(3)), 1.0)),
-        (evolve_matrix, ([1.0, 0.0], np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)),
-        (expectation_matrix, (np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 0.0])),
-        (expectation_matrix, (np.array(pauli(3)), [2.0, 0.0])),
-        (probability_matrix, ([2.0, 0.0], [1.0, 0.0])),
+    @pytest.mark.parametrize("fn, args, message", [
+        (evolve_matrix, ([2.0, 0.0], np.array(pauli(3)), 1.0), "state must be normalized"),
+        (evolve_matrix, ([1.0, 0.0], np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0),
+         "Hamiltonian must be Hermitian"),
+        (expectation_matrix, (np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 0.0]),
+         "observable must be Hermitian"),
+        (expectation_matrix, (np.array(pauli(3)), [2.0, 0.0]), "state must be normalized"),
+        (probability_matrix, ([2.0, 0.0], [1.0, 0.0]), "states must be normalized"),
+        (probability_matrix, ([1.0, 0.0], [1.0, 1.0]), "states must be normalized"),
     ])
-    def test_single_rejects_where_a_stack_gives_nan(self, fn, args):
-        with pytest.raises(ValueError):
+    def test_single_rejects_where_a_stack_gives_nan(self, fn, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             fn(*args)
         stacked = [np.asarray(args[0])[None], *args[1:]]
         assert np.isnan(fn(*stacked)).all()
@@ -520,6 +523,24 @@ class TestStackedOracle:
             expectation_matrix(h, psi)
         assert np.isnan(expectation_matrix(h[None], psi)).all()
         assert np.isnan(expectation_matrix(h, psi[None])).all()
+
+    @pytest.mark.parametrize("fn, args, message", [
+        (unrep, (np.eye(3),), r"expected a 2x2 matrix, got shape \(3, 3\)"),
+        (eigen_hermitian, (np.eye(3),), r"expected a 2x2 matrix, got shape \(3, 3\)"),
+        (mat_exp, (np.zeros((3, 3)),),
+         r"expected a 2x2 matrix or a stack of them, got shape \(3, 3\)"),
+        (evolve_matrix, ([1.0, 0.0], np.zeros((1, 1, 2, 2)), 1.0),
+         r"expected a 2x2 matrix or a stack of them, got shape \(1, 1, 2, 2\)"),
+        (evolve_matrix, ([1.0, 0.0, 0.0], np.array(pauli(3)), 1.0),
+         r"expected a 2-component state or a stack of them, got shape \(3,\)"),
+        (expectation_matrix, (np.array(pauli(3)), [[[1.0, 0.0]]]),
+         r"expected a 2-component state or a stack of them, got shape \(1, 1, 2\)"),
+        (probability_matrix, ([1.0, 0.0], 1.0),
+         r"expected a 2-component state or a stack of them, got shape \(\)"),
+    ])
+    def test_shape_rejections(self, fn, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn(*args)
 
     def test_empty_stacks(self):
         assert mat_exp(np.zeros((0, 2, 2))).shape == (0, 2, 2)
