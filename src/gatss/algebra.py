@@ -273,29 +273,65 @@ def gp(a: Multivector, b: Multivector) -> Multivector:
     return Multivector(_product(a._c, b._c))
 
 
-def _gp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+_ALL_BLADES = tuple(range(8))
+
+
+@functools.cache
+def _selected_terms(blades: tuple[int, ...]) -> np.ndarray:
+    """Where the terms of K blades sit in the term list, term-major:
+    entry n K + m is the term of blade blades[m] whose left factor is
+    blade n."""
+    return np.array([8 * n + k for n in range(8) for k in blades])
+
+
+def _gp_rows(a: np.ndarray, b: np.ndarray, blades: tuple[int, ...] = _ALL_BLADES) -> np.ndarray:
     """Geometric product row by row of coefficient blocks of shape (N, 8);
-    either may be a single row of shape (8,), used for every row.
+    either may be a single row of shape (8,), used for every row, or a
+    stack (..., N, 8).  Returns the given blades of each product, shape
+    (..., K) for K blades; by default all eight.
 
     The order contract: each blade is one reduction of its eight terms
     a[i] b[j] in term-major order, starting from +0.0, as gp sums them; a
     term's sign may sit on either factor, since a sign flip is exact.  So
-    every row equals gp of that row bit for bit, signed zeros included.
+    every row equals gp of that row bit for bit, signed zeros included,
+    and a selection equals `_gp_rows(a, b)[..., blades]` bit for bit.
+    numpy adds a reduction along the contiguous axis pairwise, which
+    rounds otherwise, so no layout reduces along it: the full product
+    reduces a term axis of stride 8, and a selection gathers only its 8 K
+    terms, term axis first as (8, K, rows), and adds whole (K, rows)
+    planes, or, where one value is left, its eight terms in a Python loop.
     Nothing is checked: rows may be inf or NaN.
     """
-    # each factor gathered once, into a fresh array the products overwrite;
-    # the signs go on the smaller one
     i, j, sign, _ = _row_arrays()
-    left, right = a[..., i], b[..., j]
-    small, terms = (left, right) if left.size <= right.size else (right, left)
-    small *= sign
-    if terms.shape[-small.ndim:] == small.shape:
-        terms *= small
-    else:
-        terms = terms * small
-    # the term axis is not the contiguous one, so numpy adds the eight
-    # terms in order rather than pairwise
-    return np.add.reduce(terms.reshape(terms.shape[:-1] + (8, 8)), axis=-2, initial=0.0)
+    if blades == _ALL_BLADES:
+        # each factor gathered once, into a fresh array the products
+        # overwrite; the signs go on the smaller one
+        left, right = a[..., i], b[..., j]
+        small, terms = (left, right) if left.size <= right.size else (right, left)
+        small *= sign
+        if terms.shape[-small.ndim:] == small.shape:
+            terms *= small
+        else:
+            terms = terms * small
+        return np.add.reduce(terms.reshape(terms.shape[:-1] + (8, 8)), axis=-2, initial=0.0)
+    # a.T and b.T reverse their row axes alike, so a factor with fewer of
+    # them broadcasts along the trailing ones
+    e = _selected_terms(blades)
+    left, right = a.T[i[e]], b.T[j[e]]
+    if left.ndim != right.ndim:
+        rank = max(left.ndim, right.ndim)
+        left = left.reshape(left.shape + (1,) * (rank - left.ndim))
+        right = right.reshape(right.shape + (1,) * (rank - right.ndim))
+    small = left if left.size <= right.size else right
+    small *= sign[e].reshape((-1,) + (1,) * (small.ndim - 1))
+    terms = left * right
+    terms = terms.reshape((8, len(blades)) + terms.shape[1:])
+    if terms[0].size == 1:
+        total = 0.0
+        for term in terms.ravel().tolist():
+            total += term
+        return np.array(total).reshape(terms.shape[1:]).T
+    return np.add.reduce(terms, axis=0, initial=0.0).T
 
 
 def _reverse_rows(c: np.ndarray) -> np.ndarray:
@@ -468,15 +504,19 @@ def _exp_bivector_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b = c[:, 4:7]
     theta = _norm3_rows(b)
     finite = theta < math.inf
-    angles = np.where(finite, theta, 0.0)
-    cos, sin = _map(math.cos, angles), _map(math.sin, angles)
+    angles = np.where(finite, theta, 0.0).tolist()
+    w = np.fromiter(map(math.cos, angles), float, len(angles))
+    s = np.fromiter(map(math.sin, angles), float, len(angles)) / theta
     series = theta < _EXP_SERIES_CUTOFF
-    theta2 = theta * theta
+    if series.any():
+        theta2 = theta[series] * theta[series]
+        w[series], s[series] = 1.0 - theta2 / 2.0, 1.0 - theta2 / 6.0
     out = np.zeros(c.shape)
-    out[:, 0] = np.where(series, 1.0 - theta2 / 2.0, cos)
-    out[:, 4:7] = b * np.where(series, 1.0 - theta2 / 6.0, sin / theta)[:, None]
+    out[:, 0] = w
+    out[:, 4:7] = b * s[:, None]
     out[~finite] = np.nan
-    return out, _unit_defect(*out[:, [0, 4, 5, 6]].T, np.sqrt)[1]
+    r = out.T
+    return out, _unit_defect(r[0], r[4], r[5], r[6], np.sqrt)[1]
 
 
 def rotor_axis_angle(n_hat: Multivector, alpha: float) -> Rotor:

@@ -35,17 +35,19 @@ the commutator suite fails where e1 e2 = e12 is flipped.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import namedtuple
 
 from . import matrixqm
-from .algebra import E123, _gp_rows, _LazyNumpy
+from .algebra import _gp_rows, _LazyNumpy
 from .spinor import AlgebraicSpinor, basis_eps, left_mul, to_amplitudes
 from .twostate import (
     EigenSystem,
     FieldConfig,
     Hamiltonian,
+    _block_rows,
     _coupling_rows,
     _evolution_rows,
     _probability_rows,
@@ -161,12 +163,20 @@ def suite_commutators() -> SuiteResult:
     """[S_i, S_j] = hbar e123 eps_ijk S_k, exact (tolerance zero), for the
     nine pairs (i, j) as one block of rows: each gap row equals
     |commutator(S_i, S_j) - hodge_dual(S_k) eps_ijk| bit for bit."""
-    i, j = np.divmod(np.arange(9), 3)  # the pairs in row-major order
+    a, b, c, eps = _commutator_rows()
+    gap = _gp_rows(a, b) - _gp_rows(b, a) - _gp_rows(_block_rows()[3], c) * eps
+    return check("commutators", [np.abs(gap)], 0.0)
+
+
+@functools.cache
+def _commutator_rows():
+    """The commutator suite's rows, made on first use: S_i, S_j and S_k at
+    hbar = 1 for the nine pairs (i, j) in row-major order, and eps_ijk as a
+    column."""
+    i, j = np.divmod(np.arange(9), 3)
     k, eps = (3 - i - j) % 3, (j - i + 1) % 3 - 1.0  # eps_ijk; 0 where i = j
     s = np.array([op._c for op in spin_vectors(1.0)])
-    a, b = s[i], s[j]
-    gap = _gp_rows(a, b) - _gp_rows(b, a) - _gp_rows(E123.coeffs, s[k]) * eps[:, None]
-    return check("commutators", [np.abs(gap)], 0.0)
+    return s[i], s[j], s[k], eps[:, None]
 
 
 def suite_rabi_triangle(rng: np.random.Generator, count: int) -> SuiteResult:
@@ -187,14 +197,15 @@ def _rabi_devs(draws: np.ndarray) -> np.ndarray:
     fails a check of the oracle, or whose closed-form angle |B| t is not
     finite has NaN in its gaps (the suite's draws reach none of them)."""
     eps_plus, eps_minus = basis_eps()
+    eps, eps_rev, _, _ = _block_rows()
     t = draws[:, 3]
     p_closed = _rabi_rows(draws[:, :3], 1.0, 1.0, t)
     with np.errstate(all="ignore"):
         # hamiltonian_from_field, evolution_rotor, evolve, then probability
         h, bivector = _coupling_rows(draws[:, :3], 1.0, 1.0, 1.0)
-        _, psi, failed = _evolution_rows(eps_plus, bivector, t, 1.0)
-        product = _probability_rows(eps_minus.mv.coeffs, psi)
-        p_rotor = np.where(failed, np.nan, 2.0 * product[:, 0])
+        _, psi, failed, psi_rev = _evolution_rows(eps_plus, bivector, t, 1.0)
+        product = _probability_rows(eps[1], eps_rev[1], psi, psi_rev)
+        p_rotor = np.where(failed, np.nan, 2.0 * product)
         col_t = matrixqm.evolve_matrix(matrixqm.spinor_rep(eps_plus), matrixqm.rep(h), t, 1.0)
         p_matrix = matrixqm.probability_matrix(matrixqm.spinor_rep(eps_minus), col_t)
     return np.abs(np.transpose([p_closed - p_rotor, p_rotor - p_matrix, p_closed - p_matrix]))

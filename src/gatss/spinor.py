@@ -24,7 +24,7 @@ import math
 import numbers
 from collections.abc import Mapping
 
-from .algebra import E1, Multivector, _gp_rows, _reverse_rows, gp, reverse
+from .algebra import E1, Multivector, _gp_rows, gp, reverse
 
 __all__ = [
     "AlgebraicSpinor",
@@ -179,11 +179,12 @@ def _near_unit(re, ps):
     return (abs(re - 1.0) <= NORM_TOL) & (abs(ps) <= NORM_TOL)
 
 
-def _is_normalized_rows(psi):
+def _is_normalized_rows(psi, psi_rev):
     """AlgebraicSpinor.is_normalized row by row of a block of spinor
-    coefficient rows, an array of shape (N, 8): a boolean per row."""
-    p = _gp_rows(_reverse_rows(psi), psi)
-    return _near_unit(2.0 * p[:, 0], 2.0 * p[:, 7])
+    coefficient rows psi, an array of shape (N, 8), given their reverses
+    psi_rev: a boolean per row, from blades 0 and 7 of reverse(psi) psi."""
+    p = _gp_rows(psi_rev, psi, (0, 7))
+    return _near_unit(2.0 * p[:, 0], 2.0 * p[:, 1])
 
 
 def left_mul(m: Multivector, psi: AlgebraicSpinor) -> AlgebraicSpinor:

@@ -26,6 +26,7 @@ that time.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -242,7 +243,7 @@ def _coupling_rows(B, q: float, m: float, hbar: float) -> tuple[np.ndarray, np.n
     h = np.zeros(B.shape[:-1] + (8,))
     with np.errstate(all="ignore"):
         h[..., 1:4] = (-q * hbar / (2.0 * m)) * B
-        return h, _gp_rows(E123.coeffs, h)
+        return h, _gp_rows(_block_rows()[3], h)
 
 
 _ANGLE_NOT_FINITE = "precession angle q |B| t / m is not finite at t = {t!r}"
@@ -418,19 +419,21 @@ def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
     """trajectory's columns for one block of times, as arrays.  Where
     `_evolution_rows` marks a row, the first one is replayed through the
     object API, whose error is raised; a marked row that replays clean is a
-    defect of the row kernel, and raises too."""
-    rotor, psi, failed = _evolution_rows(psi0, bivector, t, cfg.hbar)
+    defect of the row kernel, and raises too.
+
+    The final products of probability and expectation are computed for
+    their scalar blade 0 alone, and sandwich's for its vector blades 1-3,
+    the only blades the columns read."""
+    rotor, psi, failed, psi_rev = _evolution_rows(psi0, bivector, t, cfg.hbar)
     if failed.any():
         at = float(t[int(np.argmax(failed))])
         _object_row(bivector.tolist(), psi0, at, cfg.hbar)
         raise ValueError(f"the row kernel rejected t = {at!r}, which the object API accepts")
-    # the products of probability, expectation and sandwich
-    eps_plus, eps_minus = (eps.mv.coeffs for eps in basis_eps())
-    psi_rev = _reverse_rows(psi)
-    products = [_probability_rows(eps, psi) for eps in (eps_plus, eps_minus)]
-    products += [_gp_rows(psi_rev, _gp_rows(op, psi)) for op in spins]
-    axis = _gp_rows(_gp_rows(rotor, E3.coeffs), _reverse_rows(rotor))
-    return [t, *(2.0 * p[:, 0] for p in products), axis[:, 1], axis[:, 2], axis[:, 3]]
+    eps, eps_rev, e3, _ = _block_rows()
+    p = [_probability_rows(eps[n], eps_rev[n], psi, psi_rev) for n in (0, 1)]
+    s = [_gp_rows(psi_rev, _gp_rows(op, psi), (0,))[:, 0] for op in spins]
+    axis = _gp_rows(_gp_rows(rotor, e3), _reverse_rows(rotor), (1, 2, 3))
+    return [t, *(2.0 * x for x in p + s), *axis.T]
 
 
 def _object_row(bivector, psi0, t: float, hbar: float) -> None:
@@ -453,8 +456,9 @@ def _evolution_rows(psi0, bivector, t, hbar):
     or one per time) and the states U psi0, each row equal to the object
     API's bit for bit.
 
-    Returns the rotor rows, the state rows and one mask of the rows that
-    the object API rejects, from three flags:
+    Returns the rotor rows, the state rows, one mask of the rows that the
+    object API rejects, and the reversed state rows, which the callers'
+    products read too.  The mask comes from three flags:
       - a rotor off unit norm, Rotor's check, which only a defect trips;
       - a state that is not normalized, probability's check.  A t, an
         exponent or a phase that is not finite makes the rotor NaN (as
@@ -470,14 +474,28 @@ def _evolution_rows(psi0, bivector, t, hbar):
     exponent = bivector * (-t / hbar)[:, None]
     rotor, rotor_dev = _exp_bivector_rows(exponent)
     psi = _gp_rows(rotor, psi0.mv.coeffs)
-    failed = (rotor_dev > UNIT_TOL) | ~_is_normalized_rows(psi) | (not psi0.is_normalized())
-    return rotor, psi, failed
+    psi_rev = _reverse_rows(psi)
+    failed = ((rotor_dev > UNIT_TOL) | ~_is_normalized_rows(psi, psi_rev)
+              | (not psi0.is_normalized()))
+    return rotor, psi, failed, psi_rev
 
 
-def _probability_rows(u_n: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The product of probability(u_n, psi) row by row, unchecked: twice
-    its scalar part is the probability."""
-    return _gp_rows(_gp_rows(_gp_rows(_reverse_rows(u_n), psi), _reverse_rows(psi)), u_n)
+def _probability_rows(u_n, u_n_rev, psi, psi_rev) -> np.ndarray:
+    """The scalar part of probability(u_n, psi)'s product row by row,
+    unchecked, for a state row u_n and state rows psi, each given with its
+    reverse: twice it is the probability.  The last product is computed
+    for blade 0 alone."""
+    return _gp_rows(_gp_rows(_gp_rows(u_n_rev, psi), psi_rev), u_n, (0,))[:, 0]
+
+
+@functools.cache
+def _block_rows():
+    """The constant rows that the row kernels' callers read on every
+    block, made on first use, as `algebra._row_arrays` is: the basis
+    spinors eps_plus and eps_minus as a (2, 8) block, their reverses, and
+    the rows of e3 and e123."""
+    eps = np.array([eps.mv._c for eps in basis_eps()])
+    return eps, _reverse_rows(eps), np.array(E3._c), np.array(E123._c)
 
 
 def u_vector_closed_form(cfg: FieldConfig, t):

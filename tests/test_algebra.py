@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gatss import matrixqm
+from gatss import algebra, matrixqm
 from gp_reference import TABLE as REFERENCE_TABLE
 from gp_reference import reference_gp, reference_gp_rows
 from per_row_oracle import reference_rotor_deviation
@@ -299,6 +299,10 @@ def hex_rows(block):
     return [[x.hex() for x in row] for row in np.asarray(block).reshape(-1, 8).tolist()]
 
 
+def hex_values(block):
+    return [x.hex() for x in np.asarray(block).ravel().tolist()]
+
+
 class TestRowKernels:
     @settings(max_examples=150, deadline=None)
     @given(block_pairs)
@@ -376,16 +380,19 @@ def edge_block(rng, shape):
 class TestRowProductAtScale:
     """_gp_rows against the eight-step loop it replaced
     (tests/gp_reference.py), by float.hex, at the row counts the row
-    kernels run (a conformance call of 75 draws, an evolve call of 100
-    rows, full blocks and more) and on every layout their callers pass."""
+    kernels run (one time or draw, a conformance call of 75 draws, an
+    evolve call of 100 rows, full blocks and more) and on every layout
+    their callers pass, for the full product and for each blade selection
+    a caller makes.  One row and one blade leave numpy a reduction along
+    its one remaining axis, which it would add pairwise."""
 
-    @pytest.mark.parametrize("rows", [75, 100, 512, 1000])
-    def test_row_product_is_the_loop(self, rows):
+    @staticmethod
+    def layouts(rows):
         rng = np.random.default_rng(rows)
         pairs = edge_block(rng, (rows, 2, 8))
         a, b = pairs[:, 0], pairs[:, 1]  # strided views, as the suites pass
         stack_a, stack_b = edge_block(rng, (3, rows, 8)), edge_block(rng, (3, rows, 8))
-        cases = [
+        return [
             (a, b),
             (a[0], b),  # a single row on either side stands for every row
             (a, b[0]),
@@ -396,11 +403,52 @@ class TestRowProductAtScale:
             (stack_a, b),
             (a[0], stack_b),
         ]
+
+    @pytest.mark.parametrize("rows", [1, 2, 75, 100, 512, 1000])
+    def test_row_product_is_the_loop(self, rows):
         with np.errstate(all="ignore"):
-            for x, y in cases:
+            for x, y in self.layouts(rows):
                 got, expected = _gp_rows(x, y), reference_gp_rows(x, y)
                 assert got.shape == expected.shape
                 assert hex_rows(got) == hex_rows(expected)
+
+    @pytest.mark.parametrize("blades", [(0,), (0, 7), (1, 2, 3), tuple(range(8))])
+    @pytest.mark.parametrize("rows", [1, 2, 75, 100, 512, 1000])
+    def test_selection_is_the_loops_blades(self, rows, blades):
+        with np.errstate(all="ignore"):
+            for x, y in self.layouts(rows):
+                got, expected = _gp_rows(x, y, blades), reference_gp_rows(x, y)[..., blades]
+                assert got.shape == expected.shape
+                assert hex_values(got) == hex_values(expected)
+
+    def test_one_value_adds_its_terms_in_order(self):
+        # finite rows at magnitudes from 1e-5 to 1e5, where the pairwise
+        # sum and the loop often round apart
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(2, 100, 8)) * 10.0 ** rng.integers(-5, 6, size=(2, 100, 8))
+        for a, b in zip(x, y):
+            expected = reference_gp_rows(a, b)
+            for k in range(8):
+                assert hex_values(_gp_rows(a, b, (k,))) == hex_values(expected[k:k + 1])
+                assert hex_values(_gp_rows(a[None], b, (k,))) == hex_values(expected[k:k + 1])
+
+    def test_a_selection_reads_the_term_list(self, monkeypatch):
+        # with any one of the 64 signs flipped, every selection is still
+        # its blades of the full product, and the flipped term's blade moves
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, 100, 8))
+        left, right, sign, reversion = _row_arrays()
+        clean = _gp_rows(a, b)
+        for term in range(64):
+            flipped = sign.copy()
+            flipped[term] = -flipped[term]
+            monkeypatch.setattr(algebra, "_row_arrays", lambda: (left, right, flipped, reversion))
+            full = _gp_rows(a, b)
+            for blades in [(0,), (0, 7), (1, 2, 3)]:
+                got = _gp_rows(a, b, blades)
+                assert hex_values(got) == hex_values(full[..., blades])
+                moved = (got != clean[..., blades]).any(axis=0)
+                assert moved.tolist() == [term % 8 == k for k in blades]
 
 
 # Signed zeros, subnormals, values near the edges of the normal range, and

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import gatss
 from gatss.cli import _CSV_BLOCK_ROWS, _SETTINGS, _json, main
-from gatss import cli, conformance, twostate
+from gatss import algebra, cli, conformance, twostate
 from gatss.algebra import E1, _norm3, rotor_axis_angle
 from gatss.spinor import left_mul
 from gatss.twostate import (
@@ -631,6 +631,30 @@ def test_rotor_angle_off_by_1e_8_fails_every_check(capsys, monkeypatch):
     assert [err.split(" = ")[0] for _, _, err in results[1:]] == [
         "check: max_deviation", "check-rabi: max_deviation"]
     assert len(flagged) == 3 and not any(flagged)
+
+
+def test_a_flipped_scalar_term_fails_evolve_and_the_rabi_triangle(capsys, monkeypatch):
+    # the products that compute only some blades read the one term list:
+    # e23 e23 = +1 in algebra._row_arrays.  Every scalar term is a diagonal
+    # a[i] b[i], so the flip first reaches each state's norm, blades 0 and
+    # 7 of reverse(psi) psi; the row kernel marks those rows, and the object
+    # API, whose product does not read the arrays, accepts them.  So evolve
+    # stops with the row kernel's error, exit 1, before its check runs, and
+    # the Rabi triangle reads the marked rows as NaN
+    argvs = [["evolve", "--B=1,2,3", "--t-end=10", "--steps=50", "--check"],
+             ["conformance", "--seed=3", "--count=75"]]
+    assert [run_cli(capsys, argv)[0] for argv in argvs] == [0, 0]
+    left, right, sign, reversion = algebra._row_arrays()
+    term = 8 * 4 + 0  # the term of blade 1 whose left factor is e23
+    assert right[term] == 4 and sign[term] == -1.0
+    flipped = sign.copy()
+    flipped[term] = 1.0
+    monkeypatch.setattr(algebra, "_row_arrays", lambda: (left, right, flipped, reversion))
+    assert run_cli(capsys, argvs[0]) == (1, "", (
+        "gatss evolve: error: the row kernel rejected t = 0.20408163265306123, "
+        "which the object API accepts\n"))
+    code, out, _ = run_cli(capsys, argvs[1])
+    assert code == 2 and "rabi_triangle  FAIL  worst=nan" in out
 
 
 @pytest.mark.parametrize("defect", ["eigenvectors tilted 1e-7 rad", "e_plus off by 1e-8"])

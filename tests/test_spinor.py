@@ -15,6 +15,7 @@ from gatss.algebra import (
     ONE,
     ZERO,
     Multivector,
+    _reverse_rows,
     gp,
     reverse,
     rotor_axis_angle,
@@ -267,8 +268,10 @@ class TestNormalization:
         for d in (0.0, 1.3e-9, 1.5e-9, -1.3e-9, -1.5e-9, 1.0):
             states.append(from_amplitudes((1.0 + d) * 0.6, 0.8j))
         rows = np.array([psi.mv.coeffs for psi in states])
-        assert _is_normalized_rows(rows).tolist() == [psi.is_normalized() for psi in states]
-        assert _is_normalized_rows(np.full((1, 8), np.nan)).tolist() == [False]
+        expected = [psi.is_normalized() for psi in states]
+        assert _is_normalized_rows(rows, _reverse_rows(rows)).tolist() == expected
+        nan = np.full((1, 8), np.nan)
+        assert _is_normalized_rows(nan, nan).tolist() == [False]
 
     def test_normalized(self):
         psi = from_amplitudes(3.0, 4.0).normalized()
