@@ -430,7 +430,7 @@ def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
         _object_row(bivector.tolist(), psi0, at, cfg.hbar)
         raise ValueError(f"the row kernel rejected t = {at!r}, which the object API accepts")
     eps, eps_rev, e3, _ = _block_rows()
-    p = [_probability_rows(eps[n], eps_rev[n], psi, psi_rev) for n in (0, 1)]
+    p = [_probability_rows(u, u_rev, psi, psi_rev) for u, u_rev in zip(eps, eps_rev)]
     s = [_gp_rows(psi_rev, _gp_rows(op, psi), (0,))[:, 0] for op in spins]
     axis = _gp_rows(_gp_rows(rotor, e3), _reverse_rows(rotor), (1, 2, 3))
     return [t, *(2.0 * x for x in p + s), *axis.T]
