@@ -48,6 +48,12 @@ CASES = {
         ["diag", "--config", "{config}"],
         {"h": [1.5, -0.25, 2.0, -3.0], "format": "json", "tol": 1e-8},
     ),
+    # theta = pi, so r_minus turns by 2 pi
+    "diag_theta_pi": (["diag", "--h=0.5,0,0,-2"], None),
+    # atan2(-0.0, -1) = -pi, which is mapped to pi
+    "diag_phi_seam_json": (["diag", "--h=0,-1,-0.0,0", "--format=json"], None),
+    "diag_tiny": (["diag", "--h=0,1e-300,-2e-300,3e-300"], None),
+    "diag_large_offset_json": (["diag", "--h=1e8,0.3,-0.5,0.8", "--format=json"], None),
     # evolve
     "evolve_csv": (["evolve", "--B", "1,0,1", "--t-end", "3", "--steps", "5"], None),
     "evolve_json": (
