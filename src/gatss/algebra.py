@@ -147,6 +147,13 @@ _NOT_FINITE = "multivector coefficients must be finite"
 _NOT_UNIT = "rotor must have unit norm, |R~R - 1| = {dev:.3e}"
 
 
+def _finite(c: tuple[float, ...]) -> tuple[float, ...]:
+    """c once every coefficient is finite: Multivector's check."""
+    if not all(map(math.isfinite, c)):
+        raise ValueError(_NOT_FINITE)
+    return c
+
+
 class Multivector:
     """Immutable element of the eight-dimensional algebra, held as a tuple
     of eight Python floats in blade order."""
@@ -164,9 +171,7 @@ class Multivector:
             if arr.shape != (8,):
                 raise ValueError(f"expected 8 blade coefficients, got shape {arr.shape}")
             c = tuple(arr.tolist())
-        if not all(map(math.isfinite, c)):
-            raise ValueError(_NOT_FINITE)
-        self._c = c
+        self._c = _finite(c)
 
     @classmethod
     def scalar(cls, value: float) -> "Multivector":
@@ -385,15 +390,17 @@ def _norm3(x: float, y: float, z: float) -> float:
 def _norm3_rows(B: np.ndarray) -> np.ndarray:
     """_norm3 of each row of B, shape (3,) or (N, 3), bit for bit: the plain
     sum of squares, and _norm3 itself only on the rows whose sum overflows
-    or falls below the normal range while a component is nonzero."""
+    or falls below the normal range while a component is nonzero.  Those
+    rows are looked for only when some sum lies outside [min normal, inf)."""
     rows = B.reshape(-1, 3)
     x, y, z = rows.T
     with np.errstate(over="ignore"):
         s = x * x + y * y + z * z
     b = np.sqrt(s)
-    redo = (s == math.inf) | ((s < sys.float_info.min) & rows.any(axis=1))
-    if redo.any():
-        b[redo] = _map(_norm3, *rows[redo].T)
+    if not (s.min(initial=math.inf) >= sys.float_info.min and s.max(initial=0.0) < math.inf):
+        redo = (s == math.inf) | ((s < sys.float_info.min) & rows.any(axis=1))
+        if redo.any():
+            b[redo] = _map(_norm3, *rows[redo].T)
     return b.reshape(B.shape[:-1])
 
 
@@ -427,6 +434,18 @@ def _unit_defect(w, a, b, c, sqrt=math.sqrt):
     return x, sqrt(x * x)
 
 
+def _unit_rotor(c: tuple[float, ...]) -> tuple[float, ...]:
+    """c, eight finite coefficients, once they pass Rotor's check: even
+    grade and |R reverse(R) - 1| within UNIT_TOL."""
+    if c[1] != 0.0 or c[2] != 0.0 or c[3] != 0.0 or c[7] != 0.0:
+        raise ValueError("rotor must be even-graded (scalar + bivector only)")
+    excess, dev = _unit_defect(c[0], c[4], c[5], c[6])
+    if dev > UNIT_TOL:
+        # gp(R, reverse(R)) overflowed where this sum does: no cross term exceeds half of it
+        raise ValueError(_NOT_UNIT.format(dev=dev) if excess < math.inf else _NOT_FINITE)
+    return c
+
+
 class Rotor:
     """Even-graded multivector with unit norm; rotates via sandwich().
 
@@ -437,13 +456,7 @@ class Rotor:
     __slots__ = ("_mv",)
 
     def __init__(self, mv: Multivector):
-        c = mv._c
-        if c[1] != 0.0 or c[2] != 0.0 or c[3] != 0.0 or c[7] != 0.0:
-            raise ValueError("rotor must be even-graded (scalar + bivector only)")
-        excess, dev = _unit_defect(c[0], c[4], c[5], c[6])
-        if dev > UNIT_TOL:
-            # gp(R, reverse(R)) overflowed where this sum does: no cross term exceeds half of it
-            raise ValueError(_NOT_UNIT.format(dev=dev) if excess < math.inf else _NOT_FINITE)
+        _unit_rotor(mv._c)
         self._mv = mv
 
     @classmethod
@@ -481,6 +494,13 @@ def exp_bivector(b: Multivector) -> Rotor:
     c0, c1, c2, c3, c4, c5, c6, c7 = b._c
     if c0 != 0.0 or c1 != 0.0 or c2 != 0.0 or c3 != 0.0 or c7 != 0.0:
         raise ValueError("exp_bivector requires a pure bivector argument")
+    return Rotor(Multivector(_exp_coeffs(c4, c5, c6)))
+
+
+def _exp_coeffs(c4: float, c5: float, c6: float) -> tuple[float, ...]:
+    """exp_bivector on the coefficients of B = c4 e23 + c5 e31 + c6 e12:
+    the rotor's eight coefficients, before Multivector's and Rotor's
+    checks; ValueError where |B| overflows."""
     theta = _norm3(c4, c5, c6)
     if theta == math.inf:
         raise ValueError(
@@ -490,7 +510,7 @@ def exp_bivector(b: Multivector) -> Rotor:
         w, s = 1.0 - theta * theta / 2.0, 1.0 - theta * theta / 6.0
     else:
         w, s = math.cos(theta), math.sin(theta) / theta
-    return Rotor(Multivector((w, 0.0, 0.0, 0.0, c4 * s, c5 * s, c6 * s, 0.0)))
+    return (w, 0.0, 0.0, 0.0, c4 * s, c5 * s, c6 * s, 0.0)
 
 
 def _exp_bivector_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

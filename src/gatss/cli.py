@@ -1,11 +1,13 @@
 """Command line front end: diag | evolve | conformance.
 
 Exit codes: 0 on success, 1 for usage or input errors, 2 when a numerical
-cross-check exceeds its tolerance.  csv, diag's text and the check lines
-write each number with 17 significant digits, JSON writes Python's
-shortest repr that reads back as the same double, and conformance's
-summary rounds to 4 digits; all of it is locale independent, so identical
-invocations produce byte-identical bytes.
+cross-check exceeds its tolerance or an internal check fails
+(ArithmeticError, such as a row kernel that disagrees with the object
+API).  csv, diag's text and the check lines write each number with 17
+significant digits, JSON writes Python's shortest repr that reads back as
+the same double, and conformance's summary rounds to 4 digits; all of it
+is locale independent, so identical invocations produce byte-identical
+bytes.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ def _json(value, indent: str = "\n") -> str:
     writes, for the values gatss writes: dicts with plain ASCII keys, lists
     of floats, floats, bools and plain ASCII strings.  indent is the line
     break and indentation of value's level."""
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else _json_floats((value,), "")
     inner = indent + "  "
     if isinstance(value, dict):
         items = ("," + inner).join(f'"{k}": {_json(v, inner)}' for k, v in value.items())
@@ -73,9 +77,7 @@ def _json(value, indent: str = "\n") -> str:
         return "[" + inner + _json_floats(value, "," + inner) + indent + "]" if value else "[]"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, str):
-        return f'"{value}"'
-    return _json_floats((value,), "")
+    return f'"{value}"'
 
 
 # Casts turn a flag, config or default value into a checked setting; `name`
@@ -263,14 +265,25 @@ def _initial_state(theta0, state) -> AlgebraicSpinor:
     )
 
 
-def _text(value) -> str:
+def _brackets(n: int) -> str:
+    """The % template of a list of n floats in diag's text report."""
+    return "[" + ", ".join(["%.17g"] * n) + "]"
+
+
+def _text_line(key: str, value) -> str:
+    """One line of diag's text report, `key = value`, or `key: k = value,
+    ...` for a dict of lists, written by one % template: a float as _fmt
+    writes it, a list of floats in brackets and a bool as true or false."""
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return f"{key} = {'true' if value else 'false'}"
+    if isinstance(value, str):
+        return f"{key} = {value}"
     if isinstance(value, float):
-        return _fmt(value)
+        return f"{key} = %.17g" % value
     if isinstance(value, list):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    return value
+        return f"{key} = {_brackets(len(value))}" % tuple(value)
+    template = ", ".join(f"{k} = {_brackets(len(v))}" for k, v in value.items())
+    return f"{key}: {template}" % tuple(itertools.chain(*value.values()))
 
 
 def _cmd_diag(s: dict[str, object]) -> int:
@@ -295,11 +308,7 @@ def _cmd_diag(s: dict[str, object]) -> int:
     if s["format"] == "json":
         print(_json(report))
     else:
-        print("\n".join(
-            f"{key}: " + ", ".join(f"{k} = {_text(v)}" for k, v in value.items())
-            if isinstance(value, dict) else f"{key} = {_text(value)}"
-            for key, value in report.items()
-        ))
+        print("\n".join(itertools.starmap(_text_line, report.items())))
     return 0 if check.passed else 2
 
 
@@ -382,6 +391,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # an input error, or a size the process cannot hold
         print(f"gatss {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        # a failed internal check: a defect, not an input error
+        print(f"gatss {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader of stdout has gone, as in `gatss evolve ... | head`: as
         # the Python docs advise for SIGPIPE, point stdout at devnull so

@@ -40,17 +40,20 @@ from .algebra import (
     Multivector,
     Rotor,
     _exp_bivector_rows,
+    _exp_coeffs,
+    _finite,
     _gp_rows,
     _LazyNumpy,
     _map,
     _norm3,
     _norm3_rows,
+    _product,
     _reverse_rows,
+    _unit_rotor,
     exp_bivector,
     gp,
     hodge_dual,
     reverse,
-    rotor_axis_angle,
     sandwich,
     vector,
 )
@@ -195,10 +198,13 @@ def polar_angles(h: Hamiltonian) -> tuple[float, float]:
 def eigensystem(h: Hamiltonian) -> EigenSystem:
     """Eigenvalues h0 +/- |h| and rotor-generated eigenspinors.
 
-    The rotor R diagonalizes H: reverse(R) H R = h0 + |h| e3.  The minus
-    eigenspinor uses the rotor at polar angle theta + pi, which lands on
-    the antipodal axis.  A vanishing vector part degenerates to
-    (eps_plus, eps_minus) with the identity rotor and sets the flag.
+    The rotor R = R(phi, theta) of `_polar_rotors` diagonalizes H:
+    reverse(R) H R = h0 + |h| e3.  The minus eigenspinor uses the rotor at
+    polar angle theta + pi, which lands on the antipodal axis; the two
+    share their azimuth.  Both rotors and both spinors are computed on
+    coefficient tuples, with the object API's checks and its bits, and
+    only the results become objects.  A vanishing vector part degenerates
+    to (eps_plus, eps_minus) with the identity rotor and sets the flag.
     Raises ValueError where h0 + |h| or h0 - |h| overflows.
     """
     eps_plus, eps_minus = basis_eps()
@@ -216,17 +222,46 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
             degenerate=True,
         )
     theta, phi = polar_angles(h)
-    azimuth = rotor_axis_angle(E3, phi)
-    r = azimuth * rotor_axis_angle(E2, theta)
-    r_minus = azimuth * rotor_axis_angle(E2, theta + math.pi)
+    r, r_minus = _polar_rotors(phi, theta, theta + math.pi)
     return EigenSystem(
         e_plus=e_plus,
         e_minus=e_minus,
-        rotor=r,
-        psi_plus=left_mul(r.mv, eps_plus),
-        psi_minus=left_mul(r_minus.mv, eps_plus),
+        rotor=Rotor(Multivector(r)),
+        psi_plus=_spinor(r, eps_plus),
+        psi_minus=_spinor(r_minus, eps_plus),
         degenerate=False,
     )
+
+
+@functools.cache
+def _axis_duals() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The duals e123 e3 and e123 e2 of the axes of R(phi, theta), as
+    coefficient tuples, made on first use, as `_block_rows` is."""
+    return hodge_dual(E3)._c, hodge_dual(E2)._c
+
+
+def _axis_rotor(dual: tuple[float, ...], alpha: float) -> tuple[float, ...]:
+    """rotor_axis_angle(axis, alpha) from the coefficients of the axis's
+    dual: exp of dual * (-alpha/2), with the checks and bits of the object
+    route, on coefficient tuples."""
+    exponent = _finite(tuple(map((-0.5 * float(alpha)).__mul__, dual)))
+    return _unit_rotor(_finite(_exp_coeffs(*exponent[4:7])))
+
+
+def _polar_rotors(phi: float, *thetas: float) -> list[tuple[float, ...]]:
+    """The coefficients of R(phi, theta) = exp(-e123 e3 phi/2)
+    exp(-e123 e2 theta/2), azimuth times tilt, for each theta; the azimuth
+    is made once.  Every product is gp's and every rotor passes
+    Multivector's and Rotor's checks, in the object route's order."""
+    e3_dual, e2_dual = _axis_duals()
+    azimuth = _axis_rotor(e3_dual, phi)
+    return [_unit_rotor(_finite(_product(azimuth, _axis_rotor(e2_dual, theta))))
+            for theta in thetas]
+
+
+def _spinor(r: tuple[float, ...], psi: AlgebraicSpinor) -> AlgebraicSpinor:
+    """left_mul of the rotor with coefficients r on psi."""
+    return AlgebraicSpinor(Multivector(_product(r, psi.mv._c)), check=False)
 
 
 def hamiltonian_from_field(cfg: FieldConfig) -> Hamiltonian:
@@ -357,9 +392,10 @@ def _finite_angle(value: float, t) -> float:
 
 def polar_state(theta: float, phi: float = 0.0) -> AlgebraicSpinor:
     """Spin-up state along the (theta, phi) axis: R(phi, theta) eps_plus,
-    with R turning e3 by theta towards e1, then by phi about e3."""
-    r = rotor_axis_angle(E3, phi) * rotor_axis_angle(E2, theta)
-    return left_mul(r.mv, basis_eps()[0])
+    with R turning e3 by theta towards e1, then by phi about e3.  R is
+    eigensystem's rotor, from `_polar_rotors`."""
+    (r,) = _polar_rotors(phi, theta)
+    return _spinor(r, basis_eps()[0])
 
 
 # Rows per block of the row kernels (trajectory here, the suites and the
@@ -400,7 +436,9 @@ def trajectory(
     Each row is what evolution_rotor, evolve, probability, expectation and
     sandwich give at its t, bit for bit, computed in blocks of rows.  The
     rows only mark where those functions would raise; the first marked row
-    is replayed through them (`_object_row`), which raises its ValueError.
+    is replayed through them (`_object_row`), which raises its ValueError;
+    a marked row that they accept raises ArithmeticError, a defect of the
+    row kernel.
     """
     table: dict[str, list[float]] = {
         name: [] for name in ("t", "p_plus", "p_minus", "s1", "s2", "s3", "u1", "u2", "u3")
@@ -419,7 +457,8 @@ def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
     """trajectory's columns for one block of times, as arrays.  Where
     `_evolution_rows` marks a row, the first one is replayed through the
     object API, whose error is raised; a marked row that replays clean is a
-    defect of the row kernel, and raises too.
+    defect of the row kernel, a failed internal check, and raises
+    ArithmeticError.
 
     The final products of probability and expectation are computed for
     their scalar blade 0 alone, and sandwich's for its vector blades 1-3,
@@ -428,7 +467,7 @@ def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
     if failed.any():
         at = float(t[int(np.argmax(failed))])
         _object_row(bivector.tolist(), psi0, at, cfg.hbar)
-        raise ValueError(f"the row kernel rejected t = {at!r}, which the object API accepts")
+        raise ArithmeticError(f"the row kernel rejected t = {at!r}, which the object API accepts")
     eps, eps_rev, e3, _ = _block_rows()
     p = [_probability_rows(u, u_rev, psi, psi_rev) for u, u_rev in zip(eps, eps_rev)]
     s = [_gp_rows(psi_rev, _gp_rows(op, psi), (0,))[:, 0] for op in spins]

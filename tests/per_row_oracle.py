@@ -7,7 +7,10 @@ exponential's independent accuracy reference.
 
 Also the closed Rabi formula one draw at a time, in plain Python floats,
 for the closed forms' row kernel in `gatss.twostate`, and the rotor unit
-check by the full product, for `algebra`'s closed form of it.
+check by the full product, for `algebra`'s closed form of it.  And
+`eigensystem` and `polar_state` by the object route, `rotor_axis_angle`,
+`Rotor` products and `left_mul`, which `gatss.twostate` computes on
+coefficient tuples and must equal bit for bit.
 """
 
 import math
@@ -15,8 +18,10 @@ import sys
 
 import numpy as np
 
-from gatss.algebra import ONE, Multivector, gp, norm, reverse
+from gatss.algebra import E2, E3, ONE, Multivector, Rotor, gp, norm, reverse, rotor_axis_angle
 from gatss.matrixqm import HERMITIAN_TOL, STATE_NORM_TOL, pauli
+from gatss.spinor import basis_eps, left_mul
+from gatss.twostate import EigenSystem, polar_angles
 
 
 def reference_mat_exp(a):
@@ -131,6 +136,43 @@ def reference_rotor_deviation(coeffs):
     terms -wb, -ac, +bw, +ca do not cancel in the order they are added."""
     mv = Multivector(coeffs)
     return norm(gp(mv, reverse(mv)) - ONE)
+
+
+def reference_eigensystem(h):
+    """eigensystem(h) by the object route: three `rotor_axis_angle`
+    exponentials, two `Rotor` products and two `left_mul`s."""
+    eps_plus, eps_minus = basis_eps()
+    r_norm = h.r_norm
+    e_plus, e_minus = h.h0 + r_norm, h.h0 - r_norm
+    if math.isinf(e_plus) or math.isinf(e_minus):
+        raise ValueError("eigenvalues h0 +/- |h| overflow")
+    if r_norm == 0.0:
+        return EigenSystem(
+            e_plus=h.h0,
+            e_minus=h.h0,
+            rotor=Rotor.identity(),
+            psi_plus=eps_plus,
+            psi_minus=eps_minus,
+            degenerate=True,
+        )
+    theta, phi = polar_angles(h)
+    azimuth = rotor_axis_angle(E3, phi)
+    r = azimuth * rotor_axis_angle(E2, theta)
+    r_minus = azimuth * rotor_axis_angle(E2, theta + math.pi)
+    return EigenSystem(
+        e_plus=e_plus,
+        e_minus=e_minus,
+        rotor=r,
+        psi_plus=left_mul(r.mv, eps_plus),
+        psi_minus=left_mul(r_minus.mv, eps_plus),
+        degenerate=False,
+    )
+
+
+def reference_polar_state(theta, phi=0.0):
+    """polar_state(theta, phi) by the object route."""
+    r = rotor_axis_angle(E3, phi) * rotor_axis_angle(E2, theta)
+    return left_mul(r.mv, basis_eps()[0])
 
 
 def hexes(x):

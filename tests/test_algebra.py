@@ -356,6 +356,7 @@ class TestNorm3Rows:
         min_size=1, max_size=8))
     @example([(0.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (5e-324, 0.0, -5e-324)])
     @example([(MAX, MAX, MAX), (-MAX, 0.0, 0.0), (1e154, 1e154, 1e154), (1e-200, 0.0, 0.0)])
+    @example([(1.0, -2.0, 0.5), (0.0, -0.0, 0.0), (3e-5, 0.0, -7.0), (-0.0, -0.0, -0.0)])
     def test_rows_are_norm3_bit_for_bit(self, rows):
         b = np.array(rows)
         expected = [_norm3(*row).hex() for row in rows]

@@ -639,8 +639,9 @@ def test_a_flipped_scalar_term_fails_evolve_and_the_rabi_triangle(capsys, monkey
     # a[i] b[i], so the flip first reaches each state's norm, blades 0 and
     # 7 of reverse(psi) psi; the row kernel marks those rows, and the object
     # API, whose product does not read the arrays, accepts them.  So evolve
-    # stops with the row kernel's error, exit 1, before its check runs, and
-    # the Rabi triangle reads the marked rows as NaN
+    # stops with the row kernel's error, a failed internal check that exits
+    # 2, before its check runs, and the Rabi triangle reads the marked rows
+    # as NaN
     argvs = [["evolve", "--B=1,2,3", "--t-end=10", "--steps=50", "--check"],
              ["conformance", "--seed=3", "--count=75"]]
     assert [run_cli(capsys, argv)[0] for argv in argvs] == [0, 0]
@@ -650,7 +651,7 @@ def test_a_flipped_scalar_term_fails_evolve_and_the_rabi_triangle(capsys, monkey
     flipped = sign.copy()
     flipped[term] = 1.0
     monkeypatch.setattr(algebra, "_row_arrays", lambda: (left, right, flipped, reversion))
-    assert run_cli(capsys, argvs[0]) == (1, "", (
+    assert run_cli(capsys, argvs[0]) == (2, "", (
         "gatss evolve: error: the row kernel rejected t = 0.20408163265306123, "
         "which the object API accepts\n"))
     code, out, _ = run_cli(capsys, argvs[1])

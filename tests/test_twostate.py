@@ -31,7 +31,7 @@ from gatss.algebra import (
     vector,
 )
 from gatss.spinor import NORM_TOL, basis_eps, from_amplitudes, inner, left_mul, to_amplitudes
-from per_row_oracle import hexes
+from per_row_oracle import hexes, reference_eigensystem, reference_polar_state
 from test_conformance import check_fields
 from gatss.twostate import (
     EigenSystem,
@@ -361,6 +361,33 @@ wide_float = st.tuples(
 ).map(lambda m: m[0] * m[1])
 
 
+def eigen_bits(es):
+    """An eigensystem's values by float.hex, and its flag."""
+    return [x.hex() for x in (es.e_plus, es.e_minus, *es.rotor.mv._c,
+                              *es.psi_plus.mv._c, *es.psi_minus.mv._c)] + [es.degenerate]
+
+
+def state_bits(psi):
+    return [x.hex() for x in psi.mv._c]
+
+
+def route_outcome(bits, f, *args):
+    """bits of f(*args), or the message of its ValueError."""
+    try:
+        return bits(f(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+# signed magnitudes log-uniform over 1e-300 to 1e300, alone and with the
+# signed zeros
+signed_magnitude = st.tuples(
+    st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), st.sampled_from([1.0, -1.0]),
+).map(lambda m: m[0] * m[1])
+signed_zero = st.sampled_from([0.0, -0.0])
+tiny_to_huge = st.one_of(signed_magnitude, signed_zero)
+
+
 class TestEigensystem:
     def test_example_eigenvalues(self):
         es = eigensystem(H_EXAMPLE)
@@ -441,26 +468,52 @@ class TestEigensystem:
         Hamiltonian(1e300, (1e300, -1e-300, 0.0)),
     ])
     def test_makes_no_numpy_call(self, monkeypatch, h):
-        def bits(es):
-            return [x.hex() for x in (es.e_plus, es.e_minus, *es.rotor.mv._c,
-                                      *es.psi_plus.mv._c, *es.psi_minus.mv._c)]
-
-        expected = bits(eigensystem(h))
+        expected = eigen_bits(eigensystem(h))
         for module in ("algebra", "spinor", "twostate"):
             # spinor needs no numpy at all, and has no `np` to patch
             monkeypatch.setattr(f"gatss.{module}.np", None, raising=False)
-        assert bits(eigensystem(h)) == expected
+        assert eigen_bits(eigensystem(h)) == expected
 
     def test_builds_the_azimuth_rotor_once(self, monkeypatch):
+        # three exponentials: the azimuth's, about the dual of E3 first,
+        # then the two tilts about the dual of E2
         calls = []
+        exp_coeffs = twostate._exp_coeffs
 
-        def counted(axis, angle):
-            calls.append(axis)
-            return rotor_axis_angle(axis, angle)
+        def counted(*bivector):
+            calls.append(bivector)
+            return exp_coeffs(*bivector)
 
-        monkeypatch.setattr("gatss.twostate.rotor_axis_angle", counted)
-        eigensystem(H_EXAMPLE)
-        assert calls == [E3, E2, E2]
+        h = Hamiltonian(0.3, (1.0, -2.0, 0.5))
+        theta, phi = polar_angles(h)
+        monkeypatch.setattr(twostate, "_exp_coeffs", counted)
+        eigensystem(h)
+        assert calls == [(hodge_dual(axis) * (-0.5 * angle))._c[4:7] for axis, angle in
+                         ((E3, phi), (E2, theta), (E2, theta + math.pi))]
+
+    # the tuple route against the object route it replaced: magnitudes
+    # log-uniform over 1e-300 to 1e300 with signs and signed zeros in
+    # every slot, axis-aligned vector parts and the phi = +/-pi seam; for
+    # polar_state also multiples of pi, and angles that are not finite
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.tuples(*[tiny_to_huge] * 4),
+        st.tuples(tiny_to_huge, signed_zero, signed_zero, signed_magnitude),
+        st.tuples(tiny_to_huge, signed_magnitude.map(lambda x: -abs(x)), signed_zero,
+                  tiny_to_huge),
+    ), st.tuples(*[st.one_of(tiny_to_huge, st.floats(-7.0, 7.0), st.sampled_from(
+        [math.pi, -math.pi, 2.0 * math.pi, math.inf, -math.inf, math.nan]))] * 2))
+    @example((0.5, 0.0, 0.0, -2.0), (math.pi, 0.0))
+    @example((0.0, -1.0, -0.0, 0.0), (math.pi / 2.0, -math.pi))
+    @example((0.0, 1e-300, -2e-300, 3e-300), (1e-300, -0.0))
+    @example((1e8, 0.3, -0.5, 0.8), (-0.0, math.inf))
+    @example((-0.0, -0.0, 0.0, -0.0), (0.0, math.nan))
+    def test_tuple_route_is_the_object_route_bit_for_bit(self, h, angles):
+        h = Hamiltonian(h[0], h[1:])
+        assert route_outcome(eigen_bits, eigensystem, h) == route_outcome(
+            eigen_bits, reference_eigensystem, h)
+        assert route_outcome(state_bits, polar_state, *angles) == route_outcome(
+            state_bits, reference_polar_state, *angles)
 
 
 class TestFieldCoupling:
@@ -1123,15 +1176,16 @@ class TestTrajectoryFlags:
         assert trajectory(cfg, psi0, [0.5])["t"] == [0.5]
         off_unit_rotors(monkeypatch, math.sqrt(1.0 + 1.5e-9))
         message = r"^the row kernel rejected t = 0\.5, which the object API accepts$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ArithmeticError, match=message):
             trajectory(cfg, psi0, [0.5])
 
     def test_a_defect_of_the_row_exponential_fails_every_caller(self, monkeypatch, capsys):
         off_unit_rotors(monkeypatch, 1.0 + 1e-8)
-        with pytest.raises(ValueError, match=r"^the row kernel rejected t = 0\.0, "):
+        with pytest.raises(ArithmeticError, match=r"^the row kernel rejected t = 0\.0, "):
             trajectory(FieldConfig(B=(0.4, -1.1, 2.2)), EPS_PLUS, [0.0, 1.0])
         assert math.isnan(suite_rabi_triangle(np.random.default_rng(3), 20).worst)
-        assert main(["evolve", "--B=1,2,3", "--t-end=10", "--steps=11"]) == 1
+        # a failed internal check, not an input error: exit 2
+        assert main(["evolve", "--B=1,2,3", "--t-end=10", "--steps=11"]) == 2
         assert "the row kernel rejected t = 0.0" in capsys.readouterr().err
 
 
