@@ -50,10 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _json_floats(values, sep: str) -> str:
     """The floats joined by sep, each as json writes it: float.__repr__,
     with nan, inf and -inf as NaN, Infinity and -Infinity."""
@@ -272,8 +268,9 @@ def _brackets(n: int) -> str:
 
 def _text_line(key: str, value) -> str:
     """One line of diag's text report, `key = value`, or `key: k = value,
-    ...` for a dict of lists, written by one % template: a float as _fmt
-    writes it, a list of floats in brackets and a bool as true or false."""
+    ...` for a dict of lists, written by one % template: a float with 17
+    significant digits, a list of floats in brackets and a bool as true or
+    false."""
     if isinstance(value, bool):
         return f"{key} = {'true' if value else 'false'}"
     if isinstance(value, str):
@@ -330,8 +327,8 @@ def _cmd_evolve(s: dict[str, object]) -> int:
 
     if s["format"] == "csv":
         print(",".join(table))
-        # one template per row, formatting each value as _fmt does, and one
-        # write per block of rows
+        # one template per row, each value with 17 significant digits, and
+        # one write per block of rows
         template = ",".join(["%.17g"] * len(table)) + "\n"
         rows = zip(*table.values())
         while block := "".join(map(template.__mod__, itertools.islice(rows, _CSV_BLOCK_ROWS))):
@@ -339,7 +336,7 @@ def _cmd_evolve(s: dict[str, object]) -> int:
     else:
         print(_json(table))
     for check in checks:
-        print(f"{check.name}: max_deviation = {_fmt(check.worst)}", file=sys.stderr)
+        print("%s: max_deviation = %.17g" % (check.name, check.worst), file=sys.stderr)
     return 0 if all(check.passed for check in checks) else 2
 
 

@@ -33,8 +33,9 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .algebra import (
-    E2,
     E3,
+    E12,
+    E31,
     E123,
     UNIT_TOL,
     Multivector,
@@ -233,13 +234,6 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
     )
 
 
-@functools.cache
-def _axis_duals() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The duals e123 e3 and e123 e2 of the axes of R(phi, theta), as
-    coefficient tuples, made on first use, as `_block_rows` is."""
-    return hodge_dual(E3)._c, hodge_dual(E2)._c
-
-
 def _axis_rotor(dual: tuple[float, ...], alpha: float) -> tuple[float, ...]:
     """rotor_axis_angle(axis, alpha) from the coefficients of the axis's
     dual: exp of dual * (-alpha/2), with the checks and bits of the object
@@ -252,10 +246,11 @@ def _polar_rotors(phi: float, *thetas: float) -> list[tuple[float, ...]]:
     """The coefficients of R(phi, theta) = exp(-e123 e3 phi/2)
     exp(-e123 e2 theta/2), azimuth times tilt, for each theta; the azimuth
     is made once.  Every product is gp's and every rotor passes
-    Multivector's and Rotor's checks, in the object route's order."""
-    e3_dual, e2_dual = _axis_duals()
-    azimuth = _axis_rotor(e3_dual, phi)
-    return [_unit_rotor(_finite(_product(azimuth, _axis_rotor(e2_dual, theta))))
+    Multivector's and Rotor's checks, in the object route's order.  The
+    axes' duals e123 e3 = e12 and e123 e2 = e31 are the blades E12 and
+    E31, bit for bit, signed zeros included."""
+    azimuth = _axis_rotor(E12._c, phi)
+    return [_unit_rotor(_finite(_product(azimuth, _axis_rotor(E31._c, theta))))
             for theta in thetas]
 
 
