@@ -300,43 +300,27 @@ def _gp_rows(a: np.ndarray, b: np.ndarray, blades: tuple[int, ...] = _ALL_BLADES
     term's sign may sit on either factor, since a sign flip is exact.  So
     every row equals gp of that row bit for bit, signed zeros included,
     and a selection equals `_gp_rows(a, b)[..., blades]` bit for bit.
-    numpy adds a reduction along the contiguous axis pairwise, which
-    rounds otherwise, so no layout reduces along it: the full product
-    reduces a term axis of stride 8, and a selection gathers only its 8 K
-    terms, term axis first as (8, K, rows), and adds whole (K, rows)
-    planes, or, where one value is left, its eight terms in a Python loop.
-    Nothing is checked: rows may be inf or NaN.
+    Every product gathers its 8 K terms into (..., 8, K) and reduces the
+    term axis, of stride K: the full product all 64, a selection only
+    its own.  numpy adds a reduction along a contiguous axis pairwise,
+    which rounds otherwise, so a lone blade is gathered twice (K = 2) and
+    its first column returned.  Nothing is checked: rows may be inf or NaN.
     """
     i, j, sign, _ = _row_arrays()
-    if blades == _ALL_BLADES:
-        # each factor gathered once, into a fresh array the products
-        # overwrite; the signs go on the smaller one
-        left, right = a[..., i], b[..., j]
-        small, terms = (left, right) if left.size <= right.size else (right, left)
-        small *= sign
-        if terms.shape[-small.ndim:] == small.shape:
-            terms *= small
-        else:
-            terms = terms * small
-        return np.add.reduce(terms.reshape(terms.shape[:-1] + (8, 8)), axis=-2, initial=0.0)
-    # a.T and b.T reverse their row axes alike, so a factor with fewer of
-    # them broadcasts along the trailing ones
-    e = _selected_terms(blades)
-    left, right = a.T[i[e]], b.T[j[e]]
-    if left.ndim != right.ndim:
-        rank = max(left.ndim, right.ndim)
-        left = left.reshape(left.shape + (1,) * (rank - left.ndim))
-        right = right.reshape(right.shape + (1,) * (rank - right.ndim))
-    small = left if left.size <= right.size else right
-    small *= sign[e].reshape((-1,) + (1,) * (small.ndim - 1))
-    terms = left * right
-    terms = terms.reshape((8, len(blades)) + terms.shape[1:])
-    if terms[0].size == 1:
-        total = 0.0
-        for term in terms.ravel().tolist():
-            total += term
-        return np.array(total).reshape(terms.shape[1:]).T
-    return np.add.reduce(terms, axis=0, initial=0.0).T
+    if blades != _ALL_BLADES:
+        e = _selected_terms(blades * 2 if len(blades) == 1 else blades)
+        i, j, sign = i[e], j[e], sign[e]
+    # each factor gathered once, into a fresh array the products
+    # overwrite; the signs go on the smaller one
+    left, right = a[..., i], b[..., j]
+    small, terms = (left, right) if left.size <= right.size else (right, left)
+    small *= sign
+    if terms.shape[-small.ndim:] == small.shape:
+        terms *= small
+    else:
+        terms = terms * small
+    terms = terms.reshape(terms.shape[:-1] + (8, len(sign) // 8))
+    return np.add.reduce(terms, axis=-2, initial=0.0)[..., :len(blades)]
 
 
 def _reverse_rows(c: np.ndarray) -> np.ndarray:

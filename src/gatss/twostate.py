@@ -203,8 +203,8 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
     reverse(R) H R = h0 + |h| e3.  The minus eigenspinor uses the rotor at
     polar angle theta + pi, which lands on the antipodal axis; the two
     share their azimuth.  Both rotors and both spinors are computed on
-    coefficient tuples, with the object API's checks and its bits, and
-    only the results become objects.  A vanishing vector part degenerates
+    coefficient tuples, with the object API's bits, and only the results
+    become objects, R through Rotor's check.  A vanishing vector part degenerates
     to (eps_plus, eps_minus) with the identity rotor and sets the flag.
     Raises ValueError where h0 + |h| or h0 - |h| overflows.
     """
@@ -236,22 +236,24 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
 
 def _axis_rotor(dual: tuple[float, ...], alpha: float) -> tuple[float, ...]:
     """rotor_axis_angle(axis, alpha) from the coefficients of the axis's
-    dual: exp of dual * (-alpha/2), with the checks and bits of the object
-    route, on coefficient tuples."""
-    exponent = _finite(tuple(map((-0.5 * float(alpha)).__mul__, dual)))
+    dual: exp of dual * (-alpha/2), with the bits of the object route, on
+    coefficient tuples.  The rotor is checked as the object route checks
+    it; the exponent is not, since a non-finite alpha makes the rotor NaN
+    and its check raises the same message."""
+    exponent = tuple(map((-0.5 * float(alpha)).__mul__, dual))
     return _unit_rotor(_finite(_exp_coeffs(*exponent[4:7])))
 
 
 def _polar_rotors(phi: float, *thetas: float) -> list[tuple[float, ...]]:
     """The coefficients of R(phi, theta) = exp(-e123 e3 phi/2)
     exp(-e123 e2 theta/2), azimuth times tilt, for each theta; the azimuth
-    is made once.  Every product is gp's and every rotor passes
-    Multivector's and Rotor's checks, in the object route's order.  The
-    axes' duals e123 e3 = e12 and e123 e2 = e31 are the blades E12 and
-    E31, bit for bit, signed zeros included."""
+    is made once.  Every product is gp's.  The products are not checked:
+    two checked exponentials are finite, even and within rounding of unit
+    norm, and so is their product.  The axes' duals e123 e3 = e12 and
+    e123 e2 = e31 are the blades E12 and E31, bit for bit, signed zeros
+    included."""
     azimuth = _axis_rotor(E12._c, phi)
-    return [_unit_rotor(_finite(_product(azimuth, _axis_rotor(E31._c, theta))))
-            for theta in thetas]
+    return [_product(azimuth, _axis_rotor(E31._c, theta)) for theta in thetas]
 
 
 def _spinor(r: tuple[float, ...], psi: AlgebraicSpinor) -> AlgebraicSpinor:

@@ -384,8 +384,10 @@ class TestRowProductAtScale:
     kernels run (one time or draw, a conformance call of 75 draws, an
     evolve call of 100 rows, full blocks and more) and on every layout
     their callers pass, for the full product and for each blade selection
-    a caller makes.  One row and one blade leave numpy a reduction along
-    its one remaining axis, which it would add pairwise."""
+    a caller makes, and for a lone blade and a multi-blade selection of
+    every grade.  A lone blade would leave numpy a reduction along a
+    contiguous term axis, which it adds pairwise; `_gp_rows` gathers it
+    twice, so its term axis has stride 2 as a pair's does."""
 
     @staticmethod
     def layouts(rows):
@@ -413,8 +415,8 @@ class TestRowProductAtScale:
                 assert got.shape == expected.shape
                 assert hex_rows(got) == hex_rows(expected)
 
-    @pytest.mark.parametrize("blades", [(0,), (0, 7), (1, 2, 3), tuple(range(8))])
-    @pytest.mark.parametrize("rows", [1, 2, 75, 100, 512, 1000])
+    @pytest.mark.parametrize("blades", [(0,), (0, 7), (1, 2, 3), tuple(range(8)), (7,), (4, 5, 6)])
+    @pytest.mark.parametrize("rows", [1, 2, 75, 100, 256, 512, 1000])
     def test_selection_is_the_loops_blades(self, rows, blades):
         with np.errstate(all="ignore"):
             for x, y in self.layouts(rows):
