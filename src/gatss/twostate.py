@@ -204,8 +204,9 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
     polar angle theta + pi, which lands on the antipodal axis; the two
     share their azimuth.  Both rotors and both spinors are computed on
     coefficient tuples, with the object API's bits, and only the results
-    become objects, R through Rotor's check.  A vanishing vector part degenerates
-    to (eps_plus, eps_minus) with the identity rotor and sets the flag.
+    become objects, R through Rotor's check.  A vanishing vector part
+    degenerates to (eps_plus, eps_minus) with the identity rotor and sets
+    the flag.
     Raises ValueError where h0 + |h| or h0 - |h| overflows.
     """
     eps_plus, eps_minus = basis_eps()
