@@ -1,9 +1,12 @@
 """Command line front end: diag | evolve | conformance.
 
-Exit codes: 0 on success, 1 for usage or input errors, 2 when a numerical
-cross-check exceeds its tolerance or an internal check fails
-(ArithmeticError, such as a row kernel that disagrees with the object
-API).  csv, diag's text and the check lines write each number with 17
+Exit codes, which `main` alone decides: 0 on success, 1 for usage or
+input errors, 2 when a numerical cross-check exceeds its tolerance or an
+internal check fails (ArithmeticError, such as a row kernel that
+disagrees with the object API).  Each subcommand returns its checks, as
+`conformance.SuiteResult`s, and `main` maps them to 0 or 2.
+
+csv, diag's text and the check lines write each number with 17
 significant digits, JSON writes Python's shortest repr that reads back as
 the same double, and conformance's summary rounds to 4 digits; all of it
 is locale independent, so identical invocations produce byte-identical
@@ -24,8 +27,10 @@ from collections.abc import Sequence
 from . import conformance
 from .spinor import AlgebraicSpinor, basis_eps, to_amplitudes
 from .twostate import (
+    _BLOCK_ROWS,
     FieldConfig,
     Hamiltonian,
+    _real,
     eigensystem,
     polar_angles,
     polar_state,
@@ -84,13 +89,9 @@ def _json(value, indent: str = "\n") -> str:
 def _number(value, name: str, low: float = -math.inf) -> float:
     label = name.replace("_", "-")
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        out = float(value)
+        out = _real(value, label)
     except (TypeError, ValueError):
         raise ValueError(f"{label} must be a number, got {value!r}") from None
-    except OverflowError:  # an integer past the largest double
-        out = math.inf
     if not math.isfinite(out):
         raise ValueError(f"{label} must be finite")
     if out < low:  # -0.0 passes a low of 0
@@ -147,8 +148,6 @@ def _numbers(n: int):
 
 
 _FORMATS = ("csv", "json")
-# Rows of csv output formatted per write.
-_CSV_BLOCK_ROWS = 512
 _FLOAT = {"type": float}
 _INT = {"type": int}
 _REQUIRED = object()
@@ -283,7 +282,7 @@ def _text_line(key: str, value) -> str:
     return f"{key}: {template}" % tuple(itertools.chain(*value.values()))
 
 
-def _cmd_diag(s: dict[str, object]) -> int:
+def _cmd_diag(s: dict[str, object]) -> list[conformance.SuiteResult]:
     ham = Hamiltonian(s["h"][0], s["h"][1:])
     es = eigensystem(ham)
     theta, phi = polar_angles(ham)
@@ -306,10 +305,10 @@ def _cmd_diag(s: dict[str, object]) -> int:
         print(_json(report))
     else:
         print("\n".join(itertools.starmap(_text_line, report.items())))
-    return 0 if check.passed else 2
+    return [check]
 
 
-def _cmd_evolve(s: dict[str, object]) -> int:
+def _cmd_evolve(s: dict[str, object]) -> list[conformance.SuiteResult]:
     cfg = FieldConfig(B=s["B"], q=s["q"], m=s["m"], hbar=s["hbar"])
     psi0 = _initial_state(s["theta0"], s["state"])
     if s["check_rabi"] and to_amplitudes(psi0)[1] != 0:
@@ -328,19 +327,19 @@ def _cmd_evolve(s: dict[str, object]) -> int:
     if s["format"] == "csv":
         print(",".join(table))
         # one template per row, each value with 17 significant digits, and
-        # one write per block of rows
+        # one write per block of the row kernels' rows
         template = ",".join(["%.17g"] * len(table)) + "\n"
         rows = zip(*table.values())
-        while block := "".join(map(template.__mod__, itertools.islice(rows, _CSV_BLOCK_ROWS))):
+        while block := "".join(map(template.__mod__, itertools.islice(rows, _BLOCK_ROWS))):
             sys.stdout.write(block)
     else:
         print(_json(table))
     for check in checks:
         print("%s: max_deviation = %.17g" % (check.name, check.worst), file=sys.stderr)
-    return 0 if all(check.passed for check in checks) else 2
+    return checks
 
 
-def _cmd_conformance(s: dict[str, object]) -> int:
+def _cmd_conformance(s: dict[str, object]) -> list[conformance.SuiteResult]:
     results = conformance.run_all(s["seed"], s["count"])
     for r in results:
         print(
@@ -349,7 +348,7 @@ def _cmd_conformance(s: dict[str, object]) -> int:
         )
     all_ok = all(r.passed for r in results)
     print(f"overall: {'PASS' if all_ok else 'FAIL'} (seed={s['seed']})")
-    return 0 if all_ok else 2
+    return results
 
 
 _COMMANDS = {
@@ -381,9 +380,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # errors (remapped to 1 above)
         return int(exc.code or 0)
     try:
-        code = _COMMANDS[args.command][1](_settings(args))
+        checks = _COMMANDS[args.command][1](_settings(args))
         sys.stdout.flush()
-        return code
+        return 0 if all(check.passed for check in checks) else 2
     except (ValueError, MemoryError) as exc:
         # an input error, or a size the process cannot hold
         print(f"gatss {args.command}: error: {exc}", file=sys.stderr)

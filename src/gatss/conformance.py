@@ -11,21 +11,22 @@ command line's alike, is `check` of its deviations: one reduction that
 counts the cases, keeps a NaN as the worst value, and decides with
 `SuiteResult.passed`, so a NaN deviation fails it.
 
-The three randomized suites draw their values a block of rows at a time,
-the same stream of numbers that drawing them one at a time gives, so
-memory stays flat at any count.  All four suites run on blocks of
-coefficient rows (`algebra._gp_rows`, `_exp_bivector_rows`; the
-commutator suite's block is its nine pairs) and stacked matrices (the
-oracle's (N, 2, 2) forms); so does the oracle side of
-`trajectory_deviations`.  A draw or row that the per-draw objects accept
-has, bit for bit, the deviations they give.  One that they would reject
-fails its check, while the other rows keep their values: a draw's product
-gaps carry its non-finite values themselves (a product coefficient that is
-not finite makes its row's gaps NaN or inf), the oracle's checks (a
-Hermitian H, its state norm) give NaN, the rotor route marks its rows with
-the three flags of `twostate._evolution_rows` (a rotor off unit norm, a
-state or an initial state not normalized) and reads them as NaN, and a
-closed-form angle that is not finite (from a phase of about 9e307) is NaN.
+The three randomized suites draw their values through one generator,
+`_draws`, a block of rows at a time, the same stream of numbers that
+drawing them one at a time gives, so memory stays flat at any count.  All
+four suites run on blocks of coefficient rows (`algebra._gp_rows`,
+`_exp_bivector_rows`; the commutator suite's block is its nine pairs)
+and stacked matrices (the oracle's (N, 2, 2) forms); so does the oracle
+side of `trajectory_deviations`.  A draw or row that the per-draw objects
+accept has, bit for bit, the deviations they give.  One that they would
+reject fails its check, while the other rows keep their values: a draw's
+product gaps carry its non-finite values themselves (a product
+coefficient that is not finite makes its row's gaps NaN or inf), the
+oracle's checks (a Hermitian H, its state norm) give NaN, the rotor
+route marks its rows with the three checks of `twostate._evolution_rows`
+(a rotor off unit norm, an initial state or a state not normalized) and
+reads them as NaN, and a closed-form angle that is not finite (from a
+phase of about 9e307) is NaN.
 
 The homomorphism suite doubles as a tamper check: flipping any one of the
 64 term signs that `algebra._row_arrays` holds makes it fail, as
@@ -122,11 +123,18 @@ def check(name: str, blocks, tol: float) -> SuiteResult:
     return SuiteResult(name, worst, tol, count)
 
 
+def _draws(rng: np.random.Generator, count: int, low, high, shape: tuple[int, ...]):
+    """count draws of rng.uniform(low, high, shape), as blocks of rows of
+    the row kernels' size (`twostate._row_blocks`): the same stream of
+    numbers that drawing them one at a time gives."""
+    for rows in _row_blocks(range(count)):
+        yield rng.uniform(low, high, (len(rows), *shape))
+
+
 def suite_homomorphism(rng: np.random.Generator, count: int) -> SuiteResult:
     """rep(a b) == rep(a) rep(b), entrywise, over random pairs."""
-    blocks = (_homomorphism_devs(rng.uniform(-_COEFF_SPAN, _COEFF_SPAN, (len(rows), 2, 8)))
-              for rows in _row_blocks(range(count)))
-    return check("homomorphism", blocks, HOMOMORPHISM_TOL)
+    pairs = _draws(rng, count, -_COEFF_SPAN, _COEFF_SPAN, (2, 8))
+    return check("homomorphism", map(_homomorphism_devs, pairs), HOMOMORPHISM_TOL)
 
 
 def _homomorphism_devs(pairs: np.ndarray) -> np.ndarray:
@@ -141,9 +149,8 @@ def _homomorphism_devs(pairs: np.ndarray) -> np.ndarray:
 
 def suite_associativity(rng: np.random.Generator, count: int) -> SuiteResult:
     """(a b) c == a (b c), scaled by the product of coefficient norms."""
-    blocks = (_associativity_devs(rng.uniform(-_COEFF_SPAN, _COEFF_SPAN, (len(rows), 3, 8)))
-              for rows in _row_blocks(range(count)))
-    return check("associativity", blocks, ASSOCIATIVITY_TOL)
+    triples = _draws(rng, count, -_COEFF_SPAN, _COEFF_SPAN, (3, 8))
+    return check("associativity", map(_associativity_devs, triples), ASSOCIATIVITY_TOL)
 
 
 def _associativity_devs(triples: np.ndarray) -> np.ndarray:
@@ -183,10 +190,8 @@ def suite_rabi_triangle(rng: np.random.Generator, count: int) -> SuiteResult:
     """Transition probability out of eps_plus agrees pairwise between the
     closed form, the rotor dynamics and the matrix dynamics, over fields
     from uniform(-5, 5) and times from uniform(0, 10)."""
-    blocks = (_rabi_devs(rng.uniform([-5.0, -5.0, -5.0, 0.0], [5.0, 5.0, 5.0, 10.0],
-                                     (len(rows), 4)))
-              for rows in _row_blocks(range(count)))
-    return check("rabi_triangle", blocks, RABI_TRIANGLE_TOL)
+    draws = _draws(rng, count, [-5.0, -5.0, -5.0, 0.0], [5.0, 5.0, 5.0, 10.0], (4,))
+    return check("rabi_triangle", map(_rabi_devs, draws), RABI_TRIANGLE_TOL)
 
 
 def _rabi_devs(draws: np.ndarray) -> np.ndarray:

@@ -55,7 +55,6 @@ from .algebra import (
     gp,
     hodge_dual,
     reverse,
-    sandwich,
     vector,
 )
 from .spinor import AlgebraicSpinor, _is_normalized_rows, basis_eps, left_mul
@@ -83,12 +82,16 @@ __all__ = [
 
 
 def _real(x, name: str) -> float:
-    """float(x), which also takes numeric text; ValueError for a bool or a
-    numpy bool, which float would take as 0 or 1."""
+    """float(x), which also takes numeric text, and +-inf for an integer
+    past the double range, which float refuses; ValueError for a bool or
+    a numpy bool, which float would take as 0 or 1."""
     numpy = sys.modules.get("numpy")  # no numpy bool exists before numpy loads
     if isinstance(x, bool) or numpy is not None and isinstance(x, numpy.bool_):
         raise ValueError(f"{name} must be a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # copysign would convert x, and overflow, again
+        return math.inf if x > 0 else -math.inf
 
 
 def _vector3(v, name: str) -> tuple[float, float, float]:
@@ -433,10 +436,12 @@ def trajectory(
 
     Each row is what evolution_rotor, evolve, probability, expectation and
     sandwich give at its t, bit for bit, computed in blocks of rows.  The
-    rows only mark where those functions would raise; the first marked row
-    is replayed through them (`_object_row`), which raises its ValueError;
-    a marked row that they accept raises ArithmeticError, a defect of the
-    row kernel.
+    rows only mark where those functions would raise, by three checks
+    (`_evolution_rows`): the rotor's unit norm, psi0's norm and the evolved
+    state's norm.  The first marked row is replayed through
+    evolution_rotor, evolve and probability (`_object_row`), which raise
+    its ValueError; a marked row that they accept raises ArithmeticError,
+    a defect of the row kernel.
     """
     table: dict[str, list[float]] = {
         name: [] for name in ("t", "p_plus", "p_minus", "s1", "s2", "s3", "u1", "u2", "u3")
@@ -453,10 +458,11 @@ def trajectory(
 
 def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
     """trajectory's columns for one block of times, as arrays.  Where
-    `_evolution_rows` marks a row, the first one is replayed through the
-    object API, whose error is raised; a marked row that replays clean is a
-    defect of the row kernel, a failed internal check, and raises
-    ArithmeticError.
+    `_evolution_rows` marks a row (a rotor off unit norm, psi0 or a state
+    not normalized), the first one is replayed through the object API
+    calls that make those three checks (`_object_row`), whose error is
+    raised; a marked row that replays clean is a defect of the row kernel,
+    a failed internal check, and raises ArithmeticError.
 
     The final products of probability and expectation are computed for
     their scalar blade 0 alone, and sandwich's for its vector blades 1-3,
@@ -474,17 +480,20 @@ def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
 
 
 def _object_row(bivector, psi0, t: float, hbar: float) -> None:
-    """One row of trajectory through the object API, in its order, for the
-    error it raises: evolution_rotor from the bivector row e123 h (not from
+    """One row of trajectory through the object API, for the error it
+    raises: evolution_rotor from the bivector row e123 h (not from
     hamiltonian_from_field, which refuses a coupling that overflows with
-    its own message), evolve, probability, expectation, then sandwich."""
-    u = _bivector_rotor(bivector, t, hbar)
-    psi = evolve(psi0, u)
-    for eps in basis_eps():
-        probability(eps, psi)
-    for op in spin_vectors(hbar):
-        expectation(op, psi)
-    sandwich(u, E3)
+    its own message), evolve, then probability, which make the checks of
+    t, the exponent and the phase, then the three that `_evolution_rows`
+    marks, in the object API's order: Rotor's unit norm, evolve's psi0 and
+    probability's state.
+
+    The rest of a row cannot raise first.  The other probability makes the
+    same checks.  For a state that passes them, every coefficient and
+    partial sum of gp(S_i, psi) and gp(reverse(psi), S_i psi), with
+    S_i = (hbar/2) e_i, lies within hbar/4 by Cauchy-Schwarz, so each
+    expectation is finite; sandwich(U, e3) of a unit rotor lies within 1."""
+    probability(basis_eps()[0], evolve(psi0, _bivector_rotor(bivector, t, hbar)))
 
 
 def _evolution_rows(psi0, bivector, t, hbar):
@@ -495,14 +504,15 @@ def _evolution_rows(psi0, bivector, t, hbar):
 
     Returns the rotor rows, the state rows, one mask of the rows that the
     object API rejects, and the reversed state rows, which the callers'
-    products read too.  The mask comes from three flags:
+    products read too.  The mask comes from the three checks that
+    `_object_row` replays, in the object API's order:
       - a rotor off unit norm, Rotor's check, which only a defect trips;
+      - psi0 not normalized, evolve's check: a psi0 just past the bound
+        can evolve into a state within it;
       - a state that is not normalized, probability's check.  A t, an
         exponent or a phase that is not finite makes the rotor NaN (as
         `_exp_bivector_rows` does wherever its angle is not finite), so
-        also the state, which this flag marks;
-      - psi0 not normalized, evolve's check: a psi0 just past the bound
-        can evolve into a state within it.
+        also the state, which this flag marks.
     A unit rotor acting on a normalized psi0 keeps every coefficient and
     product bounded, so no other check can be the first to fail.  Which
     check fails, and its message, is the object API's.  Run under
@@ -512,8 +522,8 @@ def _evolution_rows(psi0, bivector, t, hbar):
     rotor, rotor_dev = _exp_bivector_rows(exponent)
     psi = _gp_rows(rotor, psi0.mv.coeffs)
     psi_rev = _reverse_rows(psi)
-    failed = ((rotor_dev > UNIT_TOL) | ~_is_normalized_rows(psi, psi_rev)
-              | (not psi0.is_normalized()))
+    failed = ((rotor_dev > UNIT_TOL) | (not psi0.is_normalized())
+              | ~_is_normalized_rows(psi, psi_rev))
     return rotor, psi, failed, psi_rev
 
 

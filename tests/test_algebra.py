@@ -726,6 +726,23 @@ class TestMultivectorType:
         assert str(-E123) == "-1 e123"
         assert len(BLADE_NAMES) == 8
 
+    def test_repr(self):
+        assert repr(Multivector([1, -2, 0, 0, 0.25, 0, 0, -0.0])) == (
+            "Multivector([1.0, -2.0, 0.0, 0.0, 0.25, 0.0, 0.0, -0.0])")
+
+    @pytest.mark.parametrize("operation", [
+        lambda: E1 + "x", lambda: "x" + E1, lambda: E1 - "x", lambda: "x" - E1,
+        lambda: E1 * "x", lambda: "x" * E1, lambda: E1 / "x", lambda: Rotor.identity() * E1,
+    ], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rotor-mul"])
+    def test_foreign_operands_raise_type_error(self, operation):
+        # each operator hands an operand it does not know back to Python
+        with pytest.raises(TypeError):
+            operation()
+
+    def test_equal_only_to_multivectors(self):
+        assert (E1 == 1.0) is False and E1 != [0, 1, 0, 0, 0, 0, 0, 0]
+        assert (ONE == 1.0) is False and (Rotor.identity() == ONE) is False
+
     def test_operator_sugar_matches_functions(self):
         rng = np.random.default_rng(67)
         a, b = random_mv(rng), random_mv(rng)

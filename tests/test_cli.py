@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gatss
-from gatss.cli import _CSV_BLOCK_ROWS, _SETTINGS, _json, main
+from gatss.cli import _SETTINGS, _json, main
 from gatss import algebra, cli, conformance, twostate
 from gatss.algebra import E1, _norm3, rotor_axis_angle
 from gatss.spinor import left_mul
@@ -321,7 +322,7 @@ class TestEvolve:
 
     def test_csv_rows_written_in_blocks(self, capsys):
         # three blocks of csv rows, the last one partial
-        steps = 2 * _CSV_BLOCK_ROWS + 76
+        steps = 2 * twostate._BLOCK_ROWS + 76
         cfg = FieldConfig(B=(0.4, -1.1, 2.2), q=1.5, m=0.7, hbar=0.9)
         table = trajectory(cfg, polar_state(0.7), np.linspace(-3.0, 40.0, steps))
         code, out, err = run_cli(capsys, [
@@ -710,6 +711,27 @@ class TestParsing:
             assert result[0] == code and result[2] == "" and len(result[1].splitlines()) == 4
         else:
             assert result == (code, "", f"gatss {argv[0]}: error: {err}\n")
+
+    @pytest.mark.parametrize("value, expected", [
+        (True, "t-end must be a number, got True"),
+        ("2", 2.0),
+        ("abc", "t-end must be a number, got 'abc'"),
+        (None, "t-end must be a number, got None"),
+        ([1], "t-end must be a number, got [1]"),
+        (10 ** 400, "t-end must be finite"),
+        (-10 ** 400, "t-end must be finite"),
+        (1e400, "t-end must be finite"),
+        (math.nan, "t-end must be finite"),
+        (-0.0, -0.0),
+    ], ids=["bool", "text", "not-a-number", "none", "list", "huge", "minus-huge", "inf", "nan",
+            "minus-zero"])
+    def test_number_cast(self, value, expected):
+        # the records' cast, twostate._real, then the finite and low checks
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                cli._number(value, "t_end", low=0.0)
+        else:
+            assert cli._number(value, "t_end", low=0.0).hex() == expected.hex()
 
     @pytest.mark.parametrize("argv", [
         ["diag", "--h", "-0.5,1,2,3"],

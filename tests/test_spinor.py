@@ -293,6 +293,10 @@ class TestJson:
         assert AlgebraicSpinor.from_json_dict(blob) == psi
         assert AlgebraicSpinor.from_json_dict({"c_plus": (0.6, 0), "c_minus": (0, -0.8)}) == psi
 
+    def test_equal_only_to_spinors(self):
+        # a spinor is not its multivector: __eq__ hands the comparison back
+        assert (EPS_PLUS == EPS_PLUS.mv) is False and EPS_PLUS != EPS_PLUS.mv
+
     def test_bad_payloads_rejected(self):
         with pytest.raises(ValueError):
             AlgebraicSpinor.from_json_dict({"c_plus": [1.0, 0.0]})

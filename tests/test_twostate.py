@@ -272,6 +272,22 @@ class TestRecords:
             FieldConfig._make([(0, 1), 1.0, 1.0, 1.0])
         assert cfg._replace(q=-2) == FieldConfig(B=(0.0, 0.0, 1.0), q=-2.0)
 
+    def test_integers_past_the_double_range_are_not_finite(self):
+        # float refuses them with OverflowError; _real takes them as +-inf,
+        # which the records' finite checks refuse, as they refuse inf
+        with pytest.raises(ValueError, match="^Hamiltonian coefficients must be finite$"):
+            Hamiltonian(10 ** 400, (0, 0, 0))
+        with pytest.raises(ValueError, match="^field configuration must be finite$"):
+            FieldConfig(B=(1, 2, 3), q=-10 ** 400)
+        with pytest.raises(ValueError, match="^field configuration must be finite$"):
+            FieldConfig(B=(10 ** 400, 0, 0))
+
+    def test_eigensystems_equal_field_by_field(self):
+        # a record compares its rotor and spinors by their coefficients
+        h = Hamiltonian(0.3, (1, 2, 3))
+        assert eigensystem(h) == eigensystem(Hamiltonian(0.3, [1.0, 2.0, 3.0]))
+        assert eigensystem(h) != eigensystem(Hamiltonian(0.3, (1, 2, -3)))
+
 
 class TestPolarAngles:
     def test_axis_cases(self):
@@ -1087,6 +1103,13 @@ class TestTrajectoryMatchesObjectPath:
     @example(FieldConfig(B=(1.0, 0.0, 0.0), hbar=1e-300), EPS_PLUS, [1e10])
     @example(FieldConfig(B=(1.5e308,) * 3), EPS_PLUS, [1.0, 1.5])
     @example(FieldConfig(B=(0.4, -1.1, 2.2)), from_amplitudes(1.0, 1.0), [1.0])
+    # at the largest hbar, S_i = (hbar/2) e_i: the expectations that the
+    # replay skips stay finite (within hbar/2), as the reference's do
+    @example(FieldConfig(B=(0.4, -1.1, 1.5), hbar=sys.float_info.max), EPS_PLUS, [0.0, 1.0, -2.5])
+    @example(FieldConfig(B=(1.0, 0.0, 0.0), hbar=sys.float_info.max), polar_state(0.7, -0.3),
+             [2.0])
+    @example(FieldConfig(B=(0.4, -1.1, 1.5), hbar=sys.float_info.max), EPS_PLUS,
+             [0.5, math.inf, 1.0])
     def test_rows_and_errors(self, cfg, psi0, t_grid):
         assert outcome(lambda: trajectory(cfg, psi0, t_grid)) == outcome(
             lambda: reference_table(cfg, psi0, t_grid)
