@@ -154,6 +154,20 @@ def _finite(c: tuple[float, ...]) -> tuple[float, ...]:
     return c
 
 
+def _real(x, name: str) -> float:
+    """float(x), which also takes numeric text, and +-inf for an integer
+    past the double range, which float refuses; ValueError for a bool or
+    a numpy bool, which float would take as 0 or 1.  The one number cast
+    of the package's inputs."""
+    numpy = sys.modules.get("numpy")  # no numpy bool exists before numpy loads
+    if isinstance(x, bool) or numpy is not None and isinstance(x, numpy.bool_):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:  # copysign would convert x, and overflow, again
+        return math.inf if x > 0 else -math.inf
+
+
 class Multivector:
     """Immutable element of the eight-dimensional algebra, held as a tuple
     of eight Python floats in blade order."""
@@ -203,9 +217,7 @@ class Multivector:
         if isinstance(other, Multivector):
             return Multivector(tuple(map(float.__add__, self._c, other._c)))
         if isinstance(other, (int, float)):
-            # the other seven blades add +0.0, which turns -0.0 into +0.0
-            c0, *rest = self._c
-            return Multivector((c0 + float(other), *(x + 0.0 for x in rest)))
+            return self + Multivector.scalar(other)
         return NotImplemented
 
     __radd__ = __add__

@@ -4,13 +4,16 @@ Exit codes, which `main` alone decides: 0 on success, 1 for usage or
 input errors, 2 when a numerical cross-check exceeds its tolerance or an
 internal check fails (ArithmeticError, such as a row kernel that
 disagrees with the object API).  Each subcommand returns its checks, as
-`conformance.SuiteResult`s, and `main` maps them to 0 or 2.
+`conformance.SuiteResult`s, and `main` maps them to 0 or 2 by `_passed`,
+the verdict that conformance's overall line also reads.  A number from a
+flag or the config file is cast by the library's rule, `algebra._real`.
 
 csv, diag's text and the check lines write each number with 17
 significant digits, JSON writes Python's shortest repr that reads back as
 the same double, and conformance's summary rounds to 4 digits; all of it
 is locale independent, so identical invocations produce byte-identical
-bytes.
+bytes.  csv is written one row at a time, as the trajectory's columns
+give them; the row kernels alone choose their block size.
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ import sys
 from collections.abc import Sequence
 
 from . import conformance
+from .algebra import _real
 from .spinor import AlgebraicSpinor, basis_eps, to_amplitudes
 from .twostate import (
-    _BLOCK_ROWS,
     FieldConfig,
     Hamiltonian,
-    _real,
     eigensystem,
     polar_angles,
     polar_state,
@@ -282,6 +284,12 @@ def _text_line(key: str, value) -> str:
     return f"{key}: {template}" % tuple(itertools.chain(*value.values()))
 
 
+def _passed(checks) -> bool:
+    """The verdict of a command's checks, which `main`'s exit code and
+    conformance's overall line both read: every check passed."""
+    return all(check.passed for check in checks)
+
+
 def _cmd_diag(s: dict[str, object]) -> list[conformance.SuiteResult]:
     ham = Hamiltonian(s["h"][0], s["h"][1:])
     es = eigensystem(ham)
@@ -326,12 +334,9 @@ def _cmd_evolve(s: dict[str, object]) -> list[conformance.SuiteResult]:
 
     if s["format"] == "csv":
         print(",".join(table))
-        # one template per row, each value with 17 significant digits, and
-        # one write per block of the row kernels' rows
+        # one template per row, each value with 17 significant digits
         template = ",".join(["%.17g"] * len(table)) + "\n"
-        rows = zip(*table.values())
-        while block := "".join(map(template.__mod__, itertools.islice(rows, _BLOCK_ROWS))):
-            sys.stdout.write(block)
+        sys.stdout.writelines(map(template.__mod__, zip(*table.values())))
     else:
         print(_json(table))
     for check in checks:
@@ -346,8 +351,7 @@ def _cmd_conformance(s: dict[str, object]) -> list[conformance.SuiteResult]:
             f"{r.name:<14} {'PASS' if r.passed else 'FAIL'}  "
             f"worst={r.worst:.3e}  tol={r.tol:.1e}  count={r.count}"
         )
-    all_ok = all(r.passed for r in results)
-    print(f"overall: {'PASS' if all_ok else 'FAIL'} (seed={s['seed']})")
+    print(f"overall: {'PASS' if _passed(results) else 'FAIL'} (seed={s['seed']})")
     return results
 
 
@@ -382,15 +386,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         checks = _COMMANDS[args.command][1](_settings(args))
         sys.stdout.flush()
-        return 0 if all(check.passed for check in checks) else 2
-    except (ValueError, MemoryError) as exc:
-        # an input error, or a size the process cannot hold
+        return 0 if _passed(checks) else 2
+    except (ValueError, MemoryError, ArithmeticError) as exc:
+        # an input error or a size the process cannot hold (1), or a failed
+        # internal check, a defect rather than an input error (2)
         print(f"gatss {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:
-        # a failed internal check: a defect, not an input error
-        print(f"gatss {args.command}: error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ArithmeticError) else 1
     except BrokenPipeError:
         # the reader of stdout has gone, as in `gatss evolve ... | head`: as
         # the Python docs advise for SIGPIPE, point stdout at devnull so

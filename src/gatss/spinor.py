@@ -24,7 +24,7 @@ import math
 import numbers
 from collections.abc import Mapping
 
-from .algebra import E1, Multivector, _gp_rows, gp, reverse
+from .algebra import E1, Multivector, _gp_rows, _real, gp, reverse
 
 __all__ = [
     "AlgebraicSpinor",
@@ -128,15 +128,15 @@ def basis_eps() -> tuple[AlgebraicSpinor, AlgebraicSpinor]:
 
 def _amplitude(key: str, pair) -> complex:
     """An amplitude of the JSON form, [re, ps]: a list or tuple of two
-    numbers, not booleans."""
+    numbers, each cast by the package's number rule (`algebra._real`), so
+    a Python or numpy bool is refused and an integer past the double range
+    is +-inf, which `_center` refuses as not finite."""
     try:
         if not isinstance(pair, (list, tuple)):
             raise TypeError
         re, ps = pair
-        if isinstance(re, bool) or isinstance(ps, bool):
-            raise TypeError
-        return complex(float(re), float(ps))
-    except (TypeError, ValueError, OverflowError):
+        return complex(_real(re, key), _real(ps, key))
+    except (TypeError, ValueError):
         raise ValueError(f"{key} must be [re, ps], two numbers; got {pair!r}") from None
 
 

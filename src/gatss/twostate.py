@@ -49,6 +49,7 @@ from .algebra import (
     _norm3,
     _norm3_rows,
     _product,
+    _real,
     _reverse_rows,
     _unit_rotor,
     exp_bivector,
@@ -79,19 +80,6 @@ __all__ = [
     "u_vector_closed_form",
     "spin_vectors",
 ]
-
-
-def _real(x, name: str) -> float:
-    """float(x), which also takes numeric text, and +-inf for an integer
-    past the double range, which float refuses; ValueError for a bool or
-    a numpy bool, which float would take as 0 or 1."""
-    numpy = sys.modules.get("numpy")  # no numpy bool exists before numpy loads
-    if isinstance(x, bool) or numpy is not None and isinstance(x, numpy.bool_):
-        raise ValueError(f"{name} must be a number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:  # copysign would convert x, and overflow, again
-        return math.inf if x > 0 else -math.inf
 
 
 def _vector3(v, name: str) -> tuple[float, float, float]:
@@ -557,15 +545,7 @@ def u_vector_closed_form(cfg: FieldConfig, t):
     matching the sandwich route up to roundoff.  One time t whose angle is
     not finite raises ValueError (`_finite_angle`).  t may also be an array
     of times, giving arrays u1, u2, u3 in which each entry is the call at
-    that time, or NaN where that call raises, as the oracle's stacks are.
-    Computed by `_u_rows`."""
-    u = _u_rows(cfg, t)
-    return u if u[0].ndim else tuple(_finite_angle(float(x), t) for x in u)
-
-
-def _u_rows(cfg: FieldConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u_vector_closed_form's u1, u2 and u3 at times t, unchecked: NaN
-    where the angle of `_precession_rows` is."""
+    that time, or NaN where that call raises, as the oracle's stacks are."""
     b, alpha = _precession_rows(cfg.B, cfg.q, cfg.m, t)
     ca, sa = _map(math.cos, alpha), _map(math.sin, alpha)
     b, (b1, b2, b3) = float(b), cfg.B
@@ -578,7 +558,9 @@ def _u_rows(cfg: FieldConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u1 = (b1 * cos_th * (1.0 - ca) - b2 * sa) / b
     u2 = (b2 * cos_th * (1.0 - ca) + b1 * sa) / b
     u3 = cos_th * cos_th + sin_th2 * ca
-    return u1, u2, u3
+    if u1.ndim:
+        return u1, u2, u3
+    return tuple(_finite_angle(float(x), t) for x in (u1, u2, u3))
 
 
 def spin_vectors(hbar: float = 1.0) -> tuple[Multivector, Multivector, Multivector]:

@@ -521,9 +521,12 @@ class TestEvolve:
              "bad state: c_plus must be [re, ps], two numbers; got '10'"),
             ({"c_plus": {"1": 0, "0": 1}, "c_minus": [0, 0]},
              "bad state: c_plus must be [re, ps], two numbers; got {'1': 0, '0': 1}"),
+            # a JSON integer past the double range is +-inf, as 1e400 is
+            ({"c_plus": [10 ** 400, 0], "c_minus": [0, 0]},
+             "bad state: amplitudes must be finite, got (inf+0j)"),
         ],
         ids=["nan", "norm_overflows", "null_part", "number", "object", "boolean", "text",
-             "object_of_numbers"],
+             "object_of_numbers", "huge_integer"],
     )
     def test_state_out_of_range(self, capsys, tmp_path, state, message):
         cfg = tmp_path / "c.json"
@@ -588,6 +591,18 @@ class TestConformance:
         code, out, err = run_cli(capsys, ["conformance", "--config", str(cfg)])
         assert code == 0
         assert "overall: PASS (seed=9)" in out
+
+    def test_one_failing_suite_fails_the_run(self, capsys, monkeypatch):
+        # the overall line and the exit code read one verdict: a tolerance
+        # of 0 fails the associativity suite alone
+        monkeypatch.setattr(conformance, "ASSOCIATIVITY_TOL", 0.0)
+        code, out, err = run_cli(capsys, ["conformance", "--seed", "5", "--count", "50"])
+        lines = out.splitlines()
+        assert [line.split()[:2] for line in lines[:4]] == [
+            ["homomorphism", "PASS"], ["associativity", "FAIL"],
+            ["commutators", "PASS"], ["rabi_triangle", "PASS"]]
+        assert lines[4:] == ["overall: FAIL (seed=5)"]
+        assert (code, err) == (2, "")
 
 
 def test_rotor_at_the_full_angle_fails_both_checks(capsys, monkeypatch):
@@ -726,7 +741,7 @@ class TestParsing:
     ], ids=["bool", "text", "not-a-number", "none", "list", "huge", "minus-huge", "inf", "nan",
             "minus-zero"])
     def test_number_cast(self, value, expected):
-        # the records' cast, twostate._real, then the finite and low checks
+        # the library's number cast, algebra._real, then the finite and low checks
         if isinstance(expected, str):
             with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
                 cli._number(value, "t_end", low=0.0)

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -309,3 +311,19 @@ class TestJson:
         # any other iterable of two items would unpack into [re, ps]
         with pytest.raises(ValueError, match=r"^c_plus must be \[re, ps\], two numbers; got "):
             AlgebraicSpinor.from_json_dict({"c_plus": pair, "c_minus": [0.0, 0.0]})
+
+    @pytest.mark.parametrize("pair", [[np.True_, 0], [0, np.False_]], ids=["re", "ps"])
+    def test_amplitude_parts_are_not_bools(self, pair):
+        # the number rule of the records: a numpy bool is no more a number
+        # than a Python bool is
+        message = f"c_plus must be [re, ps], two numbers; got {pair!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AlgebraicSpinor.from_json_dict({"c_plus": pair, "c_minus": [0, 0]})
+
+    @pytest.mark.parametrize("text", ["1" + "0" * 399, "1e400"], ids=["integer", "float"])
+    def test_amplitudes_past_the_double_range_are_not_finite(self, text):
+        # JSON reads the 400-digit integer exactly and 1e400 as inf; both
+        # are infinite amplitudes
+        data = json.loads(f'{{"c_plus": [{text}, 0], "c_minus": [0, 0]}}')
+        with pytest.raises(ValueError, match=r"^amplitudes must be finite, got \(inf\+0j\)$"):
+            AlgebraicSpinor.from_json_dict(data)
