@@ -147,13 +147,6 @@ _NOT_FINITE = "multivector coefficients must be finite"
 _NOT_UNIT = "rotor must have unit norm, |R~R - 1| = {dev:.3e}"
 
 
-def _finite(c: tuple[float, ...]) -> tuple[float, ...]:
-    """c once every coefficient is finite: Multivector's check."""
-    if not all(map(math.isfinite, c)):
-        raise ValueError(_NOT_FINITE)
-    return c
-
-
 def _real(x, name: str) -> float:
     """float(x), which also takes numeric text, and +-inf for an integer
     past the double range, which float refuses; ValueError for a bool or
@@ -185,7 +178,9 @@ class Multivector:
             if arr.shape != (8,):
                 raise ValueError(f"expected 8 blade coefficients, got shape {arr.shape}")
             c = tuple(arr.tolist())
-        self._c = _finite(c)
+        if not all(map(math.isfinite, c)):
+            raise ValueError(_NOT_FINITE)
+        self._c = c
 
     @classmethod
     def scalar(cls, value: float) -> "Multivector":
@@ -430,18 +425,6 @@ def _unit_defect(w, a, b, c, sqrt=math.sqrt):
     return x, sqrt(x * x)
 
 
-def _unit_rotor(c: tuple[float, ...]) -> tuple[float, ...]:
-    """c, eight finite coefficients, once they pass Rotor's check: even
-    grade and |R reverse(R) - 1| within UNIT_TOL."""
-    if c[1] != 0.0 or c[2] != 0.0 or c[3] != 0.0 or c[7] != 0.0:
-        raise ValueError("rotor must be even-graded (scalar + bivector only)")
-    excess, dev = _unit_defect(c[0], c[4], c[5], c[6])
-    if dev > UNIT_TOL:
-        # gp(R, reverse(R)) overflowed where this sum does: no cross term exceeds half of it
-        raise ValueError(_NOT_UNIT.format(dev=dev) if excess < math.inf else _NOT_FINITE)
-    return c
-
-
 class Rotor:
     """Even-graded multivector with unit norm; rotates via sandwich().
 
@@ -452,7 +435,13 @@ class Rotor:
     __slots__ = ("_mv",)
 
     def __init__(self, mv: Multivector):
-        _unit_rotor(mv._c)
+        c = mv._c
+        if c[1] != 0.0 or c[2] != 0.0 or c[3] != 0.0 or c[7] != 0.0:
+            raise ValueError("rotor must be even-graded (scalar + bivector only)")
+        excess, dev = _unit_defect(c[0], c[4], c[5], c[6])
+        if dev > UNIT_TOL:
+            # gp(R, reverse(R)) overflowed where this sum does: no cross term exceeds half of it
+            raise ValueError(_NOT_UNIT.format(dev=dev) if excess < math.inf else _NOT_FINITE)
         self._mv = mv
 
     @classmethod

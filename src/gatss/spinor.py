@@ -12,8 +12,8 @@ center-valued amplitudes.  The center is the complex numbers (e123 squares
 to -1 and commutes with everything), so the API takes and returns
 amplitudes and inner products as Python complex numbers, z standing for
 Re z + Im z e123.  Membership of a raw multivector in the ideal is
-equivalent to four linear coefficient constraints checked at
-construction.  left multiplication by any multivector stays inside the
+equivalent to four linear coefficient constraints, checked at every
+construction.  Left multiplication by any multivector stays inside the
 ideal, and does so exactly in floating point because the constraints only
 involve sign flips and copies.
 """
@@ -55,25 +55,28 @@ class AlgebraicSpinor:
 
     Membership means coeff(e3) = coeff(1), coeff(e12) = coeff(e123),
     coeff(e31) = -coeff(e1) and coeff(e23) = coeff(e2), each within
-    IDEAL_TOL.  Constructors from raw multivectors check this;
-    left_mul() trusts the exact algebraic closure instead.
+    IDEAL_TOL.  Every construction checks it, the package's own included
+    (normalized, from_amplitudes, left_mul).  For an exact member the
+    check never fires there: each of them maps a member to one whose four
+    constraint differences are exactly 0.0 (see left_mul).  A member that
+    only passes within IDEAL_TOL can be refused after scaling, which
+    scales its residual too.
     """
 
     __slots__ = ("_mv",)
 
-    def __init__(self, mv: Multivector, *, check: bool = True):
-        if check:
-            c = mv._c
-            bad = max(
-                abs(c[3] - c[0]),
-                abs(c[6] - c[7]),
-                abs(c[5] + c[1]),
-                abs(c[4] - c[2]),
+    def __init__(self, mv: Multivector):
+        c = mv._c
+        bad = max(
+            abs(c[3] - c[0]),
+            abs(c[6] - c[7]),
+            abs(c[5] + c[1]),
+            abs(c[4] - c[2]),
+        )
+        if bad > IDEAL_TOL:
+            raise ValueError(
+                f"multivector is not in the ideal (constraint residual {bad:.3e})"
             )
-            if bad > IDEAL_TOL:
-                raise ValueError(
-                    f"multivector is not in the ideal (constraint residual {bad:.3e})"
-                )
         self._mv = mv
 
     @property
@@ -88,7 +91,7 @@ class AlgebraicSpinor:
         n = inner(self, self).real
         if not 0.0 < n < math.inf:
             raise ValueError(f"cannot normalize a state of squared norm {n!r}")
-        return AlgebraicSpinor(self._mv / math.sqrt(n), check=False)
+        return AlgebraicSpinor(self._mv / math.sqrt(n))
 
     def to_json_dict(self) -> dict[str, list[float]]:
         cp, cm = to_amplitudes(self)
@@ -142,7 +145,7 @@ def _amplitude(key: str, pair) -> complex:
 
 def _center(z: numbers.Complex) -> Multivector:
     """The center element Re z + Im z e123 that carries the amplitude z."""
-    if not isinstance(z, numbers.Complex):
+    if isinstance(z, bool) or not isinstance(z, numbers.Complex):
         raise TypeError(f"cannot interpret {type(z).__name__} as an amplitude")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -153,7 +156,7 @@ def _center(z: numbers.Complex) -> Multivector:
 def from_amplitudes(c_plus: numbers.Complex, c_minus: numbers.Complex) -> AlgebraicSpinor:
     """Build c_plus eps_plus + c_minus eps_minus from any finite numbers."""
     mv = gp(_center(c_plus), _EPS_PLUS.mv) + gp(_center(c_minus), _EPS_MINUS.mv)
-    return AlgebraicSpinor(mv, check=False)
+    return AlgebraicSpinor(mv)
 
 
 def to_amplitudes(psi: AlgebraicSpinor) -> tuple[complex, complex]:
@@ -188,5 +191,13 @@ def _is_normalized_rows(psi, psi_rev):
 
 
 def left_mul(m: Multivector, psi: AlgebraicSpinor) -> AlgebraicSpinor:
-    """Left action m psi; closure in the ideal is exact, so no re-check."""
-    return AlgebraicSpinor(gp(m, psi.mv), check=False)
+    """Left action m psi, checked by AlgebraicSpinor as every state is.
+
+    Closure in the ideal is exact in floating point: the terms of each
+    constrained pair of blades are, left factor by left factor, equal or
+    negated (the constraints on psi copy or negate coefficients), and gp
+    adds them in the same order, so the pair's sums are equal or negated
+    too.  So the check never fires for an exact member of the ideal, and
+    an m psi that overflows is refused by Multivector instead.
+    """
+    return AlgebraicSpinor(gp(m, psi.mv))

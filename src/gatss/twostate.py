@@ -42,7 +42,6 @@ from .algebra import (
     Rotor,
     _exp_bivector_rows,
     _exp_coeffs,
-    _finite,
     _gp_rows,
     _LazyNumpy,
     _map,
@@ -51,7 +50,6 @@ from .algebra import (
     _product,
     _real,
     _reverse_rows,
-    _unit_rotor,
     exp_bivector,
     gp,
     hodge_dual,
@@ -178,8 +176,11 @@ class EigenSystem(_Record, namedtuple(
 
 def polar_angles(h: Hamiltonian) -> tuple[float, float]:
     """(theta, phi) of the vector part: theta in [0, pi] from e3, phi in
-    (-pi, pi] in the e1 e2 plane; both zero when the vector part vanishes."""
+    (-pi, pi] in the e1 e2 plane; both zero when the vector part vanishes,
+    whatever the signs of its zeros."""
     h1, h2, h3 = h.h
+    if not (h1 or h2 or h3):
+        return 0.0, 0.0
     theta = math.atan2(math.hypot(h1, h2), h3)
     phi = math.atan2(h2, h1)
     if phi == -math.pi:
@@ -193,11 +194,14 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
     The rotor R = R(phi, theta) of `_polar_rotors` diagonalizes H:
     reverse(R) H R = h0 + |h| e3.  The minus eigenspinor uses the rotor at
     polar angle theta + pi, which lands on the antipodal axis; the two
-    share their azimuth.  Both rotors and both spinors are computed on
-    coefficient tuples, with the object API's bits, and only the results
-    become objects, R through Rotor's check.  A vanishing vector part
-    degenerates to (eps_plus, eps_minus) with the identity rotor and sets
-    the flag.
+    share their azimuth.  Both rotors are computed on coefficient tuples,
+    with the object route's bits, and each becomes a Multivector once; R
+    is returned through Rotor's check and both spinors through left_mul's.
+    Those are the only checks, and no input loses one: the polar angles
+    of a finite h are finite, so the three exponentials, which the object
+    route checks one by one, are finite and unit within rounding.  A
+    vanishing vector part degenerates to (eps_plus, eps_minus) with the
+    identity rotor and sets the flag.
     Raises ValueError where h0 + |h| or h0 - |h| overflows.
     """
     eps_plus, eps_minus = basis_eps()
@@ -215,13 +219,13 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
             degenerate=True,
         )
     theta, phi = polar_angles(h)
-    r, r_minus = _polar_rotors(phi, theta, theta + math.pi)
+    r, r_minus = map(Multivector, _polar_rotors(phi, theta, theta + math.pi))
     return EigenSystem(
         e_plus=e_plus,
         e_minus=e_minus,
-        rotor=Rotor(Multivector(r)),
-        psi_plus=_spinor(r, eps_plus),
-        psi_minus=_spinor(r_minus, eps_plus),
+        rotor=Rotor(r),
+        psi_plus=left_mul(r, eps_plus),
+        psi_minus=left_mul(r_minus, eps_plus),
         degenerate=False,
     )
 
@@ -229,28 +233,28 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
 def _axis_rotor(dual: tuple[float, ...], alpha: float) -> tuple[float, ...]:
     """rotor_axis_angle(axis, alpha) from the coefficients of the axis's
     dual: exp of dual * (-alpha/2), with the bits of the object route, on
-    coefficient tuples.  The rotor is checked as the object route checks
-    it; the exponent is not, since a non-finite alpha makes the rotor NaN
-    and its check raises the same message."""
+    coefficient tuples, unchecked.  No angle needs a check here: a finite
+    alpha gives a finite rotor of unit norm within rounding (the exponent
+    has one nonzero blade, so |B| cannot overflow), and an infinite or NaN
+    one puts NaN in the exponent (0 * inf) and so in the rotor, which the
+    caller's Multivector refuses with the object route's message."""
     exponent = tuple(map((-0.5 * float(alpha)).__mul__, dual))
-    return _unit_rotor(_finite(_exp_coeffs(*exponent[4:7])))
+    return _exp_coeffs(*exponent[4:7])
 
 
 def _polar_rotors(phi: float, *thetas: float) -> list[tuple[float, ...]]:
     """The coefficients of R(phi, theta) = exp(-e123 e3 phi/2)
     exp(-e123 e2 theta/2), azimuth times tilt, for each theta; the azimuth
-    is made once.  Every product is gp's.  The products are not checked:
-    two checked exponentials are finite, even and within rounding of unit
-    norm, and so is their product.  The axes' duals e123 e3 = e12 and
-    e123 e2 = e31 are the blades E12 and E31, bit for bit, signed zeros
-    included."""
+    is made once.  Every product is gp's.  Nothing is checked here: for
+    finite angles both exponentials, and so their product, are finite,
+    even and of unit norm within rounding; an angle that is not finite
+    makes the product NaN.  The callers' Multivector of each product is
+    the one check that can fire, with the object route's message; their
+    left_mul checks each spinor, and eigensystem's Rotor its R.  The
+    axes' duals e123 e3 = e12 and e123 e2 = e31 are the blades E12 and
+    E31, bit for bit, signed zeros included."""
     azimuth = _axis_rotor(E12._c, phi)
     return [_product(azimuth, _axis_rotor(E31._c, theta)) for theta in thetas]
-
-
-def _spinor(r: tuple[float, ...], psi: AlgebraicSpinor) -> AlgebraicSpinor:
-    """left_mul of the rotor with coefficients r on psi."""
-    return AlgebraicSpinor(Multivector(_product(r, psi.mv._c)), check=False)
 
 
 def hamiltonian_from_field(cfg: FieldConfig) -> Hamiltonian:
@@ -384,7 +388,7 @@ def polar_state(theta: float, phi: float = 0.0) -> AlgebraicSpinor:
     with R turning e3 by theta towards e1, then by phi about e3.  R is
     eigensystem's rotor, from `_polar_rotors`."""
     (r,) = _polar_rotors(phi, theta)
-    return _spinor(r, basis_eps()[0])
+    return left_mul(Multivector(r), basis_eps()[0])
 
 
 # Rows per block of the row kernels (trajectory here, the suites and the

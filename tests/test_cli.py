@@ -75,6 +75,12 @@ class TestDiag:
         assert "degenerate = true" in out
         assert "e_plus = 5" in out
 
+    @pytest.mark.parametrize("h", ["0,0,0,-0.0", "0,-0.0,0,0", "0,-0.0,-0.0,-0.0"])
+    def test_degenerate_angles_ignore_signed_zeros(self, capsys, h):
+        code, out, err = run_cli(capsys, ["diag", f"--h={h}"])
+        assert code == 0 and err == ""
+        assert "degenerate = true\ntheta = 0\nphi = 0\n" in out
+
     def test_tolerance_failure_exit_2(self, capsys):
         code, out, err = run_cli(capsys, ["diag", "--h", "0.3,1.2,-0.7,0.4", "--tol", "0"])
         assert code == 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatss import matrixqm
@@ -32,6 +32,7 @@ from gatss.spinor import (
     left_mul,
     to_amplitudes,
 )
+from gatss.twostate import Hamiltonian, eigensystem, polar_state
 
 EPS_PLUS, EPS_MINUS = basis_eps()
 
@@ -41,6 +42,34 @@ amp_component = st.floats(
     -10.0, 10.0, allow_nan=False, allow_infinity=False, width=64
 ).filter(lambda x: x == 0.0 or abs(x) > 1e-300)
 center_strategy = st.builds(complex, amp_component, amp_component)
+
+
+# coefficients over the whole finite range: signed zeros, subnormals,
+# +-1e200, the largest double and everyday values, mixed within one draw
+wide_component = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e200, -1e200,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+wide_center = st.builds(complex, wide_component, wide_component)
+
+NOT_FINITE = "multivector coefficients must be finite"
+EXACT = (0.0, 0.0, 0.0, 0.0)
+
+
+def constraint_differences(psi):
+    c = psi.mv._c
+    return c[3] - c[0], c[6] - c[7], c[5] + c[1], c[4] - c[2]
+
+
+def closure_outcome(make, *args):
+    """constraint_differences of the spinor make(*args), or the message of
+    the ValueError it raises."""
+    try:
+        return constraint_differences(make(*args))
+    except ValueError as exc:
+        return str(exc)
 
 
 def center(z):
@@ -134,6 +163,13 @@ class TestCenterScalar:
         with pytest.raises(TypeError):
             from_amplitudes(1.0, None)
 
+    @pytest.mark.parametrize("amplitudes", [(True, 0.0), (0.0, False), (np.True_, 0.0)],
+                             ids=["c_plus", "c_minus", "numpy"])
+    def test_rejects_bools(self, amplitudes):
+        # a bool is a number to Python, 1 or 0, but no amplitude
+        with pytest.raises(TypeError, match=r"^cannot interpret bool_? as an amplitude$"):
+            from_amplitudes(*amplitudes)
+
 
 class TestIdealMembership:
     def test_constructor_accepts_members(self):
@@ -163,6 +199,50 @@ class TestIdealMembership:
             assert c[6] == c[7]
             assert c[5] == -c[1]
             assert c[4] == c[2]
+
+    # every construction is checked, and exact closure is why the check
+    # never fires for members, over the whole finite range
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[wide_component] * 8), wide_center, wide_center)
+    @example((1e200,) * 8, 1e200, -1e200j)
+    @example((5e-324, -0.0, 0.0, -5e-324, 1e-310, 0.0, -0.0, 1.0), -0.0j, 5e-324)
+    def test_closure_over_the_whole_finite_range(self, m, cp, cm):
+        assert closure_outcome(from_amplitudes, cp, cm) == EXACT
+        psi = from_amplitudes(cp, cm)
+        assert closure_outcome(left_mul, Multivector(m), psi) in (EXACT, NOT_FINITE)
+        # a squared norm that underflows to 0 or overflows cannot be normalized
+        outcome = closure_outcome(psi.normalized)
+        assert outcome in (EXACT, NOT_FINITE) or outcome.startswith(
+            "cannot normalize a state of squared norm ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[wide_component] * 3), wide_component, wide_component)
+    @example((0.0, -0.0, -1e200), 1e200, -0.0)
+    @example((5e-324, -5e-324, 0.0), 1.7976931348623157e308, -5e-324)
+    def test_eigensystem_and_polar_state_are_exact_members(self, h, theta, phi):
+        try:
+            es = eigensystem(Hamiltonian(0.0, h))
+        except ValueError as exc:
+            # |h| overflows, before any spinor is made
+            assert str(exc) == "eigenvalues h0 +/- |h| overflow"
+        else:
+            assert constraint_differences(es.psi_plus) == EXACT
+            assert constraint_differences(es.psi_minus) == EXACT
+        assert closure_outcome(polar_state, theta, phi) == EXACT
+
+    # a residual within IDEAL_TOL passes, and scaling scales it past the bound
+    def test_normalizing_a_member_within_tolerance_is_checked(self):
+        # a residual of 1e-13 over a norm of about 1e-10
+        tiny = AlgebraicSpinor(Multivector((5e-11, 0, 0, 5e-11 + 1e-13, 0, 0, 0, 0)))
+        with pytest.raises(ValueError, match=r"^multivector is not in the ideal "
+                                             r"\(constraint residual 9\.99.e-04\)$"):
+            tiny.normalized()
+
+    def test_left_action_on_a_member_within_tolerance_is_checked(self):
+        dusty = AlgebraicSpinor(Multivector((0.5, 0, 0, 0.5 + 5e-13, 0, 0, 0, 0)))
+        with pytest.raises(ValueError, match=r"^multivector is not in the ideal "
+                                             r"\(constraint residual 5\.00.e-09\)$"):
+            left_mul(Multivector.scalar(1e4), dusty)
 
 
 class TestAmplitudes:

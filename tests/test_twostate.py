@@ -297,6 +297,13 @@ class TestPolarAngles:
         assert polar_angles(Hamiltonian(0, (0, 1, 0))) == (math.pi / 2, math.pi / 2)
         assert polar_angles(Hamiltonian(7.0, (0, 0, 0))) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("signs", [(a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0)
+                                       for c in (1.0, -1.0)])
+    def test_vanishing_vector_part_whatever_its_signs(self, signs):
+        # atan2 of signed zeros gives pi or -0.0; a zero vector part has no direction
+        h = Hamiltonian(0.5, tuple(math.copysign(0.0, s) for s in signs))
+        assert [x.hex() for x in polar_angles(h)] == [0.0.hex()] * 2
+
     def test_example_field(self):
         theta, phi = polar_angles(H_EXAMPLE)
         assert theta == math.pi / 4 and phi == 0.0
