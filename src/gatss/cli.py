@@ -5,8 +5,10 @@ input errors, 2 when a numerical cross-check exceeds its tolerance or an
 internal check fails (ArithmeticError, such as a row kernel that
 disagrees with the object API).  Each subcommand returns its checks, as
 `conformance.SuiteResult`s, and `main` maps them to 0 or 2 by `_passed`,
-the verdict that conformance's overall line also reads.  A number from a
-flag or the config file is cast by the library's rule, `algebra._real`.
+the verdict that conformance's overall line also reads.  Every number,
+from a flag (each comma-separated part of --h and --B included) or from
+the config file, is cast by the library's rule, `algebra._real`, which
+for text is float.
 
 csv, diag's text and the check lines write each number with 17
 significant digits, JSON writes Python's shortest repr that reads back as
@@ -136,7 +138,7 @@ def _numbers(n: int):
                     f"--{name} needs {n} comma-separated numbers, got {len(parts)}"
                 )
             try:
-                vals = tuple(float(p) for p in parts)
+                vals = tuple(_real(p, name) for p in parts)
             except ValueError as exc:
                 raise ValueError(f"--{name}: {exc}") from None
             if not all(math.isfinite(v) for v in vals):

@@ -209,8 +209,7 @@ def _rabi_devs(draws: np.ndarray) -> np.ndarray:
         # hamiltonian_from_field, evolution_rotor, evolve, then probability
         h, bivector = _coupling_rows(draws[:, :3], 1.0, 1.0, 1.0)
         _, psi, failed, psi_rev = _evolution_rows(eps_plus, bivector, t, 1.0)
-        product = _probability_rows(eps[1], eps_rev[1], psi, psi_rev)
-        p_rotor = np.where(failed, np.nan, 2.0 * product)
+        p_rotor = np.where(failed, np.nan, _probability_rows(eps[1], eps_rev[1], psi, psi_rev))
         col_t = matrixqm.evolve_matrix(matrixqm.spinor_rep(eps_plus), matrixqm.rep(h), t, 1.0)
         p_matrix = matrixqm.probability_matrix(matrixqm.spinor_rep(eps_minus), col_t)
     return np.abs(np.transpose([p_closed - p_rotor, p_rotor - p_matrix, p_closed - p_matrix]))

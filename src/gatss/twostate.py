@@ -176,16 +176,13 @@ class EigenSystem(_Record, namedtuple(
 
 def polar_angles(h: Hamiltonian) -> tuple[float, float]:
     """(theta, phi) of the vector part: theta in [0, pi] from e3, phi in
-    (-pi, pi] in the e1 e2 plane; both zero when the vector part vanishes,
-    whatever the signs of its zeros."""
-    h1, h2, h3 = h.h
-    if not (h1 or h2 or h3):
-        return 0.0, 0.0
-    theta = math.atan2(math.hypot(h1, h2), h3)
+    (-pi, pi] in the e1 e2 plane; both zero when the vector part vanishes.
+    A zero has no sign here: adding +0.0 makes every zero +0.0 before
+    atan2, which reads the sign (atan2(0.0, -0.0) is pi).  phi = -pi, which
+    atan2(-1e-300, -1) rounds to, is taken as pi."""
+    h1, h2, h3 = map((0.0).__add__, h.h)
     phi = math.atan2(h2, h1)
-    if phi == -math.pi:
-        phi = math.pi
-    return theta, phi
+    return math.atan2(math.hypot(h1, h2), h3), math.pi if phi == -math.pi else phi
 
 
 def eigensystem(h: Hamiltonian) -> EigenSystem:
@@ -211,8 +208,8 @@ def eigensystem(h: Hamiltonian) -> EigenSystem:
         raise ValueError("eigenvalues h0 +/- |h| overflow")
     if r_norm == 0.0:
         return EigenSystem(
-            e_plus=h.h0,
-            e_minus=h.h0,
+            e_plus=e_plus,
+            e_minus=e_plus,
             rotor=Rotor.identity(),
             psi_plus=eps_plus,
             psi_minus=eps_minus,
@@ -427,65 +424,46 @@ def trajectory(
     axis u(t) = U e3 reverse(U)), in that order.
 
     Each row is what evolution_rotor, evolve, probability, expectation and
-    sandwich give at its t, bit for bit, computed in blocks of rows.  The
-    rows only mark where those functions would raise, by three checks
-    (`_evolution_rows`): the rotor's unit norm, psi0's norm and the evolved
-    state's norm.  The first marked row is replayed through
-    evolution_rotor, evolve and probability (`_object_row`), which raise
-    its ValueError; a marked row that they accept raises ArithmeticError,
-    a defect of the row kernel.
+    sandwich give at its t, bit for bit, computed in blocks of rows; the
+    final products of probability and expectation are computed for their
+    scalar blade 0 alone, and sandwich's for its vector blades 1-3, the
+    only blades the columns read.  The rows only mark where those functions
+    would raise, by three checks (`_evolution_rows`): the rotor's unit
+    norm, psi0's norm and the evolved state's norm.  The first marked row
+    is replayed through evolution_rotor from the bivector row e123 h (not
+    from hamiltonian_from_field, which refuses a coupling that overflows
+    with its own message), evolve and probability.  They make the checks
+    of t, the exponent and the phase, then the three marked ones in the
+    object API's order, and raise the row's ValueError; a marked row that
+    they accept raises ArithmeticError, a defect of the row kernel.
+
+    The rest of a row cannot raise first.  The other probability makes the
+    same checks.  For a state that passes them, every coefficient and
+    partial sum of gp(S_i, psi) and gp(reverse(psi), S_i psi), with
+    S_i = (hbar/2) e_i, lies within hbar/4 by Cauchy-Schwarz, so each
+    expectation is finite; sandwich(U, e3) of a unit rotor lies within 1.
     """
     table: dict[str, list[float]] = {
         name: [] for name in ("t", "p_plus", "p_minus", "s1", "s2", "s3", "u1", "u2", "u3")
     }
     _, bivector = _coupling_rows(cfg.B, cfg.q, cfg.m, cfg.hbar)
     spins = [op.coeffs for op in spin_vectors(cfg.hbar)]
+    eps, eps_rev, e3, _ = _block_rows()
     for t in _row_blocks(np.fromiter(map(float, t_grid), float)):
         with np.errstate(all="ignore"):
-            block = _trajectory_block(cfg, psi0, bivector, spins, t)
-        for column, values in zip(table.values(), block):
+            rotor, psi, failed, psi_rev = _evolution_rows(psi0, bivector, t, cfg.hbar)
+            if failed.any():
+                at = float(t[int(np.argmax(failed))])
+                u_at = _bivector_rotor(bivector.tolist(), at, cfg.hbar)
+                probability(basis_eps()[0], evolve(psi0, u_at))
+                raise ArithmeticError(f"the row kernel rejected t = {at!r}, "
+                                      "which the object API accepts")
+            p = [_probability_rows(u, u_rev, psi, psi_rev) for u, u_rev in zip(eps, eps_rev)]
+            s = [2.0 * _gp_rows(psi_rev, _gp_rows(op, psi), (0,))[:, 0] for op in spins]
+            axis = _gp_rows(_gp_rows(rotor, e3), _reverse_rows(rotor), (1, 2, 3))
+        for column, values in zip(table.values(), (t, *p, *s, *axis.T)):
             column.extend(values.tolist())
     return table
-
-
-def _trajectory_block(cfg, psi0, bivector, spins, t) -> list[np.ndarray]:
-    """trajectory's columns for one block of times, as arrays.  Where
-    `_evolution_rows` marks a row (a rotor off unit norm, psi0 or a state
-    not normalized), the first one is replayed through the object API
-    calls that make those three checks (`_object_row`), whose error is
-    raised; a marked row that replays clean is a defect of the row kernel,
-    a failed internal check, and raises ArithmeticError.
-
-    The final products of probability and expectation are computed for
-    their scalar blade 0 alone, and sandwich's for its vector blades 1-3,
-    the only blades the columns read."""
-    rotor, psi, failed, psi_rev = _evolution_rows(psi0, bivector, t, cfg.hbar)
-    if failed.any():
-        at = float(t[int(np.argmax(failed))])
-        _object_row(bivector.tolist(), psi0, at, cfg.hbar)
-        raise ArithmeticError(f"the row kernel rejected t = {at!r}, which the object API accepts")
-    eps, eps_rev, e3, _ = _block_rows()
-    p = [_probability_rows(u, u_rev, psi, psi_rev) for u, u_rev in zip(eps, eps_rev)]
-    s = [_gp_rows(psi_rev, _gp_rows(op, psi), (0,))[:, 0] for op in spins]
-    axis = _gp_rows(_gp_rows(rotor, e3), _reverse_rows(rotor), (1, 2, 3))
-    return [t, *(2.0 * x for x in p + s), *axis.T]
-
-
-def _object_row(bivector, psi0, t: float, hbar: float) -> None:
-    """One row of trajectory through the object API, for the error it
-    raises: evolution_rotor from the bivector row e123 h (not from
-    hamiltonian_from_field, which refuses a coupling that overflows with
-    its own message), evolve, then probability, which make the checks of
-    t, the exponent and the phase, then the three that `_evolution_rows`
-    marks, in the object API's order: Rotor's unit norm, evolve's psi0 and
-    probability's state.
-
-    The rest of a row cannot raise first.  The other probability makes the
-    same checks.  For a state that passes them, every coefficient and
-    partial sum of gp(S_i, psi) and gp(reverse(psi), S_i psi), with
-    S_i = (hbar/2) e_i, lies within hbar/4 by Cauchy-Schwarz, so each
-    expectation is finite; sandwich(U, e3) of a unit rotor lies within 1."""
-    probability(basis_eps()[0], evolve(psi0, _bivector_rotor(bivector, t, hbar)))
 
 
 def _evolution_rows(psi0, bivector, t, hbar):
@@ -497,7 +475,7 @@ def _evolution_rows(psi0, bivector, t, hbar):
     Returns the rotor rows, the state rows, one mask of the rows that the
     object API rejects, and the reversed state rows, which the callers'
     products read too.  The mask comes from the three checks that
-    `_object_row` replays, in the object API's order:
+    `trajectory` replays, in the object API's order:
       - a rotor off unit norm, Rotor's check, which only a defect trips;
       - psi0 not normalized, evolve's check: a psi0 just past the bound
         can evolve into a state within it;
@@ -520,11 +498,10 @@ def _evolution_rows(psi0, bivector, t, hbar):
 
 
 def _probability_rows(u_n, u_n_rev, psi, psi_rev) -> np.ndarray:
-    """The scalar part of probability(u_n, psi)'s product row by row,
-    unchecked, for a state row u_n and state rows psi, each given with its
-    reverse: twice it is the probability.  The last product is computed
-    for blade 0 alone."""
-    return _gp_rows(_gp_rows(_gp_rows(u_n_rev, psi), psi_rev), u_n, (0,))[:, 0]
+    """probability(u_n, psi) row by row, unchecked, for a state row u_n and
+    state rows psi, each given with its reverse.  The last product is
+    computed for blade 0 alone."""
+    return 2.0 * _gp_rows(_gp_rows(_gp_rows(u_n_rev, psi), psi_rev), u_n, (0,))[:, 0]
 
 
 @functools.cache

@@ -148,8 +148,8 @@ def reference_eigensystem(h):
         raise ValueError("eigenvalues h0 +/- |h| overflow")
     if r_norm == 0.0:
         return EigenSystem(
-            e_plus=h.h0,
-            e_minus=h.h0,
+            e_plus=e_plus,
+            e_minus=e_plus,
             rotor=Rotor.identity(),
             psi_plus=eps_plus,
             psi_minus=eps_minus,

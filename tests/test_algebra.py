@@ -648,10 +648,10 @@ class TestRotorAxisAngle:
             rotor_axis_angle(E3 * 2.0, 1.0)
 
     def test_rejects_non_vector_axis(self):
-        with pytest.raises(ValueError):
-            rotor_axis_angle(E12, 1.0)
-        with pytest.raises(ValueError):
-            rotor_axis_angle(ONE, 1.0)
+        # without its own check, E12 would be refused as |n| = 0
+        for axis in (E12, ONE):
+            with pytest.raises(ValueError, match="^axis must be a pure grade-1 multivector$"):
+                rotor_axis_angle(axis, 1.0)
 
     def test_counterclockwise_in_dual_plane(self):
         # small positive angle about e3 pushes e1 toward +e2

@@ -75,11 +75,28 @@ class TestDiag:
         assert "degenerate = true" in out
         assert "e_plus = 5" in out
 
-    @pytest.mark.parametrize("h", ["0,0,0,-0.0", "0,-0.0,0,0", "0,-0.0,-0.0,-0.0"])
+    @pytest.mark.parametrize("h", ["0,0,0,-0.0", "0,-0.0,0,0", "0,-0.0,-0.0,-0.0",
+                                   "0,-0.0,0,1", "0,0.0,-0.0,2", "-0.0,0,0,0"])
     def test_degenerate_angles_ignore_signed_zeros(self, capsys, h):
         code, out, err = run_cli(capsys, ["diag", f"--h={h}"])
         assert code == 0 and err == ""
-        assert "degenerate = true\ntheta = 0\nphi = 0\n" in out
+        degenerate = "true" if not any(map(float, h.split(",")[1:])) else "false"
+        assert f"degenerate = {degenerate}\ntheta = 0\nphi = 0\n" in out
+        assert out == run_cli(capsys, ["diag", "--h=" + h.replace("-0.0", "0")])[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(
+        allow_nan=False, allow_infinity=False)), min_size=4, max_size=4),
+        st.sampled_from(["csv", "json"]))
+    @example([0.0, -0.0, 0.0, 1.0], "csv")
+    @example([-0.0, 0.0, 0.0, 0.0], "json")
+    def test_output_ignores_signed_zeros(self, h, fmt):
+        # diag reads no sign of a zero: every output, the error ones
+        # included, is that of the same h with every zero +0.0
+        def run(values):
+            return run_captured(["diag", "--h=" + ",".join(map(repr, values)), f"--format={fmt}"])
+
+        assert run(h) == run([x + 0.0 for x in h])
 
     def test_tolerance_failure_exit_2(self, capsys):
         code, out, err = run_cli(capsys, ["diag", "--h", "0.3,1.2,-0.7,0.4", "--tol", "0"])
@@ -139,10 +156,12 @@ class TestDiag:
         assert abs(json.loads(out)["e_plus"] - math.sqrt(2.0)) <= 1e-15
 
     def test_bad_h_text(self, capsys):
-        code, out, err = run_cli(capsys, ["diag", "--h", "1,2,3"])
-        assert code == 1
-        code, out, err = run_cli(capsys, ["diag", "--h", "a,b,c,d"])
-        assert code == 1
+        # without the count check, three numbers would be refused as a
+        # vector part of 3 components
+        assert run_cli(capsys, ["diag", "--h", "1,2,3"]) == (
+            1, "", "gatss diag: error: --h needs 4 comma-separated numbers, got 3\n")
+        assert run_cli(capsys, ["diag", "--h", "a,b,c,d"]) == (
+            1, "", "gatss diag: error: --h: could not convert string to float: 'a'\n")
 
 
 class TestEvolve:
@@ -889,6 +908,18 @@ class TestNumpyOnFirstUse:
         result = json.loads(done.stdout.splitlines()[-1])
         # cli itself never holds numpy, whatever the subcommand loads
         assert result == [code, loaded, False], done.stderr
+
+    def test_object_api_without_numpy(self):
+        # the script that CI's goldens-without-numpy job runs, here with
+        # numpy blocked: any import of it raises ImportError
+        script = os.path.join(os.path.dirname(__file__), "object_api_without_numpy.py")
+        block = ("import runpy, sys; sys.modules['numpy'] = None; "
+                 "runpy.run_path(sys.argv[1], run_name='__main__')")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gatss.__file__)))
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", block, script],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+        assert len(done.stdout.split()) == 12
 
 
 # Run in a fresh `python -S` interpreter, which has neither site-packages

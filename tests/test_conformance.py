@@ -528,6 +528,34 @@ def test_suites_stay_off_the_object_path(monkeypatch):
     assert calls["_norm3"] == 0 and calls["gp"] <= 2
 
 
+class RecordingRng:
+    """A seeded Generator whose uniform draws are recorded as they are made."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def uniform(self, low, high, size):
+        self.draws.append(self.rng.uniform(low, high, size))
+        return self.draws[-1]
+
+
+def test_first_draws_are_pinned():
+    # NumPy keeps PCG64's bit stream stable, but not Generator.uniform's
+    # algorithm (NEP 19); a numpy that rounds its draws differently fails
+    # here by name, before it moves a conformance golden
+    rng = RecordingRng(2020)
+    for suite in (suite_homomorphism, suite_associativity, suite_rabi_triangle):
+        suite(rng, 1)
+    assert [[float(x).hex() for x in draw.ravel()[:4]] for draw in rng.draws] == [
+        ["-0x1.4487dfa66d520p-1", "0x1.25ba98c9b20c0p-2", "0x1.d1e7ae176e4b0p+2",
+         "0x1.18d0b0a1c0ceap+2"],
+        ["0x1.a165375a6f3acp+2", "0x1.1a8e6979e7ec8p+0", "-0x1.581fe9d8d447dp+2",
+         "0x1.3517fcff393c6p+3"],
+        ["-0x1.33d5f77c533c5p+2", "0x1.1cc1ac628c73ap+2", "0x1.3ba927c943b06p+2",
+         "0x1.b45c12e863e1cp+2"],
+    ]
+
+
 class StubRng:
     """Hands out the given blocks in turn and records the sizes asked for."""
 

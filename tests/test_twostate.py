@@ -304,6 +304,14 @@ class TestPolarAngles:
         h = Hamiltonian(0.5, tuple(math.copysign(0.0, s) for s in signs))
         assert [x.hex() for x in polar_angles(h)] == [0.0.hex()] * 2
 
+    @pytest.mark.parametrize("h3, theta", [(1.0, 0.0), (-1.0, math.pi)])
+    @pytest.mark.parametrize("h1, h2", [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+    def test_e3_axis_whatever_the_signs_of_its_zeros(self, h1, h2, h3, theta):
+        # atan2(0.0, -0.0) is pi and atan2(-0.0, 0.0) is -0.0: the azimuth
+        # of the e3 axis is +0.0 however its zeros are signed
+        h = Hamiltonian(0.5, (h1, h2, h3))
+        assert [x.hex() for x in polar_angles(h)] == [theta.hex(), 0.0.hex()]
+
     def test_example_field(self):
         theta, phi = polar_angles(H_EXAMPLE)
         assert theta == math.pi / 4 and phi == 0.0
@@ -991,6 +999,25 @@ class TestTimeGrid:
         assert len(t) == steps and all(map(math.isfinite, t))
         assert t == sorted(t, reverse=t_end < t_start)
         assert t[0] == t_start and (steps == 1 or t[-1] == t_end)
+
+    @pytest.mark.parametrize("t_start, t_end, steps, expected", [
+        (0.0, 10.0, 7, ["0x0.0p+0", "0x1.aaaaaaaaaaaabp+0", "0x1.aaaaaaaaaaaabp+1",
+                        "0x1.4000000000000p+2", "0x1.aaaaaaaaaaaabp+2", "0x1.0aaaaaaaaaaabp+3",
+                        "0x1.4000000000000p+3"]),
+        (-0.3, 2.9, 6, ["-0x1.3333333333333p-2", "0x1.5c28f5c28f5c1p-2", "0x1.f5c28f5c28f5ap-1",
+                        "0x1.9eb851eb851eap+0", "0x1.2147ae147ae14p+1", "0x1.7333333333333p+1"]),
+        # the span overflows: twice the grid of the halved ends
+        (-1.5e308, 1.5e308, 5, ["-0x1.ab36d48e1acf0p+1023", "-0x1.ab36d48e1acf0p+1022",
+                                "0x0.0p+0", "0x1.ab36d48e1acf0p+1022",
+                                "0x1.ab36d48e1acf0p+1023"]),
+        (-1.7e308, 1.1e308, 4, ["-0x1.e42d130773b76p+1023", "-0x1.b4b5344cfef5cp+1022",
+                                "0x1.7bbef5d3a60d0p+1020", "0x1.394a579b68fe3p+1023"]),
+    ], ids=["unit", "offset", "halved", "halved-asymmetric"])
+    def test_grid_bits_are_pinned(self, t_start, t_end, steps, expected):
+        # the t column is np.linspace's bits, which numpy does not promise
+        # across versions; a numpy that rounds the grid differently fails
+        # here by name, before it moves an evolve golden
+        assert [t.hex() for t in time_grid(t_start, t_end, steps).tolist()] == expected
 
 
 def reference_rotor(cfg, t):
