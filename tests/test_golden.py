@@ -126,6 +126,17 @@ CASES = {
     "diag_help": (["diag", "--help"], None),
     "evolve_help": (["evolve", "--help"], None),
     "conformance_help": (["conformance", "--help"], None),
+    # parsing at the edge of the command dispatch: the top-level usage for
+    # leftovers, a command's own errors and help, and argv with no command
+    "evolve_unknown_flag": (
+        ["evolve", "--B=1,0,1", "--t-end=1", "--steps=2", "--bogus", "1"], None,
+    ),
+    "diag_stray_positional": (["diag", "--h=0,1,0,1", "extra"], None),
+    "diag_double_dash": (["diag", "--", "--h=0,1,0,1"], None),
+    "conformance_missing_value": (["conformance", "--count"], None),
+    "diag_help_after_flag": (["diag", "--h=0,1,0,1", "-h"], None),
+    "help_before_command": (["-h", "diag"], None),
+    "unknown_command": (["nope"], None),
 }
 
 
