@@ -1,5 +1,10 @@
 """Command line front end: diag | evolve | conformance.
 
+A command's arguments get one argparse pass, by that command's parser; the
+top-level parser reads only an argv that starts with no command (none, -h
+or an unknown command), and writes the usage error for arguments left over
+after a command.
+
 Exit codes, which `main` alone decides: 0 on success, 1 for usage or
 input errors, 2 when a numerical cross-check exceeds its tolerance or an
 internal check fails (ArithmeticError, such as a row kernel that
@@ -365,9 +370,10 @@ _COMMANDS = {
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The command line parser, built on the first call and then reused;
-    help text reads the terminal width only when it is printed."""
+def _parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and the command parsers by name, built on the
+    first call and then reused; help text reads the terminal width only
+    when it is printed."""
     parser = _Parser(prog="gatss", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _) in _COMMANDS.items():
@@ -375,12 +381,27 @@ def _parser() -> _Parser:
         for name, (flag, _, defaults) in _SETTINGS.items():
             if flag is not None and command in defaults:
                 cmd.add_argument("--" + name.replace("_", "-"), **flag)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace of argv, by one argparse pass: a command's arguments
+    go straight to its own parser, and the top-level parser reads only an
+    argv that starts with no command (none, -h or an unknown one).  Left
+    over arguments get the top-level error that its nested pass gives."""
+    parser, commands = _parser()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse raises SystemExit for both --help (code 0) and usage
         # errors (remapped to 1 above)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -719,6 +720,35 @@ def test_diag_sees_a_unit_scale_eigensystem_defect(capsys, monkeypatch, defect):
     assert code == 2 and "status = tolerance-exceeded" in out
 
 
+# argv from a command name (or none, or an unknown one) and then known and
+# unknown flags, as --flag=value and as --flag value, negative numbers, -h,
+# --, - and stray positionals
+_FLAGS = ["--" + name.replace("_", "-") for name, (flag, _, _) in _SETTINGS.items() if flag]
+_VALUES = st.sampled_from(["1", "-1", "-.5", "-0.5,1,2,3", "0,1,0,1", "1e-3", "json", "x"])
+_TOKENS = st.one_of(
+    st.tuples(st.sampled_from(_FLAGS)),
+    st.builds(lambda flag, value: (f"{flag}={value}",), st.sampled_from(_FLAGS), _VALUES),
+    st.tuples(st.sampled_from(_FLAGS), _VALUES),
+    st.tuples(st.sampled_from(["-h", "--help", "--", "-", "--bogus", "-x", "extra", "-1", ""])),
+)
+ARGV = st.builds(
+    lambda head, tokens: head + [arg for token in tokens for arg in token],
+    st.sampled_from([["diag"], ["evolve"], ["conformance"], [], ["nope"]]),
+    st.lists(_TOKENS, max_size=6),
+)
+
+
+def parsed(parse, argv):
+    """The settings namespace, or the exit code, with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
 class TestParsing:
     @pytest.mark.parametrize("argv, config, code, err", [
         (["evolve", "--steps=2"], {"q": "abc"}, 1, "q must be a number, got 'abc'"),
@@ -797,6 +827,35 @@ class TestParsing:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, ["--help"])[0] == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=ARGV)
+    def test_dispatch_matches_the_nested_pass(self, argv):
+        # the top-level parser's nested pass still reads every argv that
+        # starts with no command, so it is the reference for the rest
+        assert parsed(cli._parse, argv) == parsed(cli._parser()[0].parse_args, argv)
+
+    @pytest.mark.parametrize("argv, command", [
+        (["diag", "--h=0,1,0,1"], "diag"),
+        (["evolve", "--bogus", "1"], "evolve"),
+        (["conformance", "--help"], "conformance"),
+        ([], None),
+        (["--help"], None),
+        (["nope"], None),
+    ])
+    def test_one_parse_per_call(self, capsys, monkeypatch, argv, command):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            calls.append(parser)
+            return parse(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        main(argv)
+        assert len(calls) == 1
+        top, commands = cli._parser()
+        assert calls[0] is (top if command is None else commands[command])
 
     def test_bad_config_file(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"
