@@ -3,7 +3,8 @@
 A command's arguments get one argparse pass, by that command's parser; the
 top-level parser reads only an argv that starts with no command (none, -h
 or an unknown command), and writes the usage error for arguments left over
-after a command.
+after a command.  Flags must be spelled in full: no parser takes an
+abbreviation.
 
 Exit codes, which `main` alone decides: 0 on success, 1 for usage or
 input errors, 2 when a numerical cross-check exceeds its tolerance or an
@@ -377,7 +378,7 @@ def _parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="gatss", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _) in _COMMANDS.items():
-        cmd = sub.add_parser(command, help=help_text)
+        cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for name, (flag, _, defaults) in _SETTINGS.items():
             if flag is not None and command in defaults:
                 cmd.add_argument("--" + name.replace("_", "-"), **flag)

@@ -720,16 +720,17 @@ def test_diag_sees_a_unit_scale_eigensystem_defect(capsys, monkeypatch, defect):
     assert code == 2 and "status = tolerance-exceeded" in out
 
 
-# argv from a command name (or none, or an unknown one) and then known and
-# unknown flags, as --flag=value and as --flag value, negative numbers, -h,
-# --, - and stray positionals
+# argv from a command name (or none, or an unknown one) and then known,
+# unknown and abbreviated flags, as --flag=value and as --flag value,
+# negative numbers, -h, --, - and stray positionals
 _FLAGS = ["--" + name.replace("_", "-") for name, (flag, _, _) in _SETTINGS.items() if flag]
 _VALUES = st.sampled_from(["1", "-1", "-.5", "-0.5,1,2,3", "0,1,0,1", "1e-3", "json", "x"])
 _TOKENS = st.one_of(
     st.tuples(st.sampled_from(_FLAGS)),
     st.builds(lambda flag, value: (f"{flag}={value}",), st.sampled_from(_FLAGS), _VALUES),
     st.tuples(st.sampled_from(_FLAGS), _VALUES),
-    st.tuples(st.sampled_from(["-h", "--help", "--", "-", "--bogus", "-x", "extra", "-1", ""])),
+    st.tuples(st.sampled_from(
+        ["-h", "--help", "--", "-", "--bogus", "-x", "extra", "-1", "", "--form", "--t-e=1"])),
 )
 ARGV = st.builds(
     lambda head, tokens: head + [arg for token in tokens for arg in token],
@@ -824,6 +825,17 @@ class TestParsing:
 
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, ["evolve", "--bogus", "1"])[0] == 1
+
+    @pytest.mark.parametrize("argv, extras", [
+        (["evolve", "--B=1,2,3", "--t-e=1", "--ste=2"], "--t-e=1 --ste=2"),
+        (["diag", "--h=1,2,3,4", "--form=json"], "--form=json"),
+        (["diag", "--h=1,2,3,4", "--form", "json"], "--form json"),
+        (["conformance", "--co", "5"], "--co 5"),
+    ])
+    def test_flags_must_be_spelled_in_full(self, capsys, argv, extras):
+        assert run_cli(capsys, argv) == (
+            1, "", "usage: gatss [-h] {diag,evolve,conformance} ...\n"
+            f"gatss: error: unrecognized arguments: {extras}\n")
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, ["--help"])[0] == 0
