@@ -386,10 +386,9 @@ def _parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """The namespace of argv, by one argparse pass: a command's arguments
-    go straight to its own parser, and the top-level parser reads only an
-    argv that starts with no command (none, -h or an unknown one).  Left
-    over arguments get the top-level error that its nested pass gives."""
+    """The namespace of argv, by one argparse pass.  Arguments left over
+    after a command get the top-level parser's error, as its nested pass
+    gave them."""
     parser, commands = _parser()
     if not argv or argv[0] not in commands:
         return parser.parse_args(argv)
